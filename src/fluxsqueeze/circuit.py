@@ -18,6 +18,7 @@ series.  The oscillator is stable while E_L + E_J(f_s)/2 >= 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -28,6 +29,7 @@ from .errors import (
     ConvergenceError,
     DegenerateSpectrumError,
     ParameterError,
+    SimulationError,
     StabilityError,
 )
 from .operators import (
@@ -122,35 +124,59 @@ def circuit_operators(p: CircuitParams, space: FockSpace):
     return phase_charge_operators(space, p.mass, p.omega0)
 
 
+class FluxFreeTerms(NamedTuple):
+    """The flux-independent matrices both Hamiltonians combine (read-only)."""
+
+    nn: np.ndarray
+    pp: np.ndarray
+    cos_phi: np.ndarray
+    phi4: np.ndarray
+
+
+# The doubling ladder visits at most this many bases per (E_c, E_L).
+@functools.lru_cache(maxsize=MAX_DOUBLINGS + 1)
+def _cached_terms(mass: float, omega0: float, dim: int) -> FluxFreeTerms:
+    phi, n = phase_charge_operators(make_fock_space(dim), mass, omega0)
+    pp = phi.matrix @ phi.matrix
+    terms = FluxFreeTerms(
+        nn=n.matrix @ n.matrix,
+        pp=pp,
+        cos_phi=hermitian_matrix_function(phi, np.cos),
+        phi4=pp @ pp,
+    )
+    for mat in terms:
+        mat.setflags(write=False)
+    return terms
+
+
+def flux_free_terms(p: CircuitParams, space: FockSpace) -> FluxFreeTerms:
+    """n^2, phi^2, cos(phi) and phi^4 of the omega0 basis, built once per
+    (E_c, E_L, dim) and shared by every flux point."""
+    return _cached_terms(p.mass, p.omega0, space.dim)
+
+
 def harmonic_hamiltonian(p: CircuitParams, space: FockSpace) -> Operator:
     """E_c n^2 + E_L phi^2 (the f_s = 1/2 point and the basis oscillator)."""
-    phi, n = circuit_operators(p, space)
-    mat = p.e_c * (n.matrix @ n.matrix) + p.e_l * (phi.matrix @ phi.matrix)
-    return as_hermitian(mat, space)
+    t = flux_free_terms(p, space)
+    return as_hermitian(p.e_c * t.nn + p.e_l * t.pp, space)
 
 
 def full_hamiltonian(p: CircuitParams, space: FockSpace) -> Operator:
     """E_c n^2 - E_J(f_s) cos(phi) + E_L phi^2 with cos as a matrix function."""
     _require_stable(p)
-    phi, n = circuit_operators(p, space)
-    cos_phi = hermitian_matrix_function(phi, np.cos)
-    mat = (
-        p.e_c * (n.matrix @ n.matrix)
-        - p.ej_flux * cos_phi
-        + p.e_l * (phi.matrix @ phi.matrix)
-    )
+    t = flux_free_terms(p, space)
+    mat = p.e_c * t.nn - p.ej_flux * t.cos_phi + p.e_l * t.pp
     return as_hermitian(mat, space)
 
 
 def quartic_hamiltonian(p: CircuitParams, space: FockSpace) -> Operator:
     """cos(phi) expanded through phi^4; same basis as the full Hamiltonian."""
     _require_stable(p)
-    phi, n = circuit_operators(p, space)
-    phi2 = phi.matrix @ phi.matrix
+    t = flux_free_terms(p, space)
     mat = (
-        p.e_c * (n.matrix @ n.matrix)
-        + 0.5 * (2.0 * p.e_l + p.ej_flux) * phi2
-        - (p.ej_flux / 24.0) * (phi2 @ phi2)
+        p.e_c * t.nn
+        + 0.5 * (2.0 * p.e_l + p.ej_flux) * t.pp
+        - (p.ej_flux / 24.0) * t.phi4
     )
     return as_hermitian(mat, space)
 
@@ -203,15 +229,19 @@ class Spectrum:
         return np.array([e for _, e in self.levels])
 
 
-def spectrum(H: Operator, k: int = 3) -> Spectrum:
-    """Lowest ``k`` eigenvalues with the first two gaps extracted."""
+def _lowest_levels(w: np.ndarray, k: int) -> Spectrum:
     if k < 3:
         raise ParameterError(f"need at least the lowest three levels, got k={k}")
-    if k > H.space.dim:
-        raise ParameterError(f"k={k} exceeds the truncation dim={H.space.dim}")
-    w, _ = hermitian_eig(H)
+    if k > len(w):
+        raise ParameterError(f"k={k} exceeds the truncation dim={len(w)}")
     levels = tuple((i, float(w[i])) for i in range(k))
     return Spectrum(levels=levels, e01=float(w[1] - w[0]), e12=float(w[2] - w[1]))
+
+
+def spectrum(H: Operator, k: int = 3) -> Spectrum:
+    """Lowest ``k`` eigenvalues with the first two gaps extracted."""
+    w, _ = hermitian_eig(H)
+    return _lowest_levels(w, k)
 
 
 def anharmonicity(s: Spectrum) -> float:
@@ -229,6 +259,21 @@ def _lowest(builder: Builder, p: CircuitParams, dim: int, k: int) -> np.ndarray:
     return w[:k]
 
 
+def _real_eigenvalues(H: Operator) -> np.ndarray:
+    """Eigenvalues of a Hermitian operator whose matrix must be exactly real.
+
+    Both circuit Hamiltonians are real symmetric in the Fock basis, so the
+    real solve sees the same matrix at a fraction of the complex cost.
+    """
+    if H.matrix.imag.any():
+        raise SimulationError(
+            f"expected a real Hamiltonian at dim={H.dim}, but max|Im H| = "
+            f"{float(np.abs(H.matrix.imag).max()):.3e}"
+        )
+    w, _ = hermitian_eig(H.matrix.real)
+    return w
+
+
 def check_convergence(
     p: CircuitParams,
     dim: int,
@@ -238,7 +283,9 @@ def check_convergence(
 ) -> float:
     """Doubling test: how far the lowest ``k`` levels move from dim to 2*dim.
 
-    Raises ConvergenceError when the movement reaches ``tol`` (GHz).
+    Both dimensions are solved in complex arithmetic, so the movement
+    reported here is the raw one.  Raises ConvergenceError when the
+    movement reaches ``tol`` (GHz).
     """
     k_eff = min(k, dim)
     move = float(
@@ -265,15 +312,26 @@ def converged_spectrum(
     Starts from ``dim`` and doubles until the lowest ``k`` levels move by
     less than ``tol`` GHz, then reports the values at the accepted (smaller)
     dimension together with that dimension.
+
+    Each rung of the ladder is built and solved once.  The lower rung,
+    whose levels are reported, goes through the complex solve; the upper
+    rung is only compared with ``tol`` and is solved on its exactly-real
+    matrix.  A rung reached by doubling keeps its real eigenvalues for the
+    next comparison and is solved in complex arithmetic only if accepted.
     """
     current = dim
+    lower = builder(p, make_fock_space(current))
+    w_lower, _ = hermitian_eig(lower)
     for _ in range(max_doublings):
-        try:
-            check_convergence(p, current, builder, k, tol)
-        except ConvergenceError:
-            current *= 2
-            continue
-        return spectrum(builder(p, make_fock_space(current)), k), current
+        upper = builder(p, make_fock_space(2 * current))
+        w_upper = _real_eigenvalues(upper)
+        k_eff = min(k, current)
+        if np.abs(w_lower[:k_eff] - w_upper[:k_eff]).max() < tol:
+            if current != dim:
+                w_lower, _ = hermitian_eig(lower)
+            return _lowest_levels(w_lower, k), current
+        current *= 2
+        lower, w_lower = upper, w_upper
     raise ConvergenceError(
         f"no converged truncation found up to dim={current} "
         f"(started at {dim}, tolerance {tol:.1e} GHz)"

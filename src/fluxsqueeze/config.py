@@ -13,6 +13,7 @@ declared type, and command-line flags override file values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -116,6 +117,11 @@ class RunConfig:
         if self.convention not in ("matched", "swapped"):
             raise ParameterError(
                 f"numerics.convention must be 'matched' or 'swapped', got {self.convention!r}"
+            )
+        if not (math.isfinite(self.convergence_tol) and self.convergence_tol > 0):
+            raise ParameterError(
+                "numerics.convergence_tol must be finite and > 0, "
+                f"got {self.convergence_tol}"
             )
         if self.t is not None and self.t < 0:
             raise ParameterError(f"run.t must be non-negative, got {self.t}")

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitParams, reduced_params, stability
-from .errors import ParameterError, StabilityError, WrongRegimeError
+from .circuit import CircuitParams, _require_stable, reduced_params
+from .errors import ParameterError, WrongRegimeError
 from .operators import (
     FockSpace,
     annihilation,
@@ -93,14 +93,6 @@ def make_schedule(
     return GateSchedule(
         t=t, m=m, k=k, t_prime=t_prime, t_dprime=t_dprime, convention=convention
     )
-
-
-def _require_stable(p: CircuitParams):
-    result = stability(p)
-    if not result.stable:
-        raise StabilityError(
-            f"unstable circuit at f_s={p.f_s} (margin {result.margin:.4f} GHz)"
-        )
 
 
 def _check_rep(rep: str, space: FockSpace | None):

@@ -149,10 +149,6 @@ def number(space: FockSpace) -> Operator:
     return Operator(np.diag(np.arange(space.dim, dtype=float)), space, hermitian=True)
 
 
-def identity(space: FockSpace) -> Operator:
-    return Operator(np.eye(space.dim), space, hermitian=True)
-
-
 def phase_charge_operators(
     space: FockSpace, m: float, omega: float
 ) -> tuple[Operator, Operator]:
@@ -236,9 +232,10 @@ def hermitian_eig(op) -> tuple[np.ndarray, np.ndarray]:
     Returns sorted-ascending eigenvalues and the unitary eigenvector
     matrix (columns).  The input must be Hermitian within
     ``EIG_INPUT_RTOL`` of its largest element; the reconstruction
-    V diag(E) V^dag is verified against the input.
+    V diag(E) V^dag is verified against the input.  A float64 array is
+    solved as a real symmetric matrix; other input is made complex.
     """
-    mat = _as_matrix(op)
+    mat = op if isinstance(op, np.ndarray) and op.dtype == np.float64 else _as_matrix(op)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {mat.shape}")
     scale = max(1.0, float(np.abs(mat).max()))

@@ -6,14 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluxsqueeze import cli
 from fluxsqueeze.circuit import (
+    CONVERGENCE_TOL,
+    MAX_DOUBLINGS,
     CircuitParams,
     Spectrum,
     anharmonicity,
     check_convergence,
+    circuit_operators,
     converged_spectrum,
     cos_pi,
     effective_josephson,
+    flux_free_terms,
     full_hamiltonian,
     harmonic_hamiltonian,
     quartic_hamiltonian,
@@ -25,9 +30,16 @@ from fluxsqueeze.errors import (
     ConvergenceError,
     DegenerateSpectrumError,
     ParameterError,
+    SimulationError,
     StabilityError,
 )
-from fluxsqueeze.operators import make_fock_space
+from fluxsqueeze.config import RunConfig
+from fluxsqueeze.operators import (
+    as_hermitian,
+    hermitian_eig,
+    hermitian_matrix_function,
+    make_fock_space,
+)
 
 FIG2 = dict(e_c=0.12, e_j=58.0, e_l=58.6)
 
@@ -254,3 +266,101 @@ def test_converged_spectrum_grows_small_basis():
 def test_converged_spectrum_gives_up():
     with pytest.raises(ConvergenceError):
         converged_spectrum(params(0.9), 2, max_doublings=1)
+
+
+# Reference per-point path: every flux point builds its operators and
+# cos(phi) afresh and solves both rungs of each doubling test, and the
+# accepted rung once more, in complex arithmetic.
+def _reference_full(p, space):
+    phi, n = circuit_operators(p, space)
+    cos_phi = hermitian_matrix_function(phi, np.cos)
+    mat = (
+        p.e_c * (n.matrix @ n.matrix)
+        - p.ej_flux * cos_phi
+        + p.e_l * (phi.matrix @ phi.matrix)
+    )
+    return as_hermitian(mat, space)
+
+
+def _reference_quartic(p, space):
+    phi, n = circuit_operators(p, space)
+    phi2 = phi.matrix @ phi.matrix
+    mat = (
+        p.e_c * (n.matrix @ n.matrix)
+        + 0.5 * (2.0 * p.e_l + p.ej_flux) * phi2
+        - (p.ej_flux / 24.0) * (phi2 @ phi2)
+    )
+    return as_hermitian(mat, space)
+
+
+def _reference_converged(p, dim, builder, tol=CONVERGENCE_TOL):
+    current = dim
+    for _ in range(MAX_DOUBLINGS):
+        lo = hermitian_eig(builder(p, make_fock_space(current)))[0][:3]
+        hi = hermitian_eig(builder(p, make_fock_space(2 * current)))[0][:3]
+        if np.abs(lo - hi).max() < tol:
+            return spectrum(builder(p, make_fock_space(current))), current
+        current *= 2
+    raise ConvergenceError(f"reference ladder did not converge from dim={dim}")
+
+
+@pytest.mark.parametrize("start_dim", [60, 8])
+@pytest.mark.parametrize("f_s", [0.5, 0.505, 0.75, 0.9, 1.0])
+@pytest.mark.parametrize(
+    "builder, reference",
+    [(full_hamiltonian, _reference_full), (quartic_hamiltonian, _reference_quartic)],
+)
+def test_converged_spectrum_matches_reference_bitwise(builder, reference, f_s, start_dim):
+    p = params(f_s)
+    want, want_dim = _reference_converged(p, start_dim, reference)
+    got, got_dim = converged_spectrum(p, start_dim, builder)
+    assert got_dim == want_dim
+    assert got.levels == want.levels
+    assert got.e01 == want.e01
+    assert got.e12 == want.e12
+    space = make_fock_space(got_dim)
+    assert np.array_equal(builder(p, space).matrix, reference(p, space).matrix)
+
+
+@pytest.mark.parametrize("dim", [60, 8])
+def test_cmd_spectrum_matches_reference_bitwise(monkeypatch, dim):
+    cfg = RunConfig(fs_steps=6, dim=dim)
+    got = cli.cmd_spectrum(cfg)
+    monkeypatch.setattr(cli, "converged_spectrum", _reference_converged)
+    monkeypatch.setattr(cli, "full_hamiltonian", _reference_full)
+    monkeypatch.setattr(cli, "quartic_hamiltonian", _reference_quartic)
+    assert got == cli.cmd_spectrum(cfg)
+
+
+def test_converged_spectrum_solves_each_rung_once(monkeypatch):
+    p = params(0.9)
+    converged_spectrum(p, 60)  # warm the flux-free terms of both rungs
+    solves = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        solves.append((a.dtype, a.shape[0]))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    _, dim_used = converged_spectrum(p, 60)
+    assert dim_used == 60
+    assert solves == [(np.dtype(complex), 60), (np.dtype(np.float64), 120)]
+
+
+def test_flux_free_terms_are_read_only():
+    terms = flux_free_terms(params(0.9), make_fock_space(12))
+    for mat in terms:
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+
+
+def test_converged_spectrum_rejects_complex_hamiltonian():
+    def complex_builder(p, space):
+        mat = full_hamiltonian(p, space).matrix.copy()
+        mat[0, 1] += 1e-3j
+        mat[1, 0] -= 1e-3j
+        return as_hermitian(mat, space)
+
+    with pytest.raises(SimulationError, match="real Hamiltonian"):
+        converged_spectrum(params(0.9), 60, complex_builder)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -64,6 +65,18 @@ def test_config_validation():
         RunConfig(convention="diagonal")
     with pytest.raises(ParameterError):
         RunConfig(m_steps=0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+def test_config_rejects_bad_convergence_tol(tol):
+    with pytest.raises(ParameterError, match="convergence_tol"):
+        build_config({}, {"convergence_tol": tol})
+
+
+@pytest.mark.parametrize("value", ["0", "-1e-6", "nan", "inf"])
+def test_spectrum_rejects_bad_convergence_tol(capsys, value):
+    assert main(["spectrum", "--set", f"numerics.convergence_tol={value}"]) == 2
+    assert "convergence_tol" in capsys.readouterr().err
 
 
 def test_load_config_missing_file():
@@ -229,11 +242,14 @@ def test_selftest_unconverged_basis_fails(tmp_path):
 
 
 def test_selftest_tampered_tolerance_detected(tmp_path):
+    # a tolerance far below roundoff is valid config that no truncation meets
     out = tmp_path / "self.json"
     code = main(
-        ["selftest", "--set", "numerics.convergence_tol=0", "--out", str(out)]
+        ["selftest", "--set", "numerics.convergence_tol=1e-30", "--out", str(out)]
     )
     assert code == 5
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["truncation_convergence"]["passed"] is False
 
 
 def test_module_entry_point_runs():
