@@ -83,8 +83,10 @@ class CircuitParams:
     def __post_init__(self):
         for name in ("e_c", "e_j", "e_l"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ParameterError(f"{name} must be positive, got {value}")
+            if not (value > 0 and math.isfinite(value)):
+                raise ParameterError(f"{name} must be finite and positive, got {value}")
+        if not math.isfinite(self.f_s):
+            raise ParameterError(f"f_s must be finite, got {self.f_s}")
 
     @property
     def ej_flux(self) -> float:

@@ -244,7 +244,7 @@ def cmd_coupling(cfg: RunConfig) -> str:
             ),
         },
     }
-    return json.dumps(report, indent=2) + "\n"
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
 def cmd_selftest(cfg: RunConfig) -> tuple[str, bool]:
@@ -255,7 +255,7 @@ def cmd_selftest(cfg: RunConfig) -> tuple[str, bool]:
         "passed": passed,
         "checks": [c.as_dict() for c in checks],
     }
-    return json.dumps(report, indent=2) + "\n", passed
+    return json.dumps(report, indent=2, allow_nan=False) + "\n", passed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -312,7 +312,10 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
         "out_path": args.out,
     }
     if args.ratios is not None:
-        flags["ratios"] = tuple(float(r) for r in args.ratios.split(",") if r.strip())
+        try:
+            flags["ratios"] = tuple(float(r) for r in args.ratios.split(",") if r.strip())
+        except ValueError as exc:
+            raise ParameterError(f"--ratios expects comma-separated numbers: {exc}") from exc
     extra_lines = []
     for item in args.set:
         if "=" not in item:
@@ -359,6 +362,9 @@ def main(argv=None) -> int:
         return EXIT_CONVERGENCE
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNEXPECTED
+    except Exception as exc:  # last resort: one line, never a traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_UNEXPECTED
 
 

@@ -68,6 +68,18 @@ KNOWN_KEYS = {
 }
 
 
+# RunConfig attribute -> config key, for error messages
+KEY_OF = {attr: key for key, (attr, _) in KNOWN_KEYS.items()}
+
+# float-valued attributes that must be finite (``None`` means "not set";
+# ``ratios`` is checked element-wise)
+FINITE_FIELDS = (
+    "e_c", "e_j", "e_l", "f_s", "edge_length", "z_nv", "inductance",
+    "nv_splitting", "nv_zeeman", "fs_min", "fs_max", "ratios", "t",
+    "trotter_threshold",
+)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated parameters for one CLI invocation."""
@@ -97,6 +109,11 @@ class RunConfig:
     out_path: str | None = None
 
     def __post_init__(self):
+        for attr in FINITE_FIELDS:
+            value = getattr(self, attr)
+            items = value if isinstance(value, tuple) else (value,)
+            if not all(x is None or math.isfinite(x) for x in items):
+                raise ParameterError(f"{KEY_OF[attr]} must be finite, got {value}")
         for key in ("e_c", "e_j", "e_l", "edge_length", "z_nv"):
             if not getattr(self, key) > 0:
                 raise ParameterError(f"{key} must be positive, got {getattr(self, key)}")

@@ -65,6 +65,11 @@ class CouplingGeometry:
     inductance: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.edge_length, self.z_nv, self.inductance))):
+            raise GeometryError(
+                f"geometry must be finite, got edge_length={self.edge_length}, "
+                f"z_nv={self.z_nv}, inductance={self.inductance}"
+            )
         if not (0.0 < self.z_nv < self.edge_length):
             raise GeometryError(
                 f"spin position z_nv={self.z_nv} must lie strictly inside "

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     InvalidDimensionError,
@@ -27,8 +26,8 @@ from .errors import (
 
 # Absolute tolerance for the Operator hermiticity flag (operator units).
 HERMITICITY_ATOL = 1e-12
-# Hermiticity / normality tolerance for eigensolve inputs, scaled by the
-# largest matrix element.
+# Hermiticity (eigensolve) and anti-Hermiticity (exponential) tolerance
+# for inputs, scaled by the largest matrix element.
 EIG_INPUT_RTOL = 1e-10
 # Unitarity and eigen-reconstruction residual bounds.
 UNITARITY_ATOL = 1e-9
@@ -306,11 +305,13 @@ def exp_2x2(K: np.ndarray) -> np.ndarray:
 
 
 def exp_normal(K) -> np.ndarray:
-    """exp(K) for a normal matrix (or any 2x2 matrix, via the closed form).
+    """exp(K) for an anti-Hermitian matrix (or any 2x2 matrix, via the closed form).
 
-    Hermitian and anti-Hermitian inputs take the eigendecomposition
-    route; other normal matrices go through a complex Schur form whose
-    off-diagonal must vanish.  Non-normal large matrices are rejected.
+    Every squeezing gate is the exponential of ``i`` times a Hermitian
+    generator, so a larger input must satisfy K^dag = -K within
+    ``EIG_INPUT_RTOL`` of its largest element; it then goes through the
+    eigendecomposition of the Hermitian matrix -iK.  Any other matrix,
+    normal or not, is rejected with ``ParameterError``.
     """
     mat = _as_matrix(K)
     if mat.shape == (2, 2):
@@ -318,33 +319,16 @@ def exp_normal(K) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {mat.shape}")
     scale = max(1.0, float(np.abs(mat).max()))
-    tol = EIG_INPUT_RTOL * scale
-
-    if float(np.abs(mat - mat.conj().T).max()) <= tol:
-        w, v = np.linalg.eigh(mat)
-        out = (v * np.exp(w)) @ v.conj().T
-        inv = (v * np.exp(-w)) @ v.conj().T
-    elif float(np.abs(mat + mat.conj().T).max()) <= tol:
-        # K = i H with H Hermitian
-        w, v = np.linalg.eigh(-1j * mat)
-        out = (v * np.exp(1j * w)) @ v.conj().T
-        inv = (v * np.exp(-1j * w)) @ v.conj().T
-    else:
-        comm = mat @ mat.conj().T - mat.conj().T @ mat
-        if float(np.abs(comm).max()) > EIG_INPUT_RTOL * scale * scale:
-            raise ParameterError(
-                "matrix is neither normal nor 2x2; general exponentials are unsupported"
-            )
-        T, Z = scipy.linalg.schur(mat, output="complex")
-        off = float(np.abs(T - np.diag(np.diag(T))).max())
-        if off > tol:
-            raise ParameterError(
-                f"Schur form off-diagonal {off:.3e} too large for a normal matrix"
-            )
-        d = np.diag(T)
-        out = (Z * np.exp(d)) @ Z.conj().T
-        inv = (Z * np.exp(-d)) @ Z.conj().T
-
+    anti_res = float(np.abs(mat + mat.conj().T).max())
+    if anti_res > EIG_INPUT_RTOL * scale:
+        raise ParameterError(
+            f"exp_normal needs an anti-Hermitian matrix beyond 2x2: "
+            f"max|K + K^dag| = {anti_res:.3e} (scale {scale:.3e})"
+        )
+    # K = i H with H Hermitian
+    w, v = np.linalg.eigh(-1j * mat)
+    out = (v * np.exp(1j * w)) @ v.conj().T
+    inv = (v * np.exp(-1j * w)) @ v.conj().T
     res = float(np.abs(out @ inv - np.eye(mat.shape[0])).max())
     if res > EXP_ROUNDTRIP_ATOL:
         raise SimulationError(f"exp(K)exp(-K) residual {res:.3e} exceeds bound")

@@ -91,6 +91,15 @@ def test_params_reject_nonpositive_energies(field):
         CircuitParams(**values)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["e_c", "e_j", "e_l", "f_s"])
+def test_params_reject_non_finite_values(field, bad):
+    values = dict(FIG2, f_s=0.5)
+    values[field] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        CircuitParams(**values)
+
+
 def test_stability_sweet_spot_margin():
     stable, margin = stability(params(0.5))
     assert stable and margin == FIG2["e_l"]

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +79,68 @@ def test_config_rejects_bad_convergence_tol(tol):
 def test_spectrum_rejects_bad_convergence_tol(capsys, value):
     assert main(["spectrum", "--set", f"numerics.convergence_tol={value}"]) == 2
     assert "convergence_tol" in capsys.readouterr().err
+
+
+FINITE_KEYS = [
+    "circuit.e_c", "circuit.e_j", "circuit.e_l", "circuit.f_s",
+    "geometry.edge_length", "geometry.z_nv", "geometry.inductance",
+    "nv.zero_field_splitting", "nv.zeeman", "sweep.fs_min", "sweep.fs_max",
+    "sweep.ratios", "run.t", "trotter.threshold",
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FINITE_KEYS)
+def test_config_rejects_non_finite_float(key, value):
+    with pytest.raises(ParameterError, match=f"{key} must be finite"):
+        build_config(parse_config_text(f"{key} = {value}"))
+
+
+def test_config_rejects_non_finite_ratio_among_finite():
+    with pytest.raises(ParameterError, match="sweep.ratios must be finite"):
+        RunConfig(ratios=(1.005, math.nan, 1.1))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["trotter", "--t="],
+        ["amplify", "--t="],
+        ["amplify", "--fs-max="],
+        ["coupling", "--set", "geometry.edge_length="],
+        ["selftest", "--set", "circuit.e_j="],
+    ],
+    ids=["trotter_t", "amplify_t", "amplify_fs_max", "coupling_edge", "selftest_e_j"],
+)
+def test_cli_rejects_non_finite_input(capsys, tmp_path, args, value):
+    argv = args[:-1] + [args[-1] + value]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_malformed_ratios_flag(capsys):
+    assert main(["amplify", "--ratios", "1.005,abc"]) == 2
+    assert "--ratios" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coupling", "--set", "geometry.inductance=1e-320"],
+        ["selftest", "--set", "circuit.e_j=1e300"],
+    ],
+    ids=["coupling", "selftest"],
+)
+def test_json_report_refuses_non_finite_values(capsys, tmp_path, argv):
+    # finite inputs whose report overflows: no bare Infinity/NaN is written
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError:") and "JSON compliant" in err
+    assert not out.exists()
 
 
 def test_load_config_missing_file():
@@ -260,3 +324,32 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["tool"]["name"] == "fluxsqueeze"
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def test_unexpected_exception_is_one_line_exit_1():
+    # math.exp overflows in the gain sweep; the CLI reports it in one line
+    proc = subprocess.run(
+        [sys.executable, "-m", "fluxsqueeze.cli", "amplify", "--t", "10000"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: OverflowError:")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_cli_import_does_not_load_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fluxsqueeze.cli; assert 'scipy' not in sys.modules"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr

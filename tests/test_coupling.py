@@ -48,6 +48,15 @@ def test_geometry_validation(z_nv, inductance):
         CouplingGeometry(edge_length=10e-6, z_nv=z_nv, inductance=inductance)
 
 
+@pytest.mark.parametrize(
+    "edge_length,z_nv,inductance",
+    [(math.inf, 1e-8, 1.4e-9), (10e-6, math.nan, 1.4e-9), (10e-6, 1e-8, math.inf)],
+)
+def test_geometry_rejects_non_finite(edge_length, z_nv, inductance):
+    with pytest.raises(GeometryError, match="finite"):
+        CouplingGeometry(edge_length=edge_length, z_nv=z_nv, inductance=inductance)
+
+
 def test_inductance_energy_round_trip():
     inductance = inductance_from_inductive_energy(58.6)
     assert inductive_energy_from_inductance(inductance) == pytest.approx(58.6, rel=1e-12)

@@ -234,9 +234,17 @@ def test_exp_normal_squeeze_generator_is_unitary(eta):
     assert np.abs(u @ u.conj().T - np.eye(60)).max() < 1e-9
 
 
-def test_exp_normal_diagonal_normal_matrix():
-    d = np.diag([1.0 + 1.0j, -0.5 + 2.0j, 0.25])
-    assert np.abs(exp_normal(d) - np.diag(np.exp(np.diag(d)))).max() < 1e-12
+@pytest.mark.parametrize(
+    "normal",
+    [
+        np.diag([1.0 + 1.0j, -0.5 + 2.0j, 0.25]),
+        np.array([[1.0, 0.5, 0.0], [0.5, -2.0, 0.25], [0.0, 0.25, 0.5]]),
+    ],
+    ids=["complex_diagonal", "real_symmetric"],
+)
+def test_exp_normal_rejects_normal_non_anti_hermitian(normal):
+    with pytest.raises(ParameterError, match="anti-Hermitian"):
+        exp_normal(normal)
 
 
 def test_exp_normal_rejects_non_normal():
