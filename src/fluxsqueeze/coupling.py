@@ -17,7 +17,15 @@ import numpy as np
 
 from .circuit import CircuitParams, reduced_params, stability
 from .errors import GeometryError, ParameterError, StabilityError, TruncationLeakError
-from .operators import FockSpace, Operator, TAU_X, TAU_Z, as_hermitian, exp_normal
+from .operators import (
+    FockSpace,
+    Operator,
+    TAU_X,
+    TAU_Z,
+    annihilation,
+    as_hermitian,
+    exp_normal,
+)
 
 # CODATA 2018 constants, SI
 H_PLANCK = 6.62607015e-34          # J s (exact)
@@ -79,12 +87,18 @@ class CouplingGeometry:
             raise GeometryError(f"inductance must be positive, got {self.inductance}")
 
 
+def _finite(value: float, what: str, geom_desc: str) -> float:
+    if not math.isfinite(value):
+        raise GeometryError(f"{what} is not finite ({value}) for {geom_desc}")
+    return value
+
+
 def inductive_energy_from_inductance(inductance_h: float) -> float:
     """E_L = Phi_0^2 / (8 pi^2 L), returned in GHz."""
     if not inductance_h > 0:
         raise GeometryError(f"inductance must be positive, got {inductance_h}")
     e_l_joule = PHI_0**2 / (8.0 * math.pi**2 * inductance_h)
-    return e_l_joule / H_PLANCK / 1e9
+    return _finite(e_l_joule / H_PLANCK / 1e9, "E_L", f"inductance={inductance_h}")
 
 
 def inductance_from_inductive_energy(e_l_ghz: float) -> float:
@@ -118,6 +132,10 @@ def default_geometry(
     return CouplingGeometry(edge_length=edge_length, z_nv=z_nv, inductance=inductance)
 
 
+def _describe(geom: CouplingGeometry) -> str:
+    return f"edge_length={geom.edge_length}, z_nv={geom.z_nv}, inductance={geom.inductance}"
+
+
 def _b0_terms(z, l):
     near = (l**2 + 2.0 * z**2) / (l * z * np.sqrt((l / 2.0) ** 2 + z**2))
     far = (3.0 * l**2 - 4.0 * l * z + 2.0 * z**2) / (
@@ -131,8 +149,14 @@ def biot_savart_b0(geom: CouplingGeometry) -> float:
 
     Two-term line-integral result for a point on the symmetry line at
     distance z_nv from one edge; exactly symmetric under z -> l - z.
+    A geometry whose field overflows float raises ``GeometryError``.
     """
-    return float(MU_0 / (4.0 * math.pi) * _b0_terms(geom.z_nv, geom.edge_length))
+    try:
+        with np.errstate(all="ignore"):
+            b0 = float(MU_0 / (4.0 * math.pi) * _b0_terms(geom.z_nv, geom.edge_length))
+    except (OverflowError, ZeroDivisionError):
+        b0 = math.inf
+    return _finite(b0, "loop field per unit current", _describe(geom))
 
 
 def b0_profile(geom: CouplingGeometry, z: np.ndarray) -> np.ndarray:
@@ -154,11 +178,12 @@ def bare_coupling(p: CircuitParams, geom: CouplingGeometry) -> float:
     g = g_e mu_B Phi_0 B0(z_nv) beta^(1/4) / (2 sqrt(2) pi L), with beta
     evaluated at the interaction working point f_s = 1/2 regardless of
     the flux currently stored in ``p`` (the interferometer is parked
-    there whenever the spin matters).
+    there whenever the spin matters).  A coupling that overflows float
+    raises ``GeometryError``.
     """
     b0 = biot_savart_b0(geom)
     beta_q = _beta_quarter_at_working_point(p)
-    return (
+    g = (
         G_E
         * MU_B_GHZ_PER_T
         * PHI_0
@@ -166,6 +191,7 @@ def bare_coupling(p: CircuitParams, geom: CouplingGeometry) -> float:
         * beta_q
         / (2.0 * math.sqrt(2.0) * math.pi * geom.inductance)
     )
+    return _finite(g, "spin-loop coupling", _describe(geom))
 
 
 def bare_coupling_si(p: CircuitParams, geom: CouplingGeometry) -> float:
@@ -180,7 +206,7 @@ def bare_coupling_si(p: CircuitParams, geom: CouplingGeometry) -> float:
     g_joule = (
         G_E * MU_B * PHI_0 * b0 * beta_q / (2.0 * math.sqrt(2.0) * math.pi * geom.inductance)
     )
-    return g_joule / H_PLANCK / 1e9
+    return _finite(g_joule / H_PLANCK / 1e9, "spin-loop coupling (SI route)", _describe(geom))
 
 
 def total_hamiltonian(
@@ -196,7 +222,7 @@ def total_hamiltonian(
     eye_f = np.eye(dim)
     eye_s = np.eye(2)
     n_diag = np.diag(np.arange(dim, dtype=float))
-    a = np.diag(np.sqrt(np.arange(1, dim)), 1)
+    a = annihilation(space).matrix
     x_pair = a + a.conj().T
     mat = (
         p.omega0 * np.kron(n_diag, eye_s)
@@ -236,8 +262,10 @@ def effective_params(p: CircuitParams, g: float, eta2: float) -> EffectiveParams
 
 def squeeze_on_product(space: FockSpace, eta2: float) -> np.ndarray:
     """exp[eta2 (a^2 - a^dag^2)] acting on the oscillator factor only."""
-    a = np.diag(np.sqrt(np.arange(1, space.dim)), 1).astype(complex)
+    a = annihilation(space).matrix
     gen = eta2 * (a @ a - a.conj().T @ a.conj().T)
+    # kept off the cached operators.exp_generator route: its result differs
+    # at roundoff, which moves the selftest's printed conjugation_equivalence
     return np.kron(exp_normal(gen), np.eye(2, dtype=complex))
 
 
@@ -282,7 +310,7 @@ def project_coupling_coefficients(
     dim = space.dim
     if not 2 <= n_interior <= dim:
         raise ParameterError(f"n_interior={n_interior} outside 2..{dim}")
-    a = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
+    a = annihilation(space).matrix
     ad = a.conj().T
     eye_f = np.eye(dim, dtype=complex)
     eye_s = np.eye(2, dtype=complex)
@@ -367,7 +395,16 @@ def amplification_sweep(
                 continue
             # + 0.0 normalizes the negative zero at the sweet spot
             eta2 = -r.eta1 * t * phase + 0.0
-            gain = math.exp(2.0 * eta2)
+            try:
+                gain = math.exp(2.0 * eta2)
+            except OverflowError:
+                gain = math.inf
+            if not (math.isfinite(eta2) and math.isfinite(g * gain)):
+                raise ParameterError(
+                    f"coupling gain exp(2 eta2) overflows float at ratio={ratio}, "
+                    f"f_s={float(f_s)} (eta2={eta2:.6g}); shorten the evolution "
+                    f"time run.t (t={t} ns)"
+                )
             rows.append(
                 AmplificationRow(
                     ratio=ratio,

@@ -46,8 +46,8 @@ from .operators import (
     FockSpace,
     annihilation,
     exp_2x2,
+    exp_generator,
     exp_normal,
-    su11_generators,
     su11_generators_2x2,
     warn_on_truncation_leak,
 )
@@ -127,6 +127,7 @@ def gate_u1(p: CircuitParams, t: float, rep: str = "2x2", space: FockSpace | Non
         a = annihilation(space).matrix
         ad = a.conj().T
         h1 = r.omega1 * (ad @ a) - r.eta1 * (a @ a + ad @ ad)
+        # the generator moves with (omega1, eta1): no fixed eigenbasis to reuse
         return exp_normal(-1j * h1 * t)
     g = su11_generators_2x2()
     return exp_2x2(-1j * r.omega1 * t * g.gamma3 + 2j * r.eta1 * t * g.gamma1)
@@ -138,8 +139,7 @@ def analytic_us(p: CircuitParams, t: float, rep: str = "2x2", space: FockSpace |
     _check_rep(rep, space)
     r = reduced_params(p)
     if rep == "fock":
-        g = su11_generators(space)
-        u = exp_normal(2j * r.eta1 * t * g.gamma1)
+        u = exp_generator(space, "gamma1", 2.0 * r.eta1 * t)
         warn_on_truncation_leak(u, space, "analytic squeezing propagator")
         return u
     g = su11_generators_2x2()
@@ -195,9 +195,8 @@ def squeeze_target(eta2: float, rep: str = "2x2", space: FockSpace | None = None
     """Directly exponentiated exp[eta2 (a^2 - a^dag^2)] (= exp(-2i eta2 G2))."""
     _check_rep(rep, space)
     if rep == "fock":
-        a = annihilation(space).matrix
-        ad = a.conj().T
-        return exp_normal(eta2 * (a @ a - ad @ ad))
+        # eta2 (a^2 - a^dag^2) = i (-2 eta2) G2
+        return exp_generator(space, "gamma2", -2.0 * eta2)
     g = su11_generators_2x2()
     return math.cosh(2.0 * eta2) * np.eye(2, dtype=complex) - 1j * math.sinh(
         2.0 * eta2

@@ -11,6 +11,7 @@ is the plain product energy*time with no additional 2*pi factor.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -327,12 +328,46 @@ def exp_normal(K) -> np.ndarray:
         )
     # K = i H with H Hermitian
     w, v = np.linalg.eigh(-1j * mat)
+    return _exp_i_eig(w, v)
+
+
+def _exp_i_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """exp(iH) from the eigenpairs (w, v) of a Hermitian H, checked by the
+    exp(K)exp(-K) round trip with K = iH."""
     out = (v * np.exp(1j * w)) @ v.conj().T
     inv = (v * np.exp(-1j * w)) @ v.conj().T
-    res = float(np.abs(out @ inv - np.eye(mat.shape[0])).max())
+    res = float(np.abs(out @ inv - np.eye(v.shape[0])).max())
     if res > EXP_ROUNDTRIP_ATOL:
         raise SimulationError(f"exp(K)exp(-K) residual {res:.3e} exceeds bound")
     return out
+
+
+FIXED_GENERATORS = ("gamma1", "gamma2")
+
+
+@functools.lru_cache(maxsize=8)
+def _generator_eig(dim: int, name: str) -> tuple[np.ndarray, np.ndarray]:
+    gen = getattr(su11_generators(make_fock_space(dim)), name).matrix
+    if name == "gamma1":
+        # G1 is exactly real: solved as real symmetric, half the storage
+        gen = np.ascontiguousarray(gen.real)
+    w, v = hermitian_eig(gen)
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return w, v
+
+
+def exp_generator(space: FockSpace, name: str, theta: float) -> np.ndarray:
+    """exp(i theta G) for G = G1 ("gamma1") or G2 ("gamma2") of ``su11_generators``.
+
+    The generator's eigendecomposition is computed (and its hermiticity
+    and reconstruction verified) once per (dim, generator) and cached as
+    read-only arrays; every call still runs the round-trip guard.
+    """
+    if name not in FIXED_GENERATORS:
+        raise ParameterError(f"unknown generator {name!r}; pick from {FIXED_GENERATORS}")
+    w, v = _generator_eig(space.dim, name)
+    return _exp_i_eig(theta * w, v)
 
 
 def commutator(A, B) -> np.ndarray:

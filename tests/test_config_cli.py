@@ -129,10 +129,9 @@ def test_cli_rejects_malformed_ratios_flag(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["coupling", "--set", "geometry.inductance=1e-320"],
         ["selftest", "--set", "circuit.e_j=1e300"],
     ],
-    ids=["coupling", "selftest"],
+    ids=["selftest"],
 )
 def test_json_report_refuses_non_finite_values(capsys, tmp_path, argv):
     # finite inputs whose report overflows: no bare Infinity/NaN is written
@@ -140,6 +139,35 @@ def test_json_report_refuses_non_finite_values(capsys, tmp_path, argv):
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ValueError:") and "JSON compliant" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "setting, match",
+    [
+        ("geometry.edge_length=1e300", "loop field"),
+        ("geometry.z_nv=1e-320", "loop field"),
+        ("geometry.inductance=1e-320", "coupling"),
+        ("geometry.inductance=1e-310", "E_L"),
+    ],
+    ids=["field-overflow", "field-divide", "coupling-overflow", "e_l-overflow"],
+)
+def test_coupling_non_finite_result_is_geometry_error(capsys, tmp_path, setting, match):
+    out = tmp_path / "report.json"
+    assert main(["coupling", "--set", setting, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and match in err
+    assert err.count("\n") == 1
+    assert "not finite" in err
+    assert not out.exists()
+
+
+def test_amplify_gain_overflow_names_run_t(capsys, tmp_path):
+    out = tmp_path / "gain.csv"
+    assert main(["amplify", "--t", "10000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "overflows" in err
+    assert "run.t" in err
     assert not out.exists()
 
 
@@ -330,15 +358,16 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_unexpected_exception_is_one_line_exit_1():
-    # math.exp overflows in the gain sweep; the CLI reports it in one line
+    # the selftest report overflows and json.dumps refuses it; the CLI
+    # reports the ValueError in one line
     proc = subprocess.run(
-        [sys.executable, "-m", "fluxsqueeze.cli", "amplify", "--t", "10000"],
+        [sys.executable, "-m", "fluxsqueeze.cli", "selftest", "--set", "circuit.e_j=1e300"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error: OverflowError:")
+    assert proc.stderr.startswith("error: ValueError:")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""

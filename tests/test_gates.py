@@ -109,15 +109,47 @@ def test_analytic_us_2x2_closed_form_structure():
     assert math.sinh(0.48) == pytest.approx(0.4986, abs=1e-4)
 
 
-def test_analytic_us_fock_matches_generator_exponential():
+@pytest.mark.filterwarnings("ignore::fluxsqueeze.errors.TruncationLeakWarning")
+@pytest.mark.parametrize("t", [1.0, -1.0])
+@pytest.mark.parametrize("dim", [8, 60, 121])
+def test_analytic_us_fock_matches_generator_exponential(dim, t):
     from fluxsqueeze.operators import annihilation, exp_normal
 
-    space = make_fock_space(60)
+    space = make_fock_space(dim)
     r = reduced_params(P09)
     a = annihilation(space).matrix
     ad = a.conj().T
-    gen = 2j * r.eta1 * 1.0 * 0.5 * (a @ a + ad @ ad)
-    assert np.abs(analytic_us(P09, 1.0, "fock", space) - exp_normal(gen)).max() < 1e-12
+    gen = 2j * r.eta1 * t * 0.5 * (a @ a + ad @ ad)
+    assert np.abs(analytic_us(P09, t, "fock", space) - exp_normal(gen)).max() < 1e-12
+
+
+@pytest.mark.parametrize("eta2", [0.3, -0.3])
+@pytest.mark.parametrize("dim", [8, 60, 121])
+def test_squeeze_target_fock_matches_generator_exponential(dim, eta2):
+    from fluxsqueeze.operators import annihilation, exp_normal
+
+    space = make_fock_space(dim)
+    a = annihilation(space).matrix
+    ad = a.conj().T
+    want = exp_normal(eta2 * (a @ a - ad @ ad))
+    assert np.abs(squeeze_target(eta2, "fock", space) - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("backend, solves", [("analytic", 0), ("trotter", 1)])
+def test_fock_squeeze_reuses_cached_generator_eigenbasis(monkeypatch, backend, solves):
+    space = make_fock_space(48)
+    squeeze_operator(P09, 1.0, rep="fock", space=space, backend=backend)  # fill the cache
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for t in (0.7, 1.3):
+        squeeze_operator(P09, t, rep="fock", space=space, backend=backend)
+    assert calls == [48] * (2 * solves)
 
 
 def test_trotter_sweet_spot_collapses_to_identity():

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluxsqueeze import operators
 from fluxsqueeze.errors import (
     InvalidDimensionError,
     ParameterError,
+    SimulationError,
     TruncationLeakWarning,
 )
 from fluxsqueeze.operators import (
@@ -19,6 +21,7 @@ from fluxsqueeze.operators import (
     creation,
     evolve,
     exp_2x2,
+    exp_generator,
     exp_normal,
     hermitian_eig,
     interior,
@@ -251,6 +254,25 @@ def test_exp_normal_rejects_non_normal():
     shift = np.diag(np.ones(9), 1)  # pure ladder: a a^dag != a^dag a
     with pytest.raises(ParameterError):
         exp_normal(shift)
+
+
+@pytest.mark.parametrize("name", ["gamma1", "gamma2"])
+def test_cached_generator_eigenbasis_is_read_only(name):
+    space = make_fock_space(10)
+    exp_generator(space, name, 0.1)
+    w, v = operators._generator_eig(space.dim, name)
+    for arr in (w, v):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+@pytest.mark.parametrize("name", ["gamma1", "gamma2"])
+def test_exp_generator_keeps_roundtrip_guard(monkeypatch, name):
+    space = make_fock_space(10)
+    exp_generator(space, name, 0.1)  # cached before the bound is tightened
+    monkeypatch.setattr(operators, "EXP_ROUNDTRIP_ATOL", -1.0)
+    with pytest.raises(SimulationError, match="residual"):
+        exp_generator(space, name, 0.1)
 
 
 def test_exp_2x2_hyperbolic_cap():
