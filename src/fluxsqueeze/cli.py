@@ -327,9 +327,33 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
     return flags
 
 
+# float options whose value may be negative
+_SIGNED_FLOAT_OPTIONS = ("--fs-min", "--fs-max", "--t")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Join ``--t -1e-3`` into ``--t=-1e-3`` for the signed float options.
+
+    argparse takes a separate token such as ``-1e-3`` (exponent notation)
+    for an option and refuses it as a value; the ``=`` form always parses.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _SIGNED_FLOAT_OPTIONS and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{out[-1]}={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         file_values = load_config(args.config) if args.config else {}
         cfg = build_config(file_values, _flag_overrides(args))

@@ -44,10 +44,11 @@ from .circuit import CircuitParams, _require_stable, reduced_params
 from .errors import ParameterError, WrongRegimeError
 from .operators import (
     FockSpace,
-    annihilation,
     exp_2x2,
     exp_generator,
-    exp_normal,
+    exp_sectors,
+    hermitian_eig,
+    parity_sectors,
     su11_generators_2x2,
     warn_on_truncation_leak,
 )
@@ -102,10 +103,9 @@ def _check_rep(rep: str, space: FockSpace | None):
         raise ParameterError("fock representation needs a FockSpace")
 
 
-def _fock_u0(p: CircuitParams, t: float, space: FockSpace) -> np.ndarray:
-    # diagonal in the number basis; no eigensolve needed
-    phases = np.exp(-1j * p.omega0 * np.arange(space.dim) * t)
-    return np.diag(phases)
+def _u0_phases(p: CircuitParams, t: float, space: FockSpace) -> np.ndarray:
+    # the diagonal of U0 in the number basis; no eigensolve needed
+    return np.exp(-1j * p.omega0 * np.arange(space.dim) * t)
 
 
 def gate_u0(p: CircuitParams, t: float, rep: str = "2x2", space: FockSpace | None = None) -> np.ndarray:
@@ -113,7 +113,7 @@ def gate_u0(p: CircuitParams, t: float, rep: str = "2x2", space: FockSpace | Non
     _require_stable(p)
     _check_rep(rep, space)
     if rep == "fock":
-        return _fock_u0(p, t, space)
+        return np.diag(_u0_phases(p, t, space))
     g = su11_generators_2x2()
     return exp_2x2(-1j * p.omega0 * t * g.gamma3)
 
@@ -124,11 +124,15 @@ def gate_u1(p: CircuitParams, t: float, rep: str = "2x2", space: FockSpace | Non
     _check_rep(rep, space)
     r = reduced_params(p)
     if rep == "fock":
-        a = annihilation(space).matrix
-        ad = a.conj().T
-        h1 = r.omega1 * (ad @ a) - r.eta1 * (a @ a + ad @ ad)
-        # the generator moves with (omega1, eta1): no fixed eigenbasis to reuse
-        return exp_normal(-1j * h1 * t)
+        # h1 = omega1 n - eta1 (a^2 + a^dag^2) is real symmetric and keeps
+        # photon parity: one real tridiagonal solve per sector, guarded by
+        # hermitian_eig (the generator moves with (omega1, eta1), so the
+        # solve is not cached)
+        eigs = [
+            hermitian_eig(np.diag(r.omega1 * n) - r.eta1 * (np.diag(band, 1) + np.diag(band, -1)))
+            for n, band in parity_sectors(space.dim)
+        ]
+        return exp_sectors(eigs, -t)
     g = su11_generators_2x2()
     return exp_2x2(-1j * r.omega1 * t * g.gamma3 + 2j * r.eta1 * t * g.gamma1)
 
@@ -159,16 +163,18 @@ def trotter_squeeze(
     _check_rep(rep, space)
     sched = make_schedule(p, t, m, convention=convention)
     if rep == "fock":
-        u0_dag_step = _fock_u0(p, -sched.t_prime / m, space)
-        u1_step = gate_u1(p, t / m, "fock", space)
-    else:
-        g = su11_generators_2x2()
-        u0_dag_step = exp_2x2(1j * p.omega0 * (sched.t_prime / m) * g.gamma3)
-        u1_step = gate_u1(p, t / m, "2x2")
-    product = np.linalg.matrix_power(u0_dag_step @ u1_step, m)
-    if rep == "fock":
+        # U0^dag(t'/M) is diagonal: a row scaling of U1(t/M); both keep
+        # photon parity, so the power is taken on each sector alone
+        phases = _u0_phases(p, -sched.t_prime / m, space)
+        step = phases[:, None] * gate_u1(p, t / m, "fock", space)
+        product = np.zeros_like(step)
+        for s in (0, 1):
+            product[s::2, s::2] = np.linalg.matrix_power(step[s::2, s::2], m)
         warn_on_truncation_leak(product, space, "interleaved squeezing product")
-    return product
+        return product
+    g = su11_generators_2x2()
+    u0_dag_step = exp_2x2(1j * p.omega0 * (sched.t_prime / m) * g.gamma3)
+    return np.linalg.matrix_power(u0_dag_step @ gate_u1(p, t / m, "2x2"), m)
 
 
 def gate_distance(A: np.ndarray, B: np.ndarray) -> float:
@@ -234,8 +240,12 @@ def squeeze_operator(
         core = analytic_us(p, t, rep, space)
     else:
         core = trotter_squeeze(p, t, m, rep, space, convention)
-    u0 = gate_u0(p, sched.t_dprime, rep, space)
-    composed = u0 @ core @ u0.conj().T
+    if rep == "fock":
+        ph = _u0_phases(p, sched.t_dprime, space)
+        composed = ph[:, None] * core * ph.conj()[None, :]
+    else:
+        u0 = gate_u0(p, sched.t_dprime, rep)
+        composed = u0 @ core @ u0.conj().T
     eta2 = -r.eta1 * t
     target = squeeze_target(eta2, rep, space)
     if rep == "fock":

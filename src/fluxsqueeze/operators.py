@@ -333,12 +333,51 @@ def exp_normal(K) -> np.ndarray:
 
 def _exp_i_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """exp(iH) from the eigenpairs (w, v) of a Hermitian H, checked by the
-    exp(K)exp(-K) round trip with K = iH."""
-    out = (v * np.exp(1j * w)) @ v.conj().T
-    inv = (v * np.exp(-1j * w)) @ v.conj().T
+    exp(K)exp(-K) round trip with K = iH.
+
+    For a real symmetric H (real ``v``) the products stay real and exp(-iH)
+    is the conjugate of exp(iH).
+    """
+    if np.isrealobj(v):
+        out = (v * np.cos(w)) @ v.T + 1j * ((v * np.sin(w)) @ v.T)
+        inv = out.conj()
+    else:
+        out = (v * np.exp(1j * w)) @ v.conj().T
+        inv = (v * np.exp(-1j * w)) @ v.conj().T
     res = float(np.abs(out @ inv - np.eye(v.shape[0])).max())
     if res > EXP_ROUNDTRIP_ATOL:
         raise SimulationError(f"exp(K)exp(-K) residual {res:.3e} exceeds bound")
+    return out
+
+
+def parity_sectors(dim: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The even (s = 0) and odd (s = 1) photon-number sectors of ``dim`` levels.
+
+    Sector s holds the levels n = s, s+2, ... and is linked only by the
+    pair band <n|a^2|n+2> = sqrt(n+1) sqrt(n+2) between consecutive
+    levels, so every generator built from n, a^2 and a^dag^2 is a
+    tridiagonal matrix on each sector and zero between them.  Returns
+    ``(levels, band)`` for s = 0 and s = 1.
+    """
+    sectors = []
+    for s in (0, 1):
+        n = np.arange(s, dim, 2)
+        sectors.append((n, np.sqrt(n[:-1] + 1.0) * np.sqrt(n[:-1] + 2.0)))
+    return tuple(sectors)
+
+
+def exp_sectors(eigs, theta: float) -> np.ndarray:
+    """exp(i theta H) of a parity-conserving H from its sector eigenpairs.
+
+    ``eigs`` holds (w, v) of H restricted to the even and then the odd
+    levels; each sector is exponentiated (and round-trip checked) on its
+    own and written into ``out[s::2, s::2]``, the entries between the
+    sectors staying exact zeros.
+    """
+    dim = sum(len(w) for w, _ in eigs)
+    out = np.zeros((dim, dim), dtype=complex)
+    for s, (w, v) in enumerate(eigs):
+        out[s::2, s::2] = _exp_i_eig(theta * w, v)
     return out
 
 
@@ -346,28 +385,34 @@ FIXED_GENERATORS = ("gamma1", "gamma2")
 
 
 @functools.lru_cache(maxsize=8)
-def _generator_eig(dim: int, name: str) -> tuple[np.ndarray, np.ndarray]:
-    gen = getattr(su11_generators(make_fock_space(dim)), name).matrix
-    if name == "gamma1":
-        # G1 is exactly real: solved as real symmetric, half the storage
-        gen = np.ascontiguousarray(gen.real)
-    w, v = hermitian_eig(gen)
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return w, v
+def _generator_eig(dim: int, name: str) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    eigs = []
+    for _, band in parity_sectors(dim):
+        if name == "gamma1":
+            # G1 = (a^2 + a^dag^2)/2 is real: solved real symmetric
+            block = 0.5 * (np.diag(band, 1) + np.diag(band, -1))
+        else:
+            # G2 = i(a^2 - a^dag^2)/2, solved on its own rather than derived
+            # from G1 by the U0 rotation the squeezing closure is meant to test
+            block = 0.5j * (np.diag(band, 1) - np.diag(band, -1))
+        w, v = hermitian_eig(block)
+        w.setflags(write=False)
+        v.setflags(write=False)
+        eigs.append((w, v))
+    return tuple(eigs)
 
 
 def exp_generator(space: FockSpace, name: str, theta: float) -> np.ndarray:
     """exp(i theta G) for G = G1 ("gamma1") or G2 ("gamma2") of ``su11_generators``.
 
-    The generator's eigendecomposition is computed (and its hermiticity
-    and reconstruction verified) once per (dim, generator) and cached as
-    read-only arrays; every call still runs the round-trip guard.
+    The generator's eigendecomposition is computed on each parity sector
+    (and its hermiticity and reconstruction verified) once per
+    (dim, generator) and cached as read-only arrays; every call still
+    runs the round-trip guard on each sector.
     """
     if name not in FIXED_GENERATORS:
         raise ParameterError(f"unknown generator {name!r}; pick from {FIXED_GENERATORS}")
-    w, v = _generator_eig(space.dim, name)
-    return _exp_i_eig(theta * w, v)
+    return exp_sectors(_generator_eig(space.dim, name), theta)
 
 
 def commutator(A, B) -> np.ndarray:

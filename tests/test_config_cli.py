@@ -126,20 +126,44 @@ def test_cli_rejects_malformed_ratios_flag(capsys):
     assert "--ratios" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["selftest", "--set", "circuit.e_j=1e300"],
-    ],
-    ids=["selftest"],
-)
-def test_json_report_refuses_non_finite_values(capsys, tmp_path, argv):
-    # finite inputs whose report overflows: no bare Infinity/NaN is written
+def test_json_report_refuses_non_finite_values(capsys, tmp_path, monkeypatch):
+    # a report holding a non-finite value is never written as bare Infinity
+    from fluxsqueeze import cli
+    from fluxsqueeze.selftest import CheckResult
+
+    def overflowing(cfg):
+        return [CheckResult("overflow", math.inf, 1.0, False)], False
+
+    monkeypatch.setattr(cli, "run_selftest", overflowing)
     out = tmp_path / "report.json"
-    assert main(argv + ["--out", str(out)]) == 1
+    assert main(["selftest", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ValueError:") and "JSON compliant" in err
     assert not out.exists()
+
+
+def test_aborted_selftest_exits_with_its_error_class(capsys, tmp_path):
+    # an inverted potential aborts the battery: a stability error, not a report
+    out = tmp_path / "report.json"
+    assert main(["selftest", "--set", "circuit.e_j=1e300", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("stability error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, value", [("--fs-min", "-1e-1"), ("--fs-max", "-5e-2")])
+def test_negative_exponent_value_parses_like_equals_form(tmp_path, option, value):
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    extra = ["--fs-min", "-2e-1"] if option == "--fs-max" else []
+    assert main(["amplify", *extra, option, value, "--out", str(spaced)]) == 0
+    assert main(["amplify", *extra, f"{option}={value}", "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["--t", "-1e-3"], ["--t=-1e-3"]], ids=["spaced", "joined"])
+def test_negative_exponent_time_is_a_configuration_error(capsys, argv):
+    assert main(["trotter", *argv]) == 2
+    assert "run.t must be non-negative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -357,17 +381,18 @@ def test_module_entry_point_runs():
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def test_unexpected_exception_is_one_line_exit_1():
-    # the selftest report overflows and json.dumps refuses it; the CLI
-    # reports the ValueError in one line
+def test_unexpected_exception_is_one_line_exit_1(tmp_path):
+    # the output directory does not exist, so open() raises; the CLI
+    # reports the FileNotFoundError in one line
+    out = tmp_path / "missing" / "x.json"
     proc = subprocess.run(
-        [sys.executable, "-m", "fluxsqueeze.cli", "selftest", "--set", "circuit.e_j=1e300"],
+        [sys.executable, "-m", "fluxsqueeze.cli", "coupling", "--out", str(out)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error: ValueError:")
+    assert proc.stderr.startswith("error: FileNotFoundError:")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""

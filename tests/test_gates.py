@@ -6,6 +6,7 @@ import pytest
 from fluxsqueeze.circuit import CircuitParams, reduced_params
 from fluxsqueeze.errors import (
     ParameterError,
+    SimulationError,
     TruncationLeakWarning,
     WrongRegimeError,
 )
@@ -109,9 +110,54 @@ def test_analytic_us_2x2_closed_form_structure():
     assert math.sinh(0.48) == pytest.approx(0.4986, abs=1e-4)
 
 
+def _between_sectors(mat):
+    # entries linking an even level to an odd one
+    i, j = np.indices(mat.shape)
+    return mat[(i + j) % 2 == 1]
+
+
+@pytest.mark.parametrize("t", [1.0, -0.4])
+@pytest.mark.parametrize("dim", [2, 3, 8, 60, 121])
+def test_gate_u1_fock_matches_dense_exponential(dim, t):
+    from fluxsqueeze.operators import annihilation, exp_normal
+
+    space = make_fock_space(dim)
+    r = reduced_params(P09)
+    a = annihilation(space).matrix
+    ad = a.conj().T
+    h1 = r.omega1 * (ad @ a) - r.eta1 * (a @ a + ad @ ad)
+    assert np.abs(gate_u1(P09, t, "fock", space) - exp_normal(-1j * h1 * t)).max() < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::fluxsqueeze.errors.TruncationLeakWarning")
+@pytest.mark.parametrize("dim", [9, 60])
+def test_fock_gates_are_exactly_zero_between_parity_sectors(dim):
+    space = make_fock_space(dim)
+    for mat in (
+        gate_u1(P09, 1.0, "fock", space),
+        analytic_us(P09, 1.0, "fock", space),
+        squeeze_target(0.3, "fock", space),
+        trotter_squeeze(P09, 1.0, 100, "fock", space),
+    ):
+        assert np.all(_between_sectors(mat) == 0.0)
+
+
+def test_gate_u1_fock_keeps_guards(monkeypatch):
+    from fluxsqueeze import operators
+
+    space = make_fock_space(10)
+    monkeypatch.setattr(operators, "EXP_ROUNDTRIP_ATOL", -1.0)
+    with pytest.raises(SimulationError, match="exp\\(K\\)exp\\(-K\\) residual"):
+        gate_u1(P09, 1.0, "fock", space)
+    monkeypatch.undo()
+    monkeypatch.setattr(operators, "RECONSTRUCTION_RTOL", -1.0)
+    with pytest.raises(SimulationError, match="eigen-reconstruction"):
+        gate_u1(P09, 1.0, "fock", space)
+
+
 @pytest.mark.filterwarnings("ignore::fluxsqueeze.errors.TruncationLeakWarning")
 @pytest.mark.parametrize("t", [1.0, -1.0])
-@pytest.mark.parametrize("dim", [8, 60, 121])
+@pytest.mark.parametrize("dim", [2, 3, 8, 60, 121])
 def test_analytic_us_fock_matches_generator_exponential(dim, t):
     from fluxsqueeze.operators import annihilation, exp_normal
 
@@ -124,7 +170,7 @@ def test_analytic_us_fock_matches_generator_exponential(dim, t):
 
 
 @pytest.mark.parametrize("eta2", [0.3, -0.3])
-@pytest.mark.parametrize("dim", [8, 60, 121])
+@pytest.mark.parametrize("dim", [2, 3, 8, 60, 121])
 def test_squeeze_target_fock_matches_generator_exponential(dim, eta2):
     from fluxsqueeze.operators import annihilation, exp_normal
 
@@ -149,7 +195,8 @@ def test_fock_squeeze_reuses_cached_generator_eigenbasis(monkeypatch, backend, s
     monkeypatch.setattr(np.linalg, "eigh", counted)
     for t in (0.7, 1.3):
         squeeze_operator(P09, t, rep="fock", space=space, backend=backend)
-    assert calls == [48] * (2 * solves)
+    # gate_u1 solves its even and odd sectors of 24 levels each
+    assert calls == [24, 24] * (2 * solves)
 
 
 def test_trotter_sweet_spot_collapses_to_identity():

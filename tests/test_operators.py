@@ -256,14 +256,27 @@ def test_exp_normal_rejects_non_normal():
         exp_normal(shift)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 9, 10])
+def test_parity_sectors_hold_the_pair_band(dim):
+    a = annihilation(make_fock_space(dim)).matrix
+    a2 = a @ a
+    for s, (levels, band) in enumerate(operators.parity_sectors(dim)):
+        assert np.array_equal(levels, np.arange(s, dim, 2))
+        assert np.array_equal(a2[s::2, s::2], np.diag(band, 1))
+    i, j = np.indices(a2.shape)
+    assert np.all(a2[(i + j) % 2 == 1] == 0.0)
+
+
 @pytest.mark.parametrize("name", ["gamma1", "gamma2"])
 def test_cached_generator_eigenbasis_is_read_only(name):
     space = make_fock_space(10)
     exp_generator(space, name, 0.1)
-    w, v = operators._generator_eig(space.dim, name)
-    for arr in (w, v):
-        with pytest.raises(ValueError):
-            arr[0] = 1.0
+    sectors = operators._generator_eig(space.dim, name)
+    assert [v.shape for _, v in sectors] == [(5, 5), (5, 5)]
+    for w, v in sectors:
+        for arr in (w, v):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 @pytest.mark.parametrize("name", ["gamma1", "gamma2"])
