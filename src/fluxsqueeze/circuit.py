@@ -33,9 +33,9 @@ from .errors import (
     StabilityError,
 )
 from .operators import (
+    EIG_INPUT_RTOL,
     FockSpace,
     Operator,
-    as_hermitian,
     hermitian_eig,
     hermitian_matrix_function,
     make_fock_space,
@@ -88,7 +88,7 @@ class CircuitParams:
         if not math.isfinite(self.f_s):
             raise ParameterError(f"f_s must be finite, got {self.f_s}")
 
-    @property
+    @functools.cached_property
     def ej_flux(self) -> float:
         return effective_josephson(self.e_j, self.f_s)
 
@@ -117,7 +117,7 @@ def _require_stable(p: CircuitParams):
     result = stability(p)
     if not result.stable:
         raise StabilityError(
-            f"inverted potential at f_s={p.f_s}: E_L + E_J(f_s)/2 = {result.margin:.4f} GHz"
+            f"inverted potential at f_s={p.f_s}: E_L + E_J(f_s)/2 = {result.margin:.6g} GHz"
         )
 
 
@@ -127,7 +127,7 @@ def circuit_operators(p: CircuitParams, space: FockSpace):
 
 
 class FluxFreeTerms(NamedTuple):
-    """The flux-independent matrices both Hamiltonians combine (read-only)."""
+    """The flux-independent float64 matrices both Hamiltonians combine (read-only)."""
 
     nn: np.ndarray
     pp: np.ndarray
@@ -138,6 +138,8 @@ class FluxFreeTerms(NamedTuple):
 # The doubling ladder visits at most this many bases per (E_c, E_L).
 @functools.lru_cache(maxsize=MAX_DOUBLINGS + 1)
 def _cached_terms(mass: float, omega0: float, dim: int) -> FluxFreeTerms:
+    """n^2, phi^2, cos(phi) and phi^4 of the omega0 basis, built once per
+    (E_c, E_L, dim) and shared by every flux point."""
     phi, n = phase_charge_operators(make_fock_space(dim), mass, omega0)
     pp = phi.matrix @ phi.matrix
     terms = FluxFreeTerms(
@@ -146,41 +148,65 @@ def _cached_terms(mass: float, omega0: float, dim: int) -> FluxFreeTerms:
         cos_phi=hermitian_matrix_function(phi, np.cos),
         phi4=pp @ pp,
     )
-    for mat in terms:
+    # formed in complex arithmetic; kept as their real parts only when exact
+    for name, mat in zip(FluxFreeTerms._fields, terms):
+        if mat.imag.any():
+            raise SimulationError(
+                f"flux-free term {name} at dim={dim} is not exactly real: "
+                f"max|Im| = {float(np.abs(mat.imag).max()):.3e}"
+            )
+    real = FluxFreeTerms(*(mat.real.copy() for mat in terms))
+    for mat in real:
         mat.setflags(write=False)
-    return terms
+    return real
 
 
-def flux_free_terms(p: CircuitParams, space: FockSpace) -> FluxFreeTerms:
-    """n^2, phi^2, cos(phi) and phi^4 of the omega0 basis, built once per
-    (E_c, E_L, dim) and shared by every flux point."""
-    return _cached_terms(p.mass, p.omega0, space.dim)
+# Each Hamiltonian is combined from the terms as a real matrix and made
+# exactly symmetric by 0.5 (M + M^T), the symmetrization of ``as_hermitian``.
+def _harmonic_matrix(p: CircuitParams, dim: int) -> np.ndarray:
+    t = _cached_terms(p.mass, p.omega0, dim)
+    mat = p.e_c * t.nn + p.e_l * t.pp
+    return 0.5 * (mat + mat.T)
 
 
-def harmonic_hamiltonian(p: CircuitParams, space: FockSpace) -> Operator:
-    """E_c n^2 + E_L phi^2 (the f_s = 1/2 point and the basis oscillator)."""
-    t = flux_free_terms(p, space)
-    return as_hermitian(p.e_c * t.nn + p.e_l * t.pp, space)
-
-
-def full_hamiltonian(p: CircuitParams, space: FockSpace) -> Operator:
-    """E_c n^2 - E_J(f_s) cos(phi) + E_L phi^2 with cos as a matrix function."""
+def _full_matrix(p: CircuitParams, dim: int) -> np.ndarray:
     _require_stable(p)
-    t = flux_free_terms(p, space)
+    t = _cached_terms(p.mass, p.omega0, dim)
     mat = p.e_c * t.nn - p.ej_flux * t.cos_phi + p.e_l * t.pp
-    return as_hermitian(mat, space)
+    return 0.5 * (mat + mat.T)
 
 
-def quartic_hamiltonian(p: CircuitParams, space: FockSpace) -> Operator:
-    """cos(phi) expanded through phi^4; same basis as the full Hamiltonian."""
+def _quartic_matrix(p: CircuitParams, dim: int) -> np.ndarray:
     _require_stable(p)
-    t = flux_free_terms(p, space)
+    t = _cached_terms(p.mass, p.omega0, dim)
     mat = (
         p.e_c * t.nn
         + 0.5 * (2.0 * p.e_l + p.ej_flux) * t.pp
         - (p.ej_flux / 24.0) * t.phi4
     )
-    return as_hermitian(mat, space)
+    return 0.5 * (mat + mat.T)
+
+
+def harmonic_hamiltonian(p: CircuitParams, space: FockSpace) -> Operator:
+    """E_c n^2 + E_L phi^2 (the f_s = 1/2 point and the basis oscillator)."""
+    return Operator(_harmonic_matrix(p, space.dim), space, hermitian=True)
+
+
+def full_hamiltonian(p: CircuitParams, space: FockSpace) -> Operator:
+    """E_c n^2 - E_J(f_s) cos(phi) + E_L phi^2 with cos as a matrix function."""
+    return Operator(_full_matrix(p, space.dim), space, hermitian=True)
+
+
+def quartic_hamiltonian(p: CircuitParams, space: FockSpace) -> Operator:
+    """cos(phi) expanded through phi^4; same basis as the full Hamiltonian."""
+    return Operator(_quartic_matrix(p, space.dim), space, hermitian=True)
+
+
+# converged_spectrum solves the real matrix behind a builder; an attribute
+# survives the functools.wraps of a tracing wrapper.
+harmonic_hamiltonian.real_matrix = _harmonic_matrix
+full_hamiltonian.real_matrix = _full_matrix
+quartic_hamiltonian.real_matrix = _quartic_matrix
 
 
 @dataclass(frozen=True)
@@ -209,7 +235,7 @@ def reduced_params(p: CircuitParams) -> ReducedParams:
     stiffness = 2.0 * p.e_l + ejf
     if not stiffness > 0:
         raise StabilityError(
-            f"2 E_L + E_J(f_s) = {stiffness:.4f} GHz <= 0 at f_s={p.f_s}; "
+            f"2 E_L + E_J(f_s) = {stiffness:.6g} GHz <= 0 at f_s={p.f_s}; "
             "the quadratic reduction does not exist"
         )
     beta = p.e_c / (2.0 * stiffness)
@@ -261,18 +287,23 @@ def _lowest(builder: Builder, p: CircuitParams, dim: int, k: int) -> np.ndarray:
     return w[:k]
 
 
-def _real_eigenvalues(H: Operator) -> np.ndarray:
-    """Eigenvalues of a Hermitian operator whose matrix must be exactly real.
+def _sector_eigenvalues(H: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues of a real symmetric Hamiltonian that keeps photon
+    parity, solved on its even and on its odd levels.
 
-    Both circuit Hamiltonians are real symmetric in the Fock basis, so the
-    real solve sees the same matrix at a fraction of the complex cost.
+    The entries between the two sectors are dropped only after a check
+    that none exceeds ``EIG_INPUT_RTOL`` of the largest element; each
+    sector solve then runs the guards of ``hermitian_eig``.
     """
-    if H.matrix.imag.any():
+    scale = max(1.0, float(np.abs(H).max()))
+    mixing = float(np.abs(H[0::2, 1::2]).max())
+    if mixing > EIG_INPUT_RTOL * scale:
         raise SimulationError(
-            f"expected a real Hamiltonian at dim={H.dim}, but max|Im H| = "
-            f"{float(np.abs(H.matrix.imag).max()):.3e}"
+            f"Hamiltonian at dim={len(H)} mixes photon parity: max|H[even, odd]| = "
+            f"{mixing:.3e} (scale {scale:.3e})"
         )
-    w, _ = hermitian_eig(H.matrix.real)
+    w = np.concatenate([hermitian_eig(H[s::2, s::2])[0] for s in (0, 1)])
+    w.sort()
     return w
 
 
@@ -313,24 +344,29 @@ def converged_spectrum(
 
     Starts from ``dim`` and doubles until the lowest ``k`` levels move by
     less than ``tol`` GHz, then reports the values at the accepted (smaller)
-    dimension together with that dimension.
+    dimension together with that dimension.  ``builder`` is one of the
+    circuit builders of this module.
 
-    Each rung of the ladder is built and solved once.  The lower rung,
-    whose levels are reported, goes through the complex solve; the upper
-    rung is only compared with ``tol`` and is solved on its exactly-real
-    matrix.  A rung reached by doubling keeps its real eigenvalues for the
-    next comparison and is solved in complex arithmetic only if accepted.
+    Each rung of the ladder is built once, as the real symmetric matrix
+    behind the builder.  The lower rung, whose levels are reported, is
+    solved on a complex copy; the upper rung is only compared with
+    ``tol`` and is solved on its even and odd photon-parity sectors.  A
+    rung reached by doubling keeps its sector eigenvalues for the next
+    comparison and is solved in complex arithmetic only if accepted.
     """
+    real_matrix = getattr(builder, "real_matrix", None)
+    if real_matrix is None:
+        raise ParameterError(f"converged_spectrum needs a circuit builder, got {builder!r}")
     current = dim
-    lower = builder(p, make_fock_space(current))
-    w_lower, _ = hermitian_eig(lower)
+    lower = real_matrix(p, current)
+    w_lower, _ = hermitian_eig(lower.astype(complex))
     for _ in range(max_doublings):
-        upper = builder(p, make_fock_space(2 * current))
-        w_upper = _real_eigenvalues(upper)
+        upper = real_matrix(p, 2 * current)
+        w_upper = _sector_eigenvalues(upper)
         k_eff = min(k, current)
         if np.abs(w_lower[:k_eff] - w_upper[:k_eff]).max() < tol:
             if current != dim:
-                w_lower, _ = hermitian_eig(lower)
+                w_lower, _ = hermitian_eig(lower.astype(complex))
             return _lowest_levels(w_lower, k), current
         current *= 2
         lower, w_lower = upper, w_upper

@@ -9,7 +9,8 @@ coupling   JSON report of the bare spin-loop coupling with unit cross-checks
 selftest   invariant battery; nonzero exit on any violation
 
 Exit codes: 0 success, 1 unexpected error, 2 configuration/parameter,
-3 stability, 4 convergence/truncation, 5 invariant failure.
+3 stability, 4 convergence/truncation/degenerate spectrum, 5 invariant
+failure.  Options must be spelled in full; prefixes are not accepted.
 
 Output is deterministic: fixed row order, floats at 12 significant
 digits in scientific notation, and a leading comment line naming units
@@ -49,6 +50,7 @@ from .coupling import (
 )
 from .errors import (
     ConvergenceError,
+    DegenerateSpectrumError,
     ParameterError,
     SimulationError,
     StabilityError,
@@ -262,6 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fluxsqueeze",
         description="Flux-tunable circuit squeezing and coupling-amplification sweeps",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -272,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("coupling", "bare coupling report with unit cross-checks (JSON)"),
         ("selftest", "invariant battery (JSON, nonzero exit on failure)"),
     ):
-        cmd = sub.add_parser(name, help=helptext)
+        cmd = sub.add_parser(name, help=helptext, allow_abbrev=False)
         cmd.add_argument("--config", help="flat key-value config file")
         cmd.add_argument("--out", help="output path (default: stdout)")
         cmd.add_argument("--dim", type=int, help="Fock truncation dimension")
@@ -383,6 +386,9 @@ def main(argv=None) -> int:
         return EXIT_STABILITY
     except (ConvergenceError, TruncationLeakError) as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
+        return EXIT_CONVERGENCE
+    except DegenerateSpectrumError as exc:
+        print(f"degenerate spectrum: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)

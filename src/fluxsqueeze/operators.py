@@ -245,11 +245,28 @@ def hermitian_eig(op) -> tuple[np.ndarray, np.ndarray]:
             f"matrix is not Hermitian: max|M - M^dag| = {herm_res:.3e} (scale {scale:.3e})"
         )
     w, v = np.linalg.eigh(mat)
-    recon = (v * w) @ v.conj().T
-    res = float(np.abs(recon - mat).max())
+    res = _reconstruction_residual(w, v, mat)
     if res > RECONSTRUCTION_RTOL * scale:
         raise SimulationError(f"eigen-reconstruction residual {res:.3e} exceeds bound")
     return w, v
+
+
+def _reconstruction_residual(w: np.ndarray, v: np.ndarray, mat: np.ndarray) -> float:
+    """max|V diag(w) V^dag - M| of an eigendecomposition.
+
+    A complex V is split into its real and imaginary parts, so that
+    V diag(w) V^dag = (Ar Vr^T + Ai Vi^T) + i (Ai Vr^T - Ar Vi^T) with
+    A = V diag(w) takes four real products.  A single complex product of
+    a few dozen levels crosses OpenBLAS's threading cut-off, and waking
+    its thread pool costs more than the product.
+    """
+    if np.isrealobj(v):
+        return float(np.abs((v * w) @ v.T - mat).max())
+    vr, vi = np.ascontiguousarray(v.real), np.ascontiguousarray(v.imag)
+    ar, ai = vr * w, vi * w
+    re = ar @ vr.T + ai @ vi.T
+    im = ai @ vr.T - ar @ vi.T
+    return float(np.hypot(re - mat.real, im - mat.imag).max())
 
 
 def hermitian_matrix_function(op, fn) -> np.ndarray:

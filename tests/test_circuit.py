@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxsqueeze import cli
+from fluxsqueeze import circuit, cli
 from fluxsqueeze.circuit import (
     CONVERGENCE_TOL,
     MAX_DOUBLINGS,
@@ -18,7 +18,6 @@ from fluxsqueeze.circuit import (
     converged_spectrum,
     cos_pi,
     effective_josephson,
-    flux_free_terms,
     full_hamiltonian,
     harmonic_hamiltonian,
     quartic_hamiltonian,
@@ -354,22 +353,81 @@ def test_converged_spectrum_solves_each_rung_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     _, dim_used = converged_spectrum(p, 60)
     assert dim_used == 60
-    assert solves == [(np.dtype(complex), 60), (np.dtype(np.float64), 120)]
+    assert solves == [
+        (np.dtype(complex), 60),
+        (np.dtype(np.float64), 60),
+        (np.dtype(np.float64), 60),
+    ]
 
 
 def test_flux_free_terms_are_read_only():
-    terms = flux_free_terms(params(0.9), make_fock_space(12))
+    p = params(0.9)
+    terms = circuit._cached_terms(p.mass, p.omega0, 12)
     for mat in terms:
         with pytest.raises(ValueError):
             mat[0, 0] = 1.0
 
 
-def test_converged_spectrum_rejects_complex_hamiltonian():
-    def complex_builder(p, space):
-        mat = full_hamiltonian(p, space).matrix.copy()
-        mat[0, 1] += 1e-3j
-        mat[1, 0] -= 1e-3j
-        return as_hermitian(mat, space)
+def test_flux_free_terms_must_be_exactly_real(monkeypatch):
+    def leaky_cos(op, fn):
+        mat = hermitian_matrix_function(op, fn)
+        return mat + 1e-300j * np.eye(len(mat))
 
-    with pytest.raises(SimulationError, match="real Hamiltonian"):
-        converged_spectrum(params(0.9), 60, complex_builder)
+    circuit._cached_terms.cache_clear()  # a failed build caches nothing
+    monkeypatch.setattr(circuit, "hermitian_matrix_function", leaky_cos)
+    with pytest.raises(SimulationError, match="cos_phi at dim=60 is not exactly real"):
+        converged_spectrum(params(0.9), 60)
+
+
+def test_upper_rung_rejects_parity_mixing(monkeypatch):
+    terms = circuit._cached_terms
+
+    def mixing(mass, omega0, dim):
+        t = terms(mass, omega0, dim)
+        nn = t.nn.copy()
+        nn[0, 1] = nn[1, 0] = 1e-3
+        return t._replace(nn=nn)
+
+    # the lower rung takes the mixing entries in its complex solve; the
+    # upper rung's sector solve must refuse them
+    monkeypatch.setattr(circuit, "_cached_terms", mixing)
+    with pytest.raises(SimulationError, match="dim=120 mixes photon parity"):
+        converged_spectrum(params(0.9), 60)
+
+
+@pytest.mark.parametrize("dim", [8, 60, 120])
+@pytest.mark.parametrize("f_s", [0.5, 0.505, 0.75, 0.9, 1.0])
+@pytest.mark.parametrize("builder", [full_hamiltonian, quartic_hamiltonian])
+def test_sector_eigenvalues_match_full_real_solve(builder, f_s, dim):
+    H = builder.real_matrix(params(f_s), dim)
+    assert H.dtype == np.float64
+    want = hermitian_eig(H)[0]
+    got = circuit._sector_eigenvalues(H)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_converged_spectrum_needs_a_circuit_builder():
+    def custom(p, space):
+        return full_hamiltonian(p, space)
+
+    with pytest.raises(ParameterError, match="circuit builder"):
+        converged_spectrum(params(0.9), 60, custom)
+
+
+def test_ej_flux_is_computed_once(monkeypatch):
+    p = params(0.9)
+    calls = []
+    monkeypatch.setattr(
+        circuit, "effective_josephson", lambda e_j, f_s: calls.append(f_s) or 2.0 * e_j
+    )
+    for _ in range(3):
+        p.ej_flux
+    assert calls == [0.9]
+
+
+def test_instability_messages_stay_short():
+    p = CircuitParams(e_c=0.12, e_j=1e300, e_l=58.6, f_s=0.9)
+    for call in (lambda: full_hamiltonian(p, make_fock_space(4)), lambda: reduced_params(p)):
+        with pytest.raises(StabilityError) as info:
+            call()
+        assert len(str(info.value)) < 120

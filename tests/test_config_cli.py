@@ -160,6 +160,32 @@ def test_negative_exponent_value_parses_like_equals_form(tmp_path, option, value
     assert spaced.read_bytes() == joined.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [["--fs-mi", "-1e-1"], ["--fs-mi=-1e-1"]], ids=["spaced", "joined"])
+def test_abbreviated_option_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(["amplify", *argv])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --fs-mi" in capsys.readouterr().err
+
+
+def test_unstable_selftest_prints_one_short_line(capsys, tmp_path):
+    assert main(["selftest", "--set", "circuit.e_j=1e300", "--out", str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 160
+    assert "E_L + E_J(f_s)/2 = -9.51057e+299 GHz" in err
+
+
+def test_degenerate_spectrum_exits_4(capsys, monkeypatch):
+    from fluxsqueeze import cli
+    from fluxsqueeze.circuit import Spectrum
+
+    flat = Spectrum(levels=((0, 1.0), (1, 1.0), (2, 1.0)), e01=0.0, e12=0.0)
+    monkeypatch.setattr(cli, "converged_spectrum", lambda *args, **kwargs: (flat, 60))
+    assert main(["spectrum", "--fs-steps", "2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("degenerate spectrum:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [["--t", "-1e-3"], ["--t=-1e-3"]], ids=["spaced", "joined"])
 def test_negative_exponent_time_is_a_configuration_error(capsys, argv):
     assert main(["trotter", *argv]) == 2

@@ -206,6 +206,30 @@ def test_hermitian_eig_reconstruction(seed, dim):
     assert np.abs((v * w) @ v.conj().T - h).max() <= 1e-9 * scale
 
 
+@pytest.mark.parametrize("dtype", [complex, np.float64])
+def test_hermitian_eig_keeps_reconstruction_guard(monkeypatch, dtype):
+    rng = np.random.default_rng(3)
+    raw = rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60))
+    h = raw + raw.conj().T
+    if dtype is np.float64:
+        h = h.real.copy()
+    hermitian_eig(h)
+    monkeypatch.setattr(operators, "RECONSTRUCTION_RTOL", -1.0)
+    with pytest.raises(SimulationError, match="eigen-reconstruction residual"):
+        hermitian_eig(h)
+
+
+@pytest.mark.parametrize("dim", [2, 7, 60])
+def test_split_reconstruction_residual_matches_complex_product(dim):
+    rng = np.random.default_rng(dim)
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h = raw + raw.conj().T
+    w, v = np.linalg.eigh(h)
+    direct = float(np.abs((v * w) @ v.conj().T - h).max())
+    split = operators._reconstruction_residual(w, v, h)
+    assert split == pytest.approx(direct, abs=1e-14 * np.abs(h).max())
+
+
 def test_evolve_zero_hamiltonian():
     u = evolve(np.zeros((5, 5), dtype=complex), 3.7)
     assert np.abs(u - np.eye(5)).max() < 1e-15
