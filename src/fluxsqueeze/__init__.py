@@ -30,7 +30,6 @@ from .coupling import (
     conjugate_hamiltonian,
     default_geometry,
     effective_params,
-    nv_frequency,
     total_hamiltonian,
 )
 from .errors import (
@@ -59,15 +58,12 @@ from .gates import (
 )
 from .operators import (
     FockSpace,
-    Operator,
     SU11Generators,
     annihilation,
-    creation,
     evolve,
     exp_normal,
     hermitian_eig,
     make_fock_space,
-    number,
     phase_charge_operators,
     su11_generators,
     su11_generators_2x2,

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .coupling import (
     bare_coupling,
     bare_coupling_si,
     biot_savart_b0,
-    inductance_from_inductive_energy,
+    default_geometry,
     inductance_mismatch,
     inductive_energy_from_inductance,
 )
@@ -90,14 +89,7 @@ def _circuit(cfg: RunConfig, f_s: float | None = None) -> CircuitParams:
 
 
 def _geometry(cfg: RunConfig) -> CouplingGeometry:
-    inductance = (
-        cfg.inductance
-        if cfg.inductance is not None
-        else inductance_from_inductive_energy(cfg.e_l)
-    )
-    return CouplingGeometry(
-        edge_length=cfg.edge_length, z_nv=cfg.z_nv, inductance=inductance
-    )
+    return default_geometry(_circuit(cfg), cfg.edge_length, cfg.z_nv, cfg.inductance)
 
 
 def cmd_spectrum(cfg: RunConfig) -> str:
@@ -291,7 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--ratios", help="comma list of E_L/E_J ratios")
         cmd.add_argument("--t", type=float, help="evolution time in ns (trotter: sweep max)")
         cmd.add_argument("--M", type=int, dest="m_steps", help="interleaving step count")
-        cmd.add_argument("--k", type=int, dest="k_branch", help="conjugation branch index")
         cmd.add_argument(
             "--set",
             action="append",
@@ -311,7 +302,6 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
         "fs_steps": args.fs_steps,
         "t": args.t,
         "m_steps": args.m_steps,
-        "k_branch": args.k_branch,
         "out_path": args.out,
     }
     if args.ratios is not None:

@@ -49,8 +49,6 @@ KNOWN_KEYS = {
     "geometry.edge_length": ("edge_length", float),
     "geometry.z_nv": ("z_nv", float),
     "geometry.inductance": ("inductance", _parse_optional_float),
-    "nv.zero_field_splitting": ("nv_splitting", float),
-    "nv.zeeman": ("nv_zeeman", float),
     "sweep.fs_min": ("fs_min", float),
     "sweep.fs_max": ("fs_max", float),
     "sweep.fs_steps": ("fs_steps", int),
@@ -58,7 +56,6 @@ KNOWN_KEYS = {
     "run.t": ("t", _parse_optional_float),
     "run.t_steps": ("t_steps", int),
     "run.m": ("m_steps", int),
-    "run.k": ("k_branch", int),
     "numerics.dim": ("dim", int),
     "numerics.two_pi": ("two_pi", _parse_bool),
     "numerics.convention": ("convention", str),
@@ -75,8 +72,7 @@ KEY_OF = {attr: key for key, (attr, _) in KNOWN_KEYS.items()}
 # ``ratios`` is checked element-wise)
 FINITE_FIELDS = (
     "e_c", "e_j", "e_l", "f_s", "edge_length", "z_nv", "inductance",
-    "nv_splitting", "nv_zeeman", "fs_min", "fs_max", "ratios", "t",
-    "trotter_threshold",
+    "fs_min", "fs_max", "ratios", "t", "trotter_threshold",
 )
 
 
@@ -91,8 +87,6 @@ class RunConfig:
     edge_length: float = 10e-6
     z_nv: float = 0.01e-6
     inductance: float | None = None
-    nv_splitting: float = 2.87
-    nv_zeeman: float = 1.37
     fs_min: float = 0.5
     fs_max: float = 1.0
     fs_steps: int = 101
@@ -100,7 +94,6 @@ class RunConfig:
     t: float | None = None
     t_steps: int = 151
     m_steps: int = 100
-    k_branch: int = 0
     dim: int = 60
     two_pi: bool = False
     convention: str = "matched"
@@ -129,8 +122,6 @@ class RunConfig:
             raise ParameterError(f"numerics.dim must be >= 2, got {self.dim}")
         if self.m_steps < 1:
             raise ParameterError(f"run.m must be >= 1, got {self.m_steps}")
-        if self.k_branch < 0:
-            raise ParameterError(f"run.k must be >= 0, got {self.k_branch}")
         if self.convention not in ("matched", "swapped"):
             raise ParameterError(
                 f"numerics.convention must be 'matched' or 'swapped', got {self.convention!r}"

@@ -17,15 +17,7 @@ import numpy as np
 
 from .circuit import CircuitParams, reduced_params, stability
 from .errors import GeometryError, ParameterError, StabilityError, TruncationLeakError
-from .operators import (
-    FockSpace,
-    Operator,
-    TAU_X,
-    TAU_Z,
-    annihilation,
-    as_hermitian,
-    exp_normal,
-)
+from .operators import FockSpace, TAU_X, TAU_Z, annihilation, as_hermitian, exp_normal
 
 # CODATA 2018 constants, SI
 H_PLANCK = 6.62607015e-34          # J s (exact)
@@ -52,12 +44,8 @@ class NVParams:
 
     @property
     def omega_nv(self) -> float:
+        """Transition frequency of the spin's lowest two sublevels (GHz)."""
         return self.d - self.zeeman
-
-
-def nv_frequency(nv: NVParams) -> float:
-    """Transition frequency of the spin's lowest two sublevels (GHz)."""
-    return nv.omega_nv
 
 
 @dataclass(frozen=True)
@@ -211,7 +199,7 @@ def bare_coupling_si(p: CircuitParams, geom: CouplingGeometry) -> float:
 
 def total_hamiltonian(
     p: CircuitParams, nv: NVParams, g: float, space: FockSpace
-) -> Operator:
+) -> np.ndarray:
     """Hybrid Hamiltonian omega0 n + (omega_nv/2) tau_z + g (a + a^dag) tau_x.
 
     Built on the product space oscillator (x) spin with the spin as the
@@ -222,14 +210,14 @@ def total_hamiltonian(
     eye_f = np.eye(dim)
     eye_s = np.eye(2)
     n_diag = np.diag(np.arange(dim, dtype=float))
-    a = annihilation(space).matrix
+    a = annihilation(space)
     x_pair = a + a.conj().T
     mat = (
         p.omega0 * np.kron(n_diag, eye_s)
         + 0.5 * nv.omega_nv * np.kron(eye_f, TAU_Z)
         + g * np.kron(x_pair, TAU_X)
     )
-    return as_hermitian(mat, FockSpace(2 * dim))
+    return as_hermitian(mat)
 
 
 @dataclass(frozen=True)
@@ -262,7 +250,7 @@ def effective_params(p: CircuitParams, g: float, eta2: float) -> EffectiveParams
 
 def squeeze_on_product(space: FockSpace, eta2: float) -> np.ndarray:
     """exp[eta2 (a^2 - a^dag^2)] acting on the oscillator factor only."""
-    a = annihilation(space).matrix
+    a = annihilation(space)
     gen = eta2 * (a @ a - a.conj().T @ a.conj().T)
     # kept off the cached operators.exp_generator route: its result differs
     # at roundoff, which moves the selftest's printed conjugation_equivalence
@@ -272,32 +260,32 @@ def squeeze_on_product(space: FockSpace, eta2: float) -> np.ndarray:
 UNITARY_TOL = 1e-8
 
 
-def conjugate_hamiltonian(S: np.ndarray, H: Operator) -> Operator:
+def conjugate_hamiltonian(S: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Numerical similarity transform S H S^dag.
 
     S must be unitary on the working subspace to ``UNITARY_TOL``;
     squeezing pushed past the truncation breaks that and is rejected.
     """
     S = np.asarray(S, dtype=complex)
-    if S.shape != H.matrix.shape:
-        raise ParameterError(f"shape mismatch: S {S.shape} vs H {H.matrix.shape}")
+    if S.shape != H.shape:
+        raise ParameterError(f"shape mismatch: S {S.shape} vs H {H.shape}")
     unit_res = float(np.abs(S @ S.conj().T - np.eye(S.shape[0])).max())
     if unit_res > UNITARY_TOL:
         raise TruncationLeakError(
             f"transform is not unitary (residual {unit_res:.3e}); the squeeze "
             "leaked through the truncation edge"
         )
-    out = S @ H.matrix @ S.conj().T
+    out = S @ H @ S.conj().T
     herm_res = float(np.abs(out - out.conj().T).max())
     if herm_res > UNITARY_TOL * max(1.0, float(np.abs(out).max())):
         raise TruncationLeakError(
             f"conjugated Hamiltonian lost hermiticity (residual {herm_res:.3e})"
         )
-    return as_hermitian(out, H.space)
+    return as_hermitian(out)
 
 
 def project_coupling_coefficients(
-    H: Operator | np.ndarray, space: FockSpace, n_interior: int
+    H: np.ndarray, space: FockSpace, n_interior: int
 ) -> dict[str, float]:
     """Least-squares coefficients of H on the interior product subspace
     against the operator basis {1, n, a^2 + a^dag^2, tau_z/2, (a+a^dag) tau_x}.
@@ -306,11 +294,11 @@ def project_coupling_coefficients(
     spin branches), away from the truncation edge where the conjugated
     matrix elements are corrupted.
     """
-    mat = H.matrix if isinstance(H, Operator) else np.asarray(H)
+    mat = np.asarray(H)
     dim = space.dim
     if not 2 <= n_interior <= dim:
         raise ParameterError(f"n_interior={n_interior} outside 2..{dim}")
-    a = annihilation(space).matrix
+    a = annihilation(space)
     ad = a.conj().T
     eye_f = np.eye(dim, dtype=complex)
     eye_s = np.eye(2, dtype=complex)

@@ -27,7 +27,8 @@ class StabilityError(SimulationError):
 
 
 class WrongRegimeError(StabilityError):
-    """Operating point does not produce a squeezing interaction."""
+    """Operating point outside the modelled regime: no squeezing
+    interaction, or a squeeze past the 2x2 hyperbolic cap."""
 
 
 class ConvergenceError(SimulationError):

@@ -29,8 +29,12 @@ that it neither telescopes nor closes the squeezing identity.
 
 Representations: "fock" uses the number operator a^dag a in the gate
 phases; "2x2" uses the compact generators (G3 = tau_z carries the extra
-half quantum, a pure global phase).  Distances are only ever compared
-within one representation.
+half quantum, a pure global phase).  ``representation`` resolves the
+(rep, space) pair of a gate call once into a ``Compact`` or ``Fock``
+object, which owns everything that differs between the two: the U0
+action, U1, exp(i theta G1), the G2 target, the M-th power and the
+truncation-leak check.  Distances are only ever compared within one
+representation.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitParams, _require_stable, reduced_params
+from .circuit import CircuitParams, ReducedParams, _require_stable, reduced_params
 from .errors import ParameterError, WrongRegimeError
 from .operators import (
     FockSpace,
@@ -96,58 +100,129 @@ def make_schedule(
     )
 
 
-def _check_rep(rep: str, space: FockSpace | None):
-    if rep not in REPS:
-        raise ParameterError(f"unknown representation {rep!r}; pick from {REPS}")
-    if rep == "fock" and space is None:
-        raise ParameterError("fock representation needs a FockSpace")
+class Compact:
+    """The exact 2x2 representation: G3 = tau_z carries the extra half
+    quantum (a pure global phase), and the gates are non-unitary in
+    general.  Every exponential is the closed form of ``exp_2x2``."""
 
-
-def _u0_phases(p: CircuitParams, t: float, space: FockSpace) -> np.ndarray:
-    # the diagonal of U0 in the number basis; no eigensolve needed
-    return np.exp(-1j * p.omega0 * np.arange(space.dim) * t)
-
-
-def gate_u0(p: CircuitParams, t: float, rep: str = "2x2", space: FockSpace | None = None) -> np.ndarray:
-    """Sweet-spot gate exp(-i omega0 n t) (fock) / exp(-i omega0 G3 t) (2x2)."""
-    _require_stable(p)
-    _check_rep(rep, space)
-    if rep == "fock":
-        return np.diag(_u0_phases(p, t, space))
     g = su11_generators_2x2()
-    return exp_2x2(-1j * p.omega0 * t * g.gamma3)
+
+    def u0(self, p: CircuitParams, t: float) -> np.ndarray:
+        return exp_2x2(-1j * p.omega0 * t * self.g.gamma3)
+
+    def u0_dag_left(self, p: CircuitParams, t: float, mat: np.ndarray) -> np.ndarray:
+        """U0^dag(t) @ mat."""
+        return exp_2x2(1j * p.omega0 * t * self.g.gamma3) @ mat
+
+    def u0_conjugate(self, p: CircuitParams, t: float, mat: np.ndarray) -> np.ndarray:
+        """U0(t) @ mat @ U0^dag(t)."""
+        u0 = self.u0(p, t)
+        return u0 @ mat @ u0.conj().T
+
+    def u1(self, r: ReducedParams, t: float) -> np.ndarray:
+        return exp_2x2(-1j * r.omega1 * t * self.g.gamma3 + 2j * r.eta1 * t * self.g.gamma1)
+
+    def us(self, r: ReducedParams, t: float) -> np.ndarray:
+        """exp(i 2 eta1 G1 t)."""
+        return exp_2x2(2j * r.eta1 * t * self.g.gamma1)
+
+    def target(self, eta2: float) -> np.ndarray:
+        """exp(-2i eta2 G2) = cosh(2 eta2) - i sinh(2 eta2) G2."""
+        return math.cosh(2.0 * eta2) * np.eye(2, dtype=complex) - 1j * math.sinh(
+            2.0 * eta2
+        ) * self.g.gamma2
+
+    def power(self, mat: np.ndarray, m: int) -> np.ndarray:
+        return np.linalg.matrix_power(mat, m)
+
+    def check_leak(self, mat: np.ndarray, context: str):
+        """The 2x2 form has no truncation edge."""
 
 
-def gate_u1(p: CircuitParams, t: float, rep: str = "2x2", space: FockSpace | None = None) -> np.ndarray:
-    """Detuned-flux gate; unitary in the fock rep, non-unitary 2x2 in general."""
-    _require_stable(p)
-    _check_rep(rep, space)
-    r = reduced_params(p)
-    if rep == "fock":
+@dataclass(frozen=True)
+class Fock:
+    """The truncated Fock representation: U0 is the diagonal of phases
+    exp(-i omega0 n t), and every other gate keeps photon parity, so it is
+    built and powered on the even and odd levels apart."""
+
+    space: FockSpace
+
+    def _phases(self, p: CircuitParams, t: float) -> np.ndarray:
+        # the diagonal of U0 in the number basis; no eigensolve needed
+        return np.exp(-1j * p.omega0 * np.arange(self.space.dim) * t)
+
+    def u0(self, p: CircuitParams, t: float) -> np.ndarray:
+        return np.diag(self._phases(p, t))
+
+    def u0_dag_left(self, p: CircuitParams, t: float, mat: np.ndarray) -> np.ndarray:
+        """U0^dag(t) @ mat as a row scaling."""
+        return self._phases(p, -t)[:, None] * mat
+
+    def u0_conjugate(self, p: CircuitParams, t: float, mat: np.ndarray) -> np.ndarray:
+        """U0(t) @ mat @ U0^dag(t) as a row and column scaling."""
+        ph = self._phases(p, t)
+        return ph[:, None] * mat * ph.conj()[None, :]
+
+    def u1(self, r: ReducedParams, t: float) -> np.ndarray:
         # h1 = omega1 n - eta1 (a^2 + a^dag^2) is real symmetric and keeps
         # photon parity: one real tridiagonal solve per sector, guarded by
         # hermitian_eig (the generator moves with (omega1, eta1), so the
         # solve is not cached)
         eigs = [
             hermitian_eig(np.diag(r.omega1 * n) - r.eta1 * (np.diag(band, 1) + np.diag(band, -1)))
-            for n, band in parity_sectors(space.dim)
+            for n, band in parity_sectors(self.space.dim)
         ]
         return exp_sectors(eigs, -t)
-    g = su11_generators_2x2()
-    return exp_2x2(-1j * r.omega1 * t * g.gamma3 + 2j * r.eta1 * t * g.gamma1)
+
+    def us(self, r: ReducedParams, t: float) -> np.ndarray:
+        """exp(i 2 eta1 G1 t)."""
+        return exp_generator(self.space, "gamma1", 2.0 * r.eta1 * t)
+
+    def target(self, eta2: float) -> np.ndarray:
+        # eta2 (a^2 - a^dag^2) = i (-2 eta2) G2
+        return exp_generator(self.space, "gamma2", -2.0 * eta2)
+
+    def power(self, mat: np.ndarray, m: int) -> np.ndarray:
+        out = np.zeros_like(mat)
+        for s in (0, 1):
+            out[s::2, s::2] = np.linalg.matrix_power(mat[s::2, s::2], m)
+        return out
+
+    def check_leak(self, mat: np.ndarray, context: str):
+        warn_on_truncation_leak(mat, self.space, context)
+
+
+def representation(rep: str, space: FockSpace | None = None) -> Compact | Fock:
+    """The representation object for ``rep`` ("2x2" or "fock"; the latter
+    needs ``space``)."""
+    if rep == "2x2":
+        return Compact()
+    if rep not in REPS:
+        raise ParameterError(f"unknown representation {rep!r}; pick from {REPS}")
+    if space is None:
+        raise ParameterError("fock representation needs a FockSpace")
+    return Fock(space)
+
+
+def gate_u0(p: CircuitParams, t: float, rep: str = "2x2", space: FockSpace | None = None) -> np.ndarray:
+    """Sweet-spot gate exp(-i omega0 n t) (fock) / exp(-i omega0 G3 t) (2x2)."""
+    _require_stable(p)
+    return representation(rep, space).u0(p, t)
+
+
+def gate_u1(p: CircuitParams, t: float, rep: str = "2x2", space: FockSpace | None = None) -> np.ndarray:
+    """Detuned-flux gate; unitary in the fock rep, non-unitary 2x2 in general."""
+    _require_stable(p)
+    return representation(rep, space).u1(reduced_params(p), t)
 
 
 def analytic_us(p: CircuitParams, t: float, rep: str = "2x2", space: FockSpace | None = None) -> np.ndarray:
     """The squeezing propagator exp(i 2 eta1 G1 t) evaluated directly."""
     _require_stable(p)
-    _check_rep(rep, space)
-    r = reduced_params(p)
-    if rep == "fock":
-        u = exp_generator(space, "gamma1", 2.0 * r.eta1 * t)
-        warn_on_truncation_leak(u, space, "analytic squeezing propagator")
-        return u
-    g = su11_generators_2x2()
-    return exp_2x2(2j * r.eta1 * t * g.gamma1)
+    form = representation(rep, space)
+    u = form.us(reduced_params(p), t)
+    form.check_leak(u, "analytic squeezing propagator")
+    return u
 
 
 def trotter_squeeze(
@@ -160,21 +235,12 @@ def trotter_squeeze(
 ) -> np.ndarray:
     """The M-fold interleaved product [U0^dag(t'/M) U1(t/M)]^M."""
     _require_stable(p)
-    _check_rep(rep, space)
+    form = representation(rep, space)
     sched = make_schedule(p, t, m, convention=convention)
-    if rep == "fock":
-        # U0^dag(t'/M) is diagonal: a row scaling of U1(t/M); both keep
-        # photon parity, so the power is taken on each sector alone
-        phases = _u0_phases(p, -sched.t_prime / m, space)
-        step = phases[:, None] * gate_u1(p, t / m, "fock", space)
-        product = np.zeros_like(step)
-        for s in (0, 1):
-            product[s::2, s::2] = np.linalg.matrix_power(step[s::2, s::2], m)
-        warn_on_truncation_leak(product, space, "interleaved squeezing product")
-        return product
-    g = su11_generators_2x2()
-    u0_dag_step = exp_2x2(1j * p.omega0 * (sched.t_prime / m) * g.gamma3)
-    return np.linalg.matrix_power(u0_dag_step @ gate_u1(p, t / m, "2x2"), m)
+    step = form.u0_dag_left(p, sched.t_prime / m, form.u1(reduced_params(p), t / m))
+    product = form.power(step, m)
+    form.check_leak(product, "interleaved squeezing product")
+    return product
 
 
 def gate_distance(A: np.ndarray, B: np.ndarray) -> float:
@@ -199,14 +265,7 @@ class SqueezeResult:
 
 def squeeze_target(eta2: float, rep: str = "2x2", space: FockSpace | None = None) -> np.ndarray:
     """Directly exponentiated exp[eta2 (a^2 - a^dag^2)] (= exp(-2i eta2 G2))."""
-    _check_rep(rep, space)
-    if rep == "fock":
-        # eta2 (a^2 - a^dag^2) = i (-2 eta2) G2
-        return exp_generator(space, "gamma2", -2.0 * eta2)
-    g = su11_generators_2x2()
-    return math.cosh(2.0 * eta2) * np.eye(2, dtype=complex) - 1j * math.sinh(
-        2.0 * eta2
-    ) * g.gamma2
+    return representation(rep, space).target(eta2)
 
 
 def squeeze_operator(
@@ -226,7 +285,7 @@ def squeeze_operator(
     studies).  Requires eta1 < 0, the squeezing-producing regime.
     """
     _require_stable(p)
-    _check_rep(rep, space)
+    form = representation(rep, space)
     if backend not in ("analytic", "trotter"):
         raise ParameterError(f"unknown backend {backend!r}")
     r = reduced_params(p)
@@ -240,16 +299,10 @@ def squeeze_operator(
         core = analytic_us(p, t, rep, space)
     else:
         core = trotter_squeeze(p, t, m, rep, space, convention)
-    if rep == "fock":
-        ph = _u0_phases(p, sched.t_dprime, space)
-        composed = ph[:, None] * core * ph.conj()[None, :]
-    else:
-        u0 = gate_u0(p, sched.t_dprime, rep)
-        composed = u0 @ core @ u0.conj().T
+    composed = form.u0_conjugate(p, sched.t_dprime, core)
     eta2 = -r.eta1 * t
-    target = squeeze_target(eta2, rep, space)
-    if rep == "fock":
-        warn_on_truncation_leak(composed, space, "composed squeezing operator")
+    target = form.target(eta2)
+    form.check_leak(composed, "composed squeezing operator")
     return SqueezeResult(
         eta2=eta2,
         s=composed,

@@ -1,9 +1,12 @@
 """Truncated Fock-space numerics: ladder operators, squeezing-algebra
 generators, Hermitian eigensolves, and matrix exponentials.
 
-All matrices are dense complex arrays. Operator algebra identities hold
-exactly only on an interior subspace; the truncation edge (top one or two
-levels) is excluded wherever an identity is asserted.
+Operators are plain dense ndarrays.  The ladder, quadrature and
+generator helpers return complex128 even where the entries are real, so
+every product built from them runs in complex arithmetic.  Operator
+algebra identities hold exactly only on an interior subspace; the
+truncation edge (top one or two levels) is excluded wherever an identity
+is asserted.
 
 Units: energies in GHz, times in ns. The phase accumulated by ``evolve``
 is the plain product energy*time with no additional 2*pi factor.
@@ -14,7 +17,8 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,10 +27,9 @@ from .errors import (
     ParameterError,
     SimulationError,
     TruncationLeakWarning,
+    WrongRegimeError,
 )
 
-# Absolute tolerance for the Operator hermiticity flag (operator units).
-HERMITICITY_ATOL = 1e-12
 # Hermiticity (eigensolve) and anti-Hermiticity (exponential) tolerance
 # for inputs, scaled by the largest matrix element.
 EIG_INPUT_RTOL = 1e-10
@@ -62,96 +65,19 @@ def make_fock_space(dim: int) -> FockSpace:
     return FockSpace(int(dim) if isinstance(dim, (int, np.integer)) else dim)
 
 
-@dataclass(frozen=True)
-class Operator:
-    """Dense complex matrix tied to a FockSpace.
-
-    The matrix is copied and frozen at construction.  When ``hermitian``
-    is asserted it is verified against ``HERMITICITY_ATOL``.
-    """
-
-    matrix: np.ndarray
-    space: FockSpace
-    hermitian: bool = field(default=False)
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.shape != (self.space.dim, self.space.dim):
-            raise ParameterError(
-                f"operator shape {mat.shape} does not match space dim {self.space.dim}"
-            )
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        if self.hermitian:
-            residual = float(np.abs(mat - mat.conj().T).max())
-            if residual > HERMITICITY_ATOL:
-                raise ParameterError(
-                    f"hermiticity flag asserted but max|M - M^dag| = {residual:.3e}"
-                )
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def dag(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.space, hermitian=self.hermitian)
-
-    def _check_space(self, other: "Operator"):
-        if other.space.dim != self.space.dim:
-            raise ParameterError(
-                f"operator dimensions differ: {self.space.dim} vs {other.space.dim}"
-            )
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check_space(other)
-        return Operator(
-            self.matrix + other.matrix,
-            self.space,
-            hermitian=self.hermitian and other.hermitian,
-        )
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check_space(other)
-        return Operator(
-            self.matrix - other.matrix,
-            self.space,
-            hermitian=self.hermitian and other.hermitian,
-        )
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        keep = self.hermitian and np.imag(scalar) == 0.0
-        return Operator(self.matrix * scalar, self.space, hermitian=keep)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        self._check_space(other)
-        return Operator(self.matrix @ other.matrix, self.space)
+def as_hermitian(matrix: np.ndarray) -> np.ndarray:
+    """Symmetrize roundoff away: 0.5 (M + M^dag), exactly Hermitian."""
+    return 0.5 * (matrix + matrix.conj().T)
 
 
-def as_hermitian(matrix: np.ndarray, space: FockSpace) -> Operator:
-    """Symmetrize roundoff away and return a flagged Hermitian operator."""
-    sym = 0.5 * (matrix + matrix.conj().T)
-    return Operator(sym, space, hermitian=True)
-
-
-def annihilation(space: FockSpace) -> Operator:
+def annihilation(space: FockSpace) -> np.ndarray:
     """Ladder-down operator, <m|a|n> = sqrt(n) delta_{m,n-1}."""
-    return Operator(np.diag(np.sqrt(np.arange(1, space.dim)), 1), space)
-
-
-def creation(space: FockSpace) -> Operator:
-    return annihilation(space).dag()
-
-
-def number(space: FockSpace) -> Operator:
-    """a^dag a; exactly diagonal 0..dim-1 in the retained basis."""
-    return Operator(np.diag(np.arange(space.dim, dtype=float)), space, hermitian=True)
+    return np.diag(np.sqrt(np.arange(1, space.dim)), 1).astype(complex)
 
 
 def phase_charge_operators(
     space: FockSpace, m: float, omega: float
-) -> tuple[Operator, Operator]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature pair for an oscillator of mass ``m`` and frequency ``omega``:
 
         phi = sqrt(1/(2 m omega)) (a + a^dag)
@@ -161,55 +87,38 @@ def phase_charge_operators(
     """
     if m <= 0 or omega <= 0:
         raise ParameterError(f"need m > 0 and omega > 0, got m={m}, omega={omega}")
-    a = annihilation(space).matrix
+    a = annihilation(space)
     ad = a.conj().T
     phi = np.sqrt(1.0 / (2.0 * m * omega)) * (a + ad)
     n = 1j * np.sqrt(m * omega / 2.0) * (ad - a)
-    return (
-        Operator(phi, space, hermitian=True),
-        Operator(n, space, hermitian=True),
-    )
+    return phi, n
 
 
-@dataclass(frozen=True)
-class SU11Generators:
-    """The squeezing-algebra triple.
-
-    The Fock representation holds Hermitian Operators satisfying, on the
-    interior subspace,
+class SU11Generators(NamedTuple):
+    """The squeezing-algebra triple, obeying
 
         [G1, G2] = -2i G3,  [G2, G3] = 2i G1,  [G3, G1] = 2i G2.
 
-    The compact 2x2 representation holds plain matrices obeying the same
-    relations exactly but non-Hermitian (the group admits no finite
-    unitary irrep).
+    The Fock matrices are Hermitian and obey the relations on the
+    interior subspace; the compact 2x2 matrices obey them exactly but are
+    non-Hermitian (the group admits no finite unitary irrep).
     """
 
-    gamma1: "Operator | np.ndarray"
-    gamma2: "Operator | np.ndarray"
-    gamma3: "Operator | np.ndarray"
-    space: FockSpace | None = None
-
-    @property
-    def rep(self) -> str:
-        return "fock" if self.space is not None else "2x2"
+    gamma1: np.ndarray
+    gamma2: np.ndarray
+    gamma3: np.ndarray
 
 
 def su11_generators(space: FockSpace) -> SU11Generators:
     """Fock-representation generators G1=(a^2+ad^2)/2, G2=i(a^2-ad^2)/2, G3=n+1/2."""
-    a = annihilation(space).matrix
+    a = annihilation(space)
     ad = a.conj().T
     a2 = a @ a
     ad2 = ad @ ad
     g1 = 0.5 * (a2 + ad2)
     g2 = 0.5j * (a2 - ad2)
     g3 = np.diag(np.arange(space.dim) + 0.5).astype(complex)
-    return SU11Generators(
-        Operator(g1, space, hermitian=True),
-        Operator(g2, space, hermitian=True),
-        Operator(g3, space, hermitian=True),
-        space=space,
-    )
+    return SU11Generators(g1, g2, g3)
 
 
 TAU_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -219,11 +128,7 @@ TAU_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 def su11_generators_2x2() -> SU11Generators:
     """Exact non-Hermitian 2x2 representation: G1 = i tau_y, G2 = -i tau_x, G3 = tau_z."""
-    return SU11Generators(1j * TAU_Y, -1j * TAU_X, TAU_Z.copy(), space=None)
-
-
-def _as_matrix(op) -> np.ndarray:
-    return op.matrix if isinstance(op, Operator) else np.asarray(op, dtype=complex)
+    return SU11Generators(1j * TAU_Y, -1j * TAU_X, TAU_Z.copy())
 
 
 def hermitian_eig(op) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +140,8 @@ def hermitian_eig(op) -> tuple[np.ndarray, np.ndarray]:
     V diag(E) V^dag is verified against the input.  A float64 array is
     solved as a real symmetric matrix; other input is made complex.
     """
-    mat = op if isinstance(op, np.ndarray) and op.dtype == np.float64 else _as_matrix(op)
+    real = isinstance(op, np.ndarray) and op.dtype == np.float64
+    mat = op if real else np.asarray(op, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {mat.shape}")
     scale = max(1.0, float(np.abs(mat).max()))
@@ -302,7 +208,8 @@ def exp_2x2(K: np.ndarray) -> np.ndarray:
     of the compact representation without any series truncation.
 
     Hyperbolic arguments are capped at ``HYPERBOLIC_CAP``; beyond it the
-    non-unitary representation has grown by e^10 and we refuse to guess.
+    non-unitary representation has grown by e^10, and the squeeze is
+    refused as a regime limit (``WrongRegimeError``).
     """
     K = np.asarray(K, dtype=complex)
     if K.shape != (2, 2):
@@ -311,9 +218,9 @@ def exp_2x2(K: np.ndarray) -> np.ndarray:
     B = K - half_tr * np.eye(2)
     mu = np.sqrt(complex(-(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0])))
     if abs(mu.real) > HYPERBOLIC_CAP:
-        raise ParameterError(
+        raise WrongRegimeError(
             f"hyperbolic argument |{mu.real:.2f}| exceeds cap {HYPERBOLIC_CAP}; "
-            "matrix elements would exceed cosh(10)"
+            "matrix elements would exceed cosh(10); shorten the evolution time run.t"
         )
     if abs(mu) < 1e-300:
         body = np.eye(2, dtype=complex) + B
@@ -331,7 +238,7 @@ def exp_normal(K) -> np.ndarray:
     eigendecomposition of the Hermitian matrix -iK.  Any other matrix,
     normal or not, is rejected with ``ParameterError``.
     """
-    mat = _as_matrix(K)
+    mat = np.asarray(K, dtype=complex)
     if mat.shape == (2, 2):
         return exp_2x2(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -433,13 +340,13 @@ def exp_generator(space: FockSpace, name: str, theta: float) -> np.ndarray:
 
 
 def commutator(A, B) -> np.ndarray:
-    a, b = _as_matrix(A), _as_matrix(B)
+    a, b = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
     return a @ b - b @ a
 
 
 def interior(matrix, n_keep: int) -> np.ndarray:
     """Restriction to the lowest ``n_keep`` levels (identities hold here)."""
-    mat = _as_matrix(matrix)
+    mat = np.asarray(matrix, dtype=complex)
     return mat[:n_keep, :n_keep]
 
 
@@ -450,7 +357,7 @@ def truncation_leak(matrix, space: FockSpace) -> float:
     occupied states; their amplitude in the top 10% of rows measures how
     much the operation pushes population into the truncation edge.
     """
-    mat = _as_matrix(matrix)
+    mat = np.asarray(matrix, dtype=complex)
     dim = space.dim
     top_start = int(math.ceil(0.9 * dim))
     n_low = max(1, dim // 10)

@@ -13,7 +13,6 @@ import numpy as np
 
 from . import circuit, coupling, gates, operators
 from .config import RunConfig
-from .errors import ConvergenceError
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,7 @@ def _check(name: str, value: float, threshold: float) -> CheckResult:
 
 def _ladder_commutator(dim: int) -> CheckResult:
     space = operators.make_fock_space(dim)
-    a = operators.annihilation(space).matrix
+    a = operators.annihilation(space)
     comm = operators.commutator(a, a.conj().T)
     res = np.abs(operators.interior(comm - np.eye(dim), dim - 1)).max()
     return _check("ladder_commutator_interior", res, 1e-12)
@@ -41,8 +40,7 @@ def _ladder_commutator(dim: int) -> CheckResult:
 
 def _su11_commutators(dim: int) -> CheckResult:
     space = operators.make_fock_space(dim)
-    g = operators.su11_generators(space)
-    g1, g2, g3 = g.gamma1.matrix, g.gamma2.matrix, g.gamma3.matrix
+    g1, g2, g3 = operators.su11_generators(space)
     n_int = dim - 2
     res = max(
         np.abs(operators.interior(operators.commutator(g1, g2) + 2j * g3, n_int)).max(),
@@ -79,14 +77,20 @@ def _closed_forms_2x2() -> CheckResult:
 def _phase_charge(dim: int, p: circuit.CircuitParams) -> CheckResult:
     space = operators.make_fock_space(dim)
     phi, n = circuit.circuit_operators(p, space)
-    comm = operators.commutator(phi.matrix, n.matrix)
+    comm = operators.commutator(phi, n)
     res = np.abs(operators.interior(comm - 1j * np.eye(dim), dim - 2)).max()
     return _check("phase_charge_commutator_interior", res, 1e-12)
 
 
+# The printed residuals were fixed by complex solves of the full
+# Hamiltonian; its float64 matrix would be solved real and round differently.
+def _full_complex(p: circuit.CircuitParams, dim: int) -> np.ndarray:
+    return circuit.full_hamiltonian(p, operators.make_fock_space(dim)).astype(complex)
+
+
 def _unitarity(p: circuit.CircuitParams, dim: int) -> CheckResult:
     space = operators.make_fock_space(dim)
-    u_full = operators.evolve(circuit.full_hamiltonian(p, space), 1.0)
+    u_full = operators.evolve(_full_complex(p, dim), 1.0)
     u1 = gates.gate_u1(p, 1.0, "fock", space)
     eye = np.eye(dim)
     res = max(
@@ -97,12 +101,11 @@ def _unitarity(p: circuit.CircuitParams, dim: int) -> CheckResult:
 
 
 def _eigen_reconstruction(p: circuit.CircuitParams, dim: int) -> CheckResult:
-    space = operators.make_fock_space(dim)
-    h = circuit.full_hamiltonian(p, space)
+    h = _full_complex(p, dim)
     w, v = operators.hermitian_eig(h)
     recon = (v * w) @ v.conj().T
-    scale = max(1.0, float(np.abs(h.matrix).max()))
-    return _check("eigen_reconstruction", np.abs(recon - h.matrix).max() / scale, 1e-9)
+    scale = max(1.0, float(np.abs(h).max()))
+    return _check("eigen_reconstruction", np.abs(recon - h).max() / scale, 1e-9)
 
 
 def _hyperbolic_identity(p: circuit.CircuitParams) -> list[CheckResult]:
@@ -151,14 +154,7 @@ def _biot_savart_symmetry(geom: coupling.CouplingGeometry) -> CheckResult:
 
 
 def _truncation_convergence(p: circuit.CircuitParams, dim: int, tol: float) -> CheckResult:
-    try:
-        move = circuit.check_convergence(p, dim, circuit.full_hamiltonian, tol=tol)
-    except ConvergenceError:
-        # measure the movement anyway so the report shows how bad it is
-        lo = np.linalg.eigvalsh(circuit.full_hamiltonian(p, operators.make_fock_space(dim)).matrix)[:3]
-        hi = np.linalg.eigvalsh(circuit.full_hamiltonian(p, operators.make_fock_space(2 * dim)).matrix)[:3]
-        move = float(np.abs(lo - hi).max())
-        return CheckResult("truncation_convergence", move, tol, passed=False)
+    move = circuit.check_convergence(p, dim, circuit.full_hamiltonian)
     return CheckResult("truncation_convergence", move, tol, passed=move < tol)
 
 
@@ -198,8 +194,8 @@ def _harmonic_point(p: circuit.CircuitParams, dim: int) -> list[CheckResult]:
     h_quartic = circuit.quartic_hamiltonian(half, space)
     h_harm = circuit.harmonic_hamiltonian(half, space)
     collapse = max(
-        float(np.abs(h_full.matrix - h_harm.matrix).max()),
-        float(np.abs(h_quartic.matrix - h_harm.matrix).max()),
+        float(np.abs(h_full - h_harm).max()),
+        float(np.abs(h_quartic - h_harm).max()),
     )
     levels = circuit.spectrum(h_full)
     alpha = abs(circuit.anharmonicity(levels))
@@ -218,13 +214,7 @@ def run_selftest(cfg: RunConfig) -> tuple[list[CheckResult], bool]:
     not a verdict: it propagates, so the CLI exits with its classified code.
     """
     p = circuit.CircuitParams(e_c=cfg.e_c, e_j=cfg.e_j, e_l=cfg.e_l, f_s=cfg.f_s)
-    geom = coupling.CouplingGeometry(
-        edge_length=cfg.edge_length,
-        z_nv=cfg.z_nv,
-        inductance=cfg.inductance
-        if cfg.inductance is not None
-        else coupling.inductance_from_inductive_energy(cfg.e_l),
-    )
+    geom = coupling.default_geometry(p, cfg.edge_length, cfg.z_nv, cfg.inductance)
     checks: list[CheckResult] = [
         _ladder_commutator(cfg.dim),
         _su11_commutators(cfg.dim),

@@ -133,8 +133,8 @@ def test_criterion_3_harmonic_point():
     h_full = full_hamiltonian(p, space)
     h_quartic = quartic_hamiltonian(p, space)
     h_harm = harmonic_hamiltonian(p, space)
-    identical = np.array_equal(h_full.matrix, h_harm.matrix) and np.array_equal(
-        h_quartic.matrix, h_harm.matrix
+    identical = np.array_equal(h_full, h_harm) and np.array_equal(
+        h_quartic, h_harm
     )
     s_full = spectrum(h_full)
     s_quartic = spectrum(h_quartic)
@@ -231,7 +231,7 @@ def test_criterion_6_conjugation_vs_closed_form():
 
     # independent oracle: read the same coefficients off individual
     # matrix elements of the transformed Hamiltonian (spin-fast index)
-    m = h_eff.matrix
+    m = h_eff
     omega_eff_oracle = (m[4, 4] - m[2, 2]).real
     chi_oracle = (m[0, 4] / math.sqrt(2.0)).real
     g_eff_oracle = m[0, 3].real

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,9 +124,9 @@ def test_full_hamiltonian_rejects_unstable():
 def test_sweet_spot_collapse_is_bitwise():
     space = make_fock_space(60)
     p = params(0.5)
-    h_full = full_hamiltonian(p, space).matrix
-    h_quartic = quartic_hamiltonian(p, space).matrix
-    h_harm = harmonic_hamiltonian(p, space).matrix
+    h_full = full_hamiltonian(p, space)
+    h_quartic = quartic_hamiltonian(p, space)
+    h_harm = harmonic_hamiltonian(p, space)
     assert np.array_equal(h_full, h_harm)
     assert np.array_equal(h_quartic, h_harm)
 
@@ -254,9 +253,9 @@ def test_check_convergence_default_dim():
     assert move < 1e-6
 
 
-def test_check_convergence_rejects_tiny_basis():
-    with pytest.raises(ConvergenceError):
-        check_convergence(params(0.9), 4)
+def test_check_convergence_reports_tiny_basis_movement():
+    # the movement is returned, not raised: the caller judges it
+    assert check_convergence(params(0.9), 4) >= CONVERGENCE_TOL
 
 
 def test_converged_spectrum_accepts_default():
@@ -283,22 +282,22 @@ def _reference_full(p, space):
     phi, n = circuit_operators(p, space)
     cos_phi = hermitian_matrix_function(phi, np.cos)
     mat = (
-        p.e_c * (n.matrix @ n.matrix)
+        p.e_c * (n @ n)
         - p.ej_flux * cos_phi
-        + p.e_l * (phi.matrix @ phi.matrix)
+        + p.e_l * (phi @ phi)
     )
-    return as_hermitian(mat, space)
+    return as_hermitian(mat)
 
 
 def _reference_quartic(p, space):
     phi, n = circuit_operators(p, space)
-    phi2 = phi.matrix @ phi.matrix
+    phi2 = phi @ phi
     mat = (
-        p.e_c * (n.matrix @ n.matrix)
+        p.e_c * (n @ n)
         + 0.5 * (2.0 * p.e_l + p.ej_flux) * phi2
         - (p.ej_flux / 24.0) * (phi2 @ phi2)
     )
-    return as_hermitian(mat, space)
+    return as_hermitian(mat)
 
 
 def _reference_converged(p, dim, builder, tol=CONVERGENCE_TOL):
@@ -327,7 +326,7 @@ def test_converged_spectrum_matches_reference_bitwise(builder, reference, f_s, s
     assert got.e01 == want.e01
     assert got.e12 == want.e12
     space = make_fock_space(got_dim)
-    assert np.array_equal(builder(p, space).matrix, reference(p, space).matrix)
+    assert np.array_equal(builder(p, space), reference(p, space))
 
 
 @pytest.mark.parametrize("dim", [60, 8])
@@ -399,19 +398,11 @@ def test_upper_rung_rejects_parity_mixing(monkeypatch):
 @pytest.mark.parametrize("f_s", [0.5, 0.505, 0.75, 0.9, 1.0])
 @pytest.mark.parametrize("builder", [full_hamiltonian, quartic_hamiltonian])
 def test_sector_eigenvalues_match_full_real_solve(builder, f_s, dim):
-    H = builder.real_matrix(params(f_s), dim)
+    H = builder(params(f_s), make_fock_space(dim))
     assert H.dtype == np.float64
     want = hermitian_eig(H)[0]
     got = circuit._sector_eigenvalues(H)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-
-
-def test_converged_spectrum_needs_a_circuit_builder():
-    def custom(p, space):
-        return full_hamiltonian(p, space)
-
-    with pytest.raises(ParameterError, match="circuit builder"):
-        converged_spectrum(params(0.9), 60, custom)
 
 
 def test_ej_flux_is_computed_once(monkeypatch):

@@ -84,8 +84,7 @@ def test_spectrum_rejects_bad_convergence_tol(capsys, value):
 FINITE_KEYS = [
     "circuit.e_c", "circuit.e_j", "circuit.e_l", "circuit.f_s",
     "geometry.edge_length", "geometry.z_nv", "geometry.inductance",
-    "nv.zero_field_splitting", "nv.zeeman", "sweep.fs_min", "sweep.fs_max",
-    "sweep.ratios", "run.t", "trotter.threshold",
+    "sweep.fs_min", "sweep.fs_max", "sweep.ratios", "run.t", "trotter.threshold",
 ]
 
 
@@ -433,3 +432,45 @@ def test_cli_import_does_not_load_scipy():
         env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("key", ["nv.zeeman", "nv.zero_field_splitting", "run.k"])
+def test_deleted_keys_are_unknown(capsys, tmp_path, key):
+    out = tmp_path / "x.json"
+    assert main(["coupling", "--set", f"{key}=1", "--out", str(out)]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key} = 1\n", encoding="utf-8")
+    assert main(["coupling", "--config", str(conf), "--out", str(out)]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_branch_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["trotter", "--k", "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --k" in capsys.readouterr().err
+
+
+def test_trotter_past_hyperbolic_cap_is_a_regime_error(capsys, tmp_path):
+    out = tmp_path / "trot.csv"
+    argv = ["trotter", "--set", "numerics.convention=swapped", "--t", "100", "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("stability error: hyperbolic argument") and err.count("\n") == 1
+    assert "cap 10.0" in err and "run.t" in err
+    assert not out.exists()
+
+
+def test_failing_convergence_check_prints_the_value_it_judged(tmp_path):
+    def convergence(tol):
+        out = tmp_path / f"self-{tol}.json"
+        main(["selftest", "--set", f"numerics.convergence_tol={tol}", "--out", str(out)])
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        return checks["truncation_convergence"]
+
+    loose, tight = convergence(1e-6), convergence(1e-13)
+    assert loose["passed"] and loose["value"] < 1e-12
+    assert not tight["passed"] and tight["threshold"] == 1e-13
+    assert tight["value"] == loose["value"]

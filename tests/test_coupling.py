@@ -21,7 +21,6 @@ from fluxsqueeze.coupling import (
     inductance_from_inductive_energy,
     inductance_mismatch,
     inductive_energy_from_inductance,
-    nv_frequency,
     project_coupling_coefficients,
     squeeze_on_product,
     total_hamiltonian,
@@ -33,10 +32,10 @@ P = CircuitParams(e_c=0.12, e_j=58.0, e_l=58.6, f_s=0.5)
 GEOM = CouplingGeometry(edge_length=10e-6, z_nv=0.01e-6, inductance=1.4e-9)
 
 
-def test_nv_frequency_working_points():
-    assert nv_frequency(NVParams(zeeman=2.87)) == 0.0
-    assert nv_frequency(NVParams(zeeman=0.0)) == 2.87
-    assert nv_frequency(NVParams(zeeman=1.37)) == pytest.approx(1.5, abs=1e-12)
+def test_nv_transition_frequency_working_points():
+    assert NVParams(zeeman=2.87).omega_nv == 0.0
+    assert NVParams(zeeman=0.0).omega_nv == 2.87
+    assert NVParams(zeeman=1.37).omega_nv == pytest.approx(1.5, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -137,7 +136,7 @@ def test_total_hamiltonian_block_structure_at_zero_coupling():
     space = make_fock_space(12)
     nv = NVParams(zeeman=2.87 - 1.5)  # omega_nv = 1.5
     h = total_hamiltonian(P, nv, 0.0, space)
-    w = np.linalg.eigvalsh(h.matrix)
+    w = np.linalg.eigvalsh(h)
     ladder = np.arange(12) * P.omega0
     expected = np.sort(np.concatenate([ladder - 0.75, ladder + 0.75]))
     assert np.abs(w - expected).max() < 1e-12
@@ -146,7 +145,7 @@ def test_total_hamiltonian_block_structure_at_zero_coupling():
 def test_total_hamiltonian_hermitian():
     space = make_fock_space(12)
     h = total_hamiltonian(P, NVParams(zeeman=1.37), 1e-5, space)
-    assert np.abs(h.matrix - h.matrix.conj().T).max() <= 1e-12
+    assert np.abs(h - h.conj().T).max() <= 1e-12
 
 
 def test_vacuum_rabi_splitting():
@@ -154,7 +153,7 @@ def test_vacuum_rabi_splitting():
     nv = NVParams(zeeman=2.87 - P.omega0)  # resonant with the oscillator
     g = 1e-3 * P.omega0
     h = total_hamiltonian(P, nv, g, space)
-    w = np.linalg.eigvalsh(h.matrix)
+    w = np.linalg.eigvalsh(h)
     split = w[2] - w[1]
     assert split == pytest.approx(2.0 * g, rel=0.01)
 
@@ -199,7 +198,7 @@ def test_conjugate_identity_transform_is_noop():
     space = make_fock_space(16)
     h = total_hamiltonian(P, NVParams(zeeman=1.37), 1e-5, space)
     out = conjugate_hamiltonian(np.eye(32, dtype=complex), h)
-    assert np.abs(out.matrix - h.matrix).max() < 1e-15
+    assert np.abs(out - h).max() < 1e-15
 
 
 def test_conjugate_rejects_non_unitary():
@@ -217,8 +216,8 @@ def test_conjugation_preserves_interior_spectrum():
     h = total_hamiltonian(P, nv, 1.4e-5, space)
     s = squeeze_on_product(space, 0.2)
     h_eff = conjugate_hamiltonian(s, h)
-    w0 = np.linalg.eigvalsh(h.matrix)
-    w1 = np.linalg.eigvalsh(h_eff.matrix)
+    w0 = np.linalg.eigvalsh(h)
+    w1 = np.linalg.eigvalsh(h_eff)
     lowest = slice(0, 64)
     rel = np.abs(w0[lowest] - w1[lowest]) / np.maximum(np.abs(w0[lowest]), 1.0)
     assert rel.max() < 1e-8

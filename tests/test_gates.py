@@ -123,7 +123,7 @@ def test_gate_u1_fock_matches_dense_exponential(dim, t):
 
     space = make_fock_space(dim)
     r = reduced_params(P09)
-    a = annihilation(space).matrix
+    a = annihilation(space)
     ad = a.conj().T
     h1 = r.omega1 * (ad @ a) - r.eta1 * (a @ a + ad @ ad)
     assert np.abs(gate_u1(P09, t, "fock", space) - exp_normal(-1j * h1 * t)).max() < 1e-12
@@ -163,7 +163,7 @@ def test_analytic_us_fock_matches_generator_exponential(dim, t):
 
     space = make_fock_space(dim)
     r = reduced_params(P09)
-    a = annihilation(space).matrix
+    a = annihilation(space)
     ad = a.conj().T
     gen = 2j * r.eta1 * t * 0.5 * (a @ a + ad @ ad)
     assert np.abs(analytic_us(P09, t, "fock", space) - exp_normal(gen)).max() < 1e-12
@@ -175,7 +175,7 @@ def test_squeeze_target_fock_matches_generator_exponential(dim, eta2):
     from fluxsqueeze.operators import annihilation, exp_normal
 
     space = make_fock_space(dim)
-    a = annihilation(space).matrix
+    a = annihilation(space)
     ad = a.conj().T
     want = exp_normal(eta2 * (a @ a - ad @ ad))
     assert np.abs(squeeze_target(eta2, "fock", space) - want).max() < 1e-12
