@@ -161,8 +161,7 @@ def _cached_terms(mass: float, omega0: float, dim: int) -> FluxFreeTerms:
 
 
 # Each builder returns a float64 matrix: combined from the terms as a real
-# matrix and made exactly symmetric by 0.5 (M + M^T), the symmetrization
-# of ``as_hermitian``.
+# matrix and made exactly symmetric by 0.5 (M + M^T).
 def harmonic_hamiltonian(p: CircuitParams, space: FockSpace) -> np.ndarray:
     """E_c n^2 + E_L phi^2 (the f_s = 1/2 point and the basis oscillator)."""
     t = _cached_terms(p.mass, p.omega0, space.dim)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuit import CircuitParams, reduced_params, stability
 from .errors import GeometryError, ParameterError, StabilityError, TruncationLeakError
-from .operators import FockSpace, TAU_X, TAU_Z, annihilation, as_hermitian, exp_normal
+from .operators import FockSpace, TAU_X, TAU_Z, annihilation, exp_normal
 
 # CODATA 2018 constants, SI
 H_PLANCK = 6.62607015e-34          # J s (exact)
@@ -204,20 +204,25 @@ def total_hamiltonian(
 
     Built on the product space oscillator (x) spin with the spin as the
     fast index, total dimension 2*dim.  The flux is at the interaction
-    working point, so the oscillator term carries omega0.
+    working point, so the oscillator term carries omega0.  The diagonal
+    and the two spin-flip bands are written into one zeroed array, which
+    is exactly Hermitian by construction.
     """
     dim = space.dim
-    eye_f = np.eye(dim)
-    eye_s = np.eye(2)
-    n_diag = np.diag(np.arange(dim, dtype=float))
-    a = annihilation(space)
-    x_pair = a + a.conj().T
-    mat = (
-        p.omega0 * np.kron(n_diag, eye_s)
-        + 0.5 * nv.omega_nv * np.kron(eye_f, TAU_Z)
-        + g * np.kron(x_pair, TAU_X)
-    )
-    return as_hermitian(mat)
+    mat = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    diag = mat.reshape(-1)[:: 2 * dim + 1]
+    level = p.omega0 * np.arange(dim, dtype=float)
+    half = 0.5 * nv.omega_nv
+    diag[0::2] = level + half
+    diag[1::2] = level - half
+    # spin flips <n-1, s| H |n, 1-s> = g sqrt(n), three (s = 0) or one
+    # (s = 1) column right of the diagonal, and their mirror images
+    band = g * np.sqrt(np.arange(1, dim))
+    m = 2 * np.arange(dim - 1)
+    for row, col in ((m, m + 3), (m + 1, m + 2)):
+        mat[row, col] = band
+        mat[col, row] = band
+    return mat
 
 
 @dataclass(frozen=True)
@@ -254,7 +259,11 @@ def squeeze_on_product(space: FockSpace, eta2: float) -> np.ndarray:
     gen = eta2 * (a @ a - a.conj().T @ a.conj().T)
     # kept off the cached operators.exp_generator route: its result differs
     # at roundoff, which moves the selftest's printed conjugation_equivalence
-    return np.kron(exp_normal(gen), np.eye(2, dtype=complex))
+    osc = exp_normal(gen)
+    out = np.zeros((2 * space.dim, 2 * space.dim), dtype=complex)
+    out[0::2, 0::2] = osc
+    out[1::2, 1::2] = osc
+    return out
 
 
 UNITARY_TOL = 1e-8
@@ -265,23 +274,31 @@ def conjugate_hamiltonian(S: np.ndarray, H: np.ndarray) -> np.ndarray:
 
     S must be unitary on the working subspace to ``UNITARY_TOL``;
     squeezing pushed past the truncation breaks that and is rejected.
+    The 2*dim intermediates share one S^dag copy and one work buffer.
     """
     S = np.asarray(S, dtype=complex)
     if S.shape != H.shape:
         raise ParameterError(f"shape mismatch: S {S.shape} vs H {H.shape}")
-    unit_res = float(np.abs(S @ S.conj().T - np.eye(S.shape[0])).max())
+    s_dag = S.conj().T
+    work = S @ s_dag
+    work.reshape(-1)[:: S.shape[0] + 1] -= 1.0
+    unit_res = float(np.abs(work).max())
     if unit_res > UNITARY_TOL:
         raise TruncationLeakError(
             f"transform is not unitary (residual {unit_res:.3e}); the squeeze "
             "leaked through the truncation edge"
         )
-    out = S @ H @ S.conj().T
-    herm_res = float(np.abs(out - out.conj().T).max())
+    np.matmul(S, H, out=work)
+    out = work @ s_dag
+    out_dag = np.conjugate(out.T, out=s_dag)
+    herm_res = float(np.abs(np.subtract(out, out_dag, out=work)).max())
     if herm_res > UNITARY_TOL * max(1.0, float(np.abs(out).max())):
         raise TruncationLeakError(
             f"conjugated Hamiltonian lost hermiticity (residual {herm_res:.3e})"
         )
-    return as_hermitian(out)
+    out += out_dag
+    out *= 0.5
+    return out
 
 
 def project_coupling_coefficients(
@@ -298,24 +315,26 @@ def project_coupling_coefficients(
     dim = space.dim
     if not 2 <= n_interior <= dim:
         raise ParameterError(f"n_interior={n_interior} outside 2..{dim}")
-    a = annihilation(space)
+    # every entry of these Kronecker products is a single product, so building
+    # them on the kept levels gives the interior block of the full-size ones
+    a = annihilation(FockSpace(n_interior))
     ad = a.conj().T
-    eye_f = np.eye(dim, dtype=complex)
+    eye_f = np.eye(n_interior, dtype=complex)
     eye_s = np.eye(2, dtype=complex)
-    basis = {
-        "const": np.kron(eye_f, eye_s),
-        "number": np.kron(ad @ a, eye_s),
-        "pair": np.kron(a @ a + ad @ ad, eye_s),
-        "spin_z": np.kron(eye_f, 0.5 * TAU_Z),
-        "coupling": np.kron(a + ad, TAU_X),
+    factors = {
+        "const": (eye_f, eye_s),
+        "number": (ad @ a, eye_s),
+        "pair": (a @ a + ad @ ad, eye_s),
+        "spin_z": (eye_f, 0.5 * TAU_Z),
+        "coupling": (a + ad, TAU_X),
     }
-    keep = np.zeros(dim, dtype=bool)
-    keep[:n_interior] = True
-    sel = np.repeat(keep, 2)
-    target = mat[np.ix_(sel, sel)].ravel()
-    design = np.stack([b[np.ix_(sel, sel)].ravel() for b in basis.values()], axis=1)
+    kept = 2 * n_interior
+    target = mat[:kept, :kept].ravel()
+    design = np.empty((kept * kept, len(factors)), dtype=complex)
+    for col, (osc, spin) in enumerate(factors.values()):
+        design[:, col] = np.kron(osc, spin).ravel()
     coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
-    out = {name: float(c.real) for name, c in zip(basis, coeffs)}
+    out = {name: float(c.real) for name, c in zip(factors, coeffs)}
     residual = float(np.abs(design @ coeffs - target).max())
     out["residual"] = residual
     return out

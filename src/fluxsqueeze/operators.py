@@ -65,11 +65,6 @@ def make_fock_space(dim: int) -> FockSpace:
     return FockSpace(int(dim) if isinstance(dim, (int, np.integer)) else dim)
 
 
-def as_hermitian(matrix: np.ndarray) -> np.ndarray:
-    """Symmetrize roundoff away: 0.5 (M + M^dag), exactly Hermitian."""
-    return 0.5 * (matrix + matrix.conj().T)
-
-
 def annihilation(space: FockSpace) -> np.ndarray:
     """Ladder-down operator, <m|a|n> = sqrt(n) delta_{m,n-1}."""
     return np.diag(np.sqrt(np.arange(1, space.dim)), 1).astype(complex)
@@ -259,16 +254,19 @@ def _exp_i_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """exp(iH) from the eigenpairs (w, v) of a Hermitian H, checked by the
     exp(K)exp(-K) round trip with K = iH.
 
-    For a real symmetric H (real ``v``) the products stay real and exp(-iH)
-    is the conjugate of exp(iH).
+    exp(-iH) is taken as exp(iH)^dag, so the round trip costs one product.
+    For a real symmetric H (real ``v``) the products stay real and exp(iH)
+    is symmetric, so its adjoint is its conjugate.
     """
     if np.isrealobj(v):
         out = (v * np.cos(w)) @ v.T + 1j * ((v * np.sin(w)) @ v.T)
         inv = out.conj()
     else:
         out = (v * np.exp(1j * w)) @ v.conj().T
-        inv = (v * np.exp(-1j * w)) @ v.conj().T
-    res = float(np.abs(out @ inv - np.eye(v.shape[0])).max())
+        inv = out.conj().T
+    round_trip = out @ inv
+    round_trip.reshape(-1)[:: v.shape[0] + 1] -= 1.0
+    res = float(np.abs(round_trip).max())
     if res > EXP_ROUNDTRIP_ATOL:
         raise SimulationError(f"exp(K)exp(-K) residual {res:.3e} exceeds bound")
     return out

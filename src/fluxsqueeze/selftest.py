@@ -13,6 +13,10 @@ import numpy as np
 
 from . import circuit, coupling, gates, operators
 from .config import RunConfig
+from .errors import ParameterError
+
+# the interior checks drop the top two levels and need one left
+MIN_DIM = 3
 
 
 @dataclass(frozen=True)
@@ -213,6 +217,11 @@ def run_selftest(cfg: RunConfig) -> tuple[list[CheckResult], bool]:
     A ``SimulationError`` raised by a check (an unstable circuit, say) is
     not a verdict: it propagates, so the CLI exits with its classified code.
     """
+    if cfg.dim < MIN_DIM:
+        raise ParameterError(
+            f"numerics.dim must be >= {MIN_DIM} for selftest (its interior checks "
+            f"drop the top two levels), got {cfg.dim}"
+        )
     p = circuit.CircuitParams(e_c=cfg.e_c, e_j=cfg.e_j, e_l=cfg.e_l, f_s=cfg.f_s)
     geom = coupling.default_geometry(p, cfg.edge_length, cfg.z_nv, cfg.inductance)
     checks: list[CheckResult] = [

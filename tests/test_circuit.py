@@ -33,7 +33,6 @@ from fluxsqueeze.errors import (
 )
 from fluxsqueeze.config import RunConfig
 from fluxsqueeze.operators import (
-    as_hermitian,
     hermitian_eig,
     hermitian_matrix_function,
     make_fock_space,
@@ -286,7 +285,7 @@ def _reference_full(p, space):
         - p.ej_flux * cos_phi
         + p.e_l * (phi @ phi)
     )
-    return as_hermitian(mat)
+    return 0.5 * (mat + mat.conj().T)
 
 
 def _reference_quartic(p, space):
@@ -297,7 +296,7 @@ def _reference_quartic(p, space):
         + 0.5 * (2.0 * p.e_l + p.ej_flux) * phi2
         - (p.ej_flux / 24.0) * (phi2 @ phi2)
     )
-    return as_hermitian(mat)
+    return 0.5 * (mat + mat.conj().T)
 
 
 def _reference_converged(p, dim, builder, tol=CONVERGENCE_TOL):

@@ -382,6 +382,19 @@ def test_selftest_unconverged_basis_fails(tmp_path):
     assert "truncation_convergence" in failed
 
 
+@pytest.mark.parametrize("dim, code", [(2, 2), (3, 5)])
+def test_selftest_needs_three_levels(capsys, tmp_path, dim, code):
+    # dim 2 leaves the interior checks no level; dim 3 runs and fails as before
+    out = tmp_path / "self.json"
+    assert main(["selftest", "--dim", str(dim), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("configuration error: numerics.dim") and err.count("\n") == 1
+        assert not out.exists()
+    else:
+        assert err == "" and out.exists()
+
+
 def test_selftest_tampered_tolerance_detected(tmp_path):
     # a tolerance far below roundoff is valid config that no truncation meets
     out = tmp_path / "self.json"

@@ -266,6 +266,35 @@ def test_exp_normal_rejects_non_normal():
         exp_normal(shift)
 
 
+def _squeeze_generator(dim):
+    a = annihilation(make_fock_space(dim))
+    return 0.3 * (a @ a - a.conj().T @ a.conj().T)
+
+
+def test_exp_normal_roundtrip_catches_a_scaled_eigenbasis(monkeypatch):
+    # exp(-K) is read off as exp(K)^dag, so a basis that is not unitary
+    # must still fail the round trip
+    eigh = np.linalg.eigh
+    k = _squeeze_generator(12)
+    exp_normal(k)
+
+    def scaled(mat):
+        w, v = eigh(mat)
+        return w, 1.001 * v
+
+    monkeypatch.setattr(np.linalg, "eigh", scaled)
+    with pytest.raises(SimulationError, match="exp\\(K\\)exp\\(-K\\) residual"):
+        exp_normal(k)
+
+
+def test_exp_normal_keeps_roundtrip_guard(monkeypatch):
+    k = _squeeze_generator(12)
+    exp_normal(k)
+    monkeypatch.setattr(operators, "EXP_ROUNDTRIP_ATOL", -1.0)
+    with pytest.raises(SimulationError, match="residual"):
+        exp_normal(k)
+
+
 @pytest.mark.parametrize("dim", [2, 3, 9, 10])
 def test_parity_sectors_hold_the_pair_band(dim):
     a = annihilation(make_fock_space(dim))
