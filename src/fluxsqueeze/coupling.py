@@ -255,8 +255,15 @@ def effective_params(p: CircuitParams, g: float, eta2: float) -> EffectiveParams
 
 def squeeze_on_product(space: FockSpace, eta2: float) -> np.ndarray:
     """exp[eta2 (a^2 - a^dag^2)] acting on the oscillator factor only."""
-    a = annihilation(space)
-    gen = eta2 * (a @ a - a.conj().T @ a.conj().T)
+    # a^2 - a^dag^2 from its pair band <n|a^2|n+2> = sqrt(n+1) sqrt(n+2):
+    # each entry is the single nonzero term of the ladder products, so the
+    # generator is the same bits as eta2 (a @ a - a^dag @ a^dag)
+    n = np.arange(space.dim - 2)
+    band = np.sqrt(n + 1.0) * np.sqrt(n + 2.0)
+    pair = np.zeros((space.dim, space.dim), dtype=complex)
+    np.fill_diagonal(pair[:, 2:], band)
+    np.fill_diagonal(pair[2:, :], -band)
+    gen = eta2 * pair
     # kept off the cached operators.exp_generator route: its result differs
     # at roundoff, which moves the selftest's printed conjugation_equivalence
     osc = exp_normal(gen)

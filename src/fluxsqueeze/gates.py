@@ -35,6 +35,12 @@ object, which owns everything that differs between the two: the U0
 action, U1, exp(i theta G1), the G2 target, the M-th power and the
 truncation-leak check.  Distances are only ever compared within one
 representation.
+
+In the 2x2 form ``gate_u0``, ``gate_u1``, ``analytic_us`` and
+``trotter_squeeze`` also take a 1-D array of times and return an
+``(n, 2, 2)`` stack, one matrix per time, with the same bits as n calls;
+``gate_distance`` then gives one deviation per time.  The Fock form takes
+one time per call and refuses an array with ``ParameterError``.
 """
 
 from __future__ import annotations
@@ -103,28 +109,37 @@ def make_schedule(
 class Compact:
     """The exact 2x2 representation: G3 = tau_z carries the extra half
     quantum (a pure global phase), and the gates are non-unitary in
-    general.  Every exponential is the closed form of ``exp_2x2``."""
+    general.  Every exponential is the closed form of ``exp_2x2``.
+
+    The gate methods take one time or an array of times; an array gives
+    a stack of 2x2 matrices, one per time, in one ``exp_2x2`` call."""
 
     g = su11_generators_2x2()
 
-    def u0(self, p: CircuitParams, t: float) -> np.ndarray:
-        return exp_2x2(-1j * p.omega0 * t * self.g.gamma3)
+    @staticmethod
+    def _times(t) -> np.ndarray:
+        # times broadcast against the trailing 2x2 axes
+        return np.asarray(t, dtype=float)[..., None, None]
 
-    def u0_dag_left(self, p: CircuitParams, t: float, mat: np.ndarray) -> np.ndarray:
+    def u0(self, p: CircuitParams, t) -> np.ndarray:
+        return exp_2x2(-1j * p.omega0 * self._times(t) * self.g.gamma3)
+
+    def u0_dag_left(self, p: CircuitParams, t, mat: np.ndarray) -> np.ndarray:
         """U0^dag(t) @ mat."""
-        return exp_2x2(1j * p.omega0 * t * self.g.gamma3) @ mat
+        return exp_2x2(1j * p.omega0 * self._times(t) * self.g.gamma3) @ mat
 
     def u0_conjugate(self, p: CircuitParams, t: float, mat: np.ndarray) -> np.ndarray:
         """U0(t) @ mat @ U0^dag(t)."""
         u0 = self.u0(p, t)
-        return u0 @ mat @ u0.conj().T
+        return u0 @ mat @ u0.conj().swapaxes(-1, -2)
 
-    def u1(self, r: ReducedParams, t: float) -> np.ndarray:
-        return exp_2x2(-1j * r.omega1 * t * self.g.gamma3 + 2j * r.eta1 * t * self.g.gamma1)
+    def u1(self, r: ReducedParams, t) -> np.ndarray:
+        tt = self._times(t)
+        return exp_2x2(-1j * r.omega1 * tt * self.g.gamma3 + 2j * r.eta1 * tt * self.g.gamma1)
 
-    def us(self, r: ReducedParams, t: float) -> np.ndarray:
+    def us(self, r: ReducedParams, t) -> np.ndarray:
         """exp(i 2 eta1 G1 t)."""
-        return exp_2x2(2j * r.eta1 * t * self.g.gamma1)
+        return exp_2x2(2j * r.eta1 * self._times(t) * self.g.gamma1)
 
     def target(self, eta2: float) -> np.ndarray:
         """exp(-2i eta2 G2) = cosh(2 eta2) - i sinh(2 eta2) G2."""
@@ -139,6 +154,13 @@ class Compact:
         """The 2x2 form has no truncation edge."""
 
 
+def _one_time(t, who: str = "the fock representation") -> float:
+    """``t`` as a float, for code built for one time per call."""
+    if np.ndim(t) != 0:
+        raise ParameterError(f"{who} takes one time per call, got an array of shape {np.shape(t)}")
+    return float(t)
+
+
 @dataclass(frozen=True)
 class Fock:
     """The truncated Fock representation: U0 is the diagonal of phases
@@ -149,7 +171,7 @@ class Fock:
 
     def _phases(self, p: CircuitParams, t: float) -> np.ndarray:
         # the diagonal of U0 in the number basis; no eigensolve needed
-        return np.exp(-1j * p.omega0 * np.arange(self.space.dim) * t)
+        return np.exp(-1j * p.omega0 * np.arange(self.space.dim) * _one_time(t))
 
     def u0(self, p: CircuitParams, t: float) -> np.ndarray:
         return np.diag(self._phases(p, t))
@@ -168,15 +190,16 @@ class Fock:
         # photon parity: one real tridiagonal solve per sector, guarded by
         # hermitian_eig (the generator moves with (omega1, eta1), so the
         # solve is not cached)
+        theta = -_one_time(t)
         eigs = [
             hermitian_eig(np.diag(r.omega1 * n) - r.eta1 * (np.diag(band, 1) + np.diag(band, -1)))
             for n, band in parity_sectors(self.space.dim)
         ]
-        return exp_sectors(eigs, -t)
+        return exp_sectors(eigs, theta)
 
     def us(self, r: ReducedParams, t: float) -> np.ndarray:
         """exp(i 2 eta1 G1 t)."""
-        return exp_generator(self.space, "gamma1", 2.0 * r.eta1 * t)
+        return exp_generator(self.space, "gamma1", 2.0 * r.eta1 * _one_time(t))
 
     def target(self, eta2: float) -> np.ndarray:
         # eta2 (a^2 - a^dag^2) = i (-2 eta2) G2
@@ -204,19 +227,19 @@ def representation(rep: str, space: FockSpace | None = None) -> Compact | Fock:
     return Fock(space)
 
 
-def gate_u0(p: CircuitParams, t: float, rep: str = "2x2", space: FockSpace | None = None) -> np.ndarray:
+def gate_u0(p: CircuitParams, t: float | np.ndarray, rep: str = "2x2", space: FockSpace | None = None) -> np.ndarray:
     """Sweet-spot gate exp(-i omega0 n t) (fock) / exp(-i omega0 G3 t) (2x2)."""
     _require_stable(p)
     return representation(rep, space).u0(p, t)
 
 
-def gate_u1(p: CircuitParams, t: float, rep: str = "2x2", space: FockSpace | None = None) -> np.ndarray:
+def gate_u1(p: CircuitParams, t: float | np.ndarray, rep: str = "2x2", space: FockSpace | None = None) -> np.ndarray:
     """Detuned-flux gate; unitary in the fock rep, non-unitary 2x2 in general."""
     _require_stable(p)
     return representation(rep, space).u1(reduced_params(p), t)
 
 
-def analytic_us(p: CircuitParams, t: float, rep: str = "2x2", space: FockSpace | None = None) -> np.ndarray:
+def analytic_us(p: CircuitParams, t: float | np.ndarray, rep: str = "2x2", space: FockSpace | None = None) -> np.ndarray:
     """The squeezing propagator exp(i 2 eta1 G1 t) evaluated directly."""
     _require_stable(p)
     form = representation(rep, space)
@@ -227,7 +250,7 @@ def analytic_us(p: CircuitParams, t: float, rep: str = "2x2", space: FockSpace |
 
 def trotter_squeeze(
     p: CircuitParams,
-    t: float,
+    t: float | np.ndarray,
     m: int,
     rep: str = "2x2",
     space: FockSpace | None = None,
@@ -243,13 +266,15 @@ def trotter_squeeze(
     return product
 
 
-def gate_distance(A: np.ndarray, B: np.ndarray) -> float:
-    """Largest element-wise deviation max_ij |A_ij - B_ij|."""
+def gate_distance(A: np.ndarray, B: np.ndarray) -> float | np.ndarray:
+    """Largest element-wise deviation max_ij |A_ij - B_ij|: a float for two
+    matrices, an array of per-matrix maxima for two stacks."""
     A = np.asarray(A)
     B = np.asarray(B)
     if A.shape != B.shape:
         raise ParameterError(f"shape mismatch: {A.shape} vs {B.shape}")
-    return float(np.abs(A - B).max())
+    dev = np.abs(A - B).max(axis=(-2, -1))
+    return float(dev) if dev.ndim == 0 else dev
 
 
 @dataclass(frozen=True)
@@ -285,6 +310,7 @@ def squeeze_operator(
     studies).  Requires eta1 < 0, the squeezing-producing regime.
     """
     _require_stable(p)
+    t = _one_time(t, "squeeze_operator")
     form = representation(rep, space)
     if backend not in ("analytic", "trotter"):
         raise ParameterError(f"unknown backend {backend!r}")

@@ -195,33 +195,41 @@ def _check_unitary(u: np.ndarray, atol: float = UNITARITY_ATOL):
 
 
 def exp_2x2(K: np.ndarray) -> np.ndarray:
-    """Closed-form exponential of a 2x2 complex matrix.
+    """Closed-form exponential of a 2x2 complex matrix, or of each matrix
+    of a ``(..., 2, 2)`` stack.
 
     Cayley-Hamilton for the traceless part B: B^2 = -det(B) I, hence
     exp(B) = cosh(mu) I + sinh(mu)/mu B with mu = sqrt(-det B).  This
     reproduces the single-generator hyperbolic/trigonometric formulas
-    of the compact representation without any series truncation.
+    of the compact representation without any series truncation.  Every
+    step is elementwise over the stack, so a matrix gives the same bits
+    alone as inside a stack.
 
     Hyperbolic arguments are capped at ``HYPERBOLIC_CAP``; beyond it the
     non-unitary representation has grown by e^10, and the squeeze is
-    refused as a regime limit (``WrongRegimeError``).
+    refused as a regime limit (``WrongRegimeError``), naming the first
+    matrix over the cap in stack order.
     """
     K = np.asarray(K, dtype=complex)
-    if K.shape != (2, 2):
-        raise ParameterError(f"exp_2x2 needs a 2x2 matrix, got {K.shape}")
-    half_tr = 0.5 * (K[0, 0] + K[1, 1])
-    B = K - half_tr * np.eye(2)
-    mu = np.sqrt(complex(-(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0])))
-    if abs(mu.real) > HYPERBOLIC_CAP:
+    if K.shape[-2:] != (2, 2):
+        raise ParameterError(f"exp_2x2 needs a (..., 2, 2) stack, got {K.shape}")
+    half_tr = 0.5 * (K[..., 0, 0] + K[..., 1, 1])
+    B = K - half_tr[..., None, None] * np.eye(2)
+    mu = np.sqrt(-(B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0]))
+    over = np.ravel(np.abs(mu.real) > HYPERBOLIC_CAP)
+    if over.any():
+        first = np.ravel(mu.real)[over.argmax()]
         raise WrongRegimeError(
-            f"hyperbolic argument |{mu.real:.2f}| exceeds cap {HYPERBOLIC_CAP}; "
+            f"hyperbolic argument |{first:.2f}| exceeds cap {HYPERBOLIC_CAP}; "
             "matrix elements would exceed cosh(10); shorten the evolution time run.t"
         )
-    if abs(mu) < 1e-300:
-        body = np.eye(2, dtype=complex) + B
-    else:
-        body = np.cosh(mu) * np.eye(2) + (np.sinh(mu) / mu) * B
-    return np.exp(half_tr) * body
+    zero = np.abs(mu) < 1e-300
+    # mu -> 1 where it vanishes, so sinh(mu)/mu stays finite there; those
+    # members take exp(B) = I + B below
+    safe_mu = np.where(zero, 1.0, mu)
+    body = np.cosh(mu)[..., None, None] * np.eye(2) + (np.sinh(mu) / safe_mu)[..., None, None] * B
+    body = np.where(zero[..., None, None], np.eye(2, dtype=complex) + B, body)
+    return np.exp(half_tr)[..., None, None] * body
 
 
 def exp_normal(K) -> np.ndarray:

@@ -7,7 +7,7 @@ is auditable; any failure flips the process exit status.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -67,14 +67,18 @@ def _su11_2x2() -> CheckResult:
 def _closed_forms_2x2() -> CheckResult:
     g = operators.su11_generators_2x2()
     eye = np.eye(2)
+    gts = np.linspace(-5.0, 5.0, 41)
     worst = 0.0
-    for gt in np.linspace(-5.0, 5.0, 41):
-        worst = max(
-            worst,
-            np.abs(operators.exp_2x2(-1j * gt * g.gamma1) - (math.cosh(gt) * eye - 1j * g.gamma1 * math.sinh(gt))).max(),
-            np.abs(operators.exp_2x2(-1j * gt * g.gamma2) - (math.cosh(gt) * eye - 1j * g.gamma2 * math.sinh(gt))).max(),
-            np.abs(operators.exp_2x2(-1j * gt * g.gamma3) - (math.cos(gt) * eye - 1j * g.gamma3 * math.sin(gt))).max(),
-        )
+    for gen, even, odd in (
+        (g.gamma1, math.cosh, math.sinh),
+        (g.gamma2, math.cosh, math.sinh),
+        (g.gamma3, math.cos, math.sin),
+    ):
+        # one stacked exponential per generator; the reference stays on
+        # math.* per point, whose bits numpy's float exp/cosh do not share
+        got = operators.exp_2x2(-1j * gts[:, None, None] * gen)
+        want = np.array([even(gt) * eye - 1j * gen * odd(gt) for gt in gts])
+        worst = max(worst, np.abs(got - want).max())
     return _check("closed_form_2x2_exponentials", worst, 1e-12)
 
 
@@ -163,8 +167,6 @@ def _truncation_convergence(p: circuit.CircuitParams, dim: int, tol: float) -> C
 
 
 def _squeeze_closure(p: circuit.CircuitParams) -> list[CheckResult]:
-    from dataclasses import replace
-
     # the closure property needs the squeezing regime; fall back to the
     # canonical detuned flux when the configured point is harmonic
     if circuit.reduced_params(p).eta1 >= 0.0:
@@ -190,8 +192,6 @@ def _squeeze_closure(p: circuit.CircuitParams) -> list[CheckResult]:
 
 
 def _harmonic_point(p: circuit.CircuitParams, dim: int) -> list[CheckResult]:
-    from dataclasses import replace
-
     half = replace(p, f_s=0.5)
     space = operators.make_fock_space(dim)
     h_full = circuit.full_hamiltonian(half, space)
