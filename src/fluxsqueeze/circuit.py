@@ -35,6 +35,7 @@ from .errors import (
 from .operators import (
     EIG_INPUT_RTOL,
     FockSpace,
+    _finite_scale,
     hermitian_eig,
     hermitian_matrix_function,
     make_fock_space,
@@ -274,11 +275,12 @@ def _sector_eigenvalues(H: np.ndarray) -> np.ndarray:
 
     The entries between the two sectors are dropped only after a check
     that none exceeds ``EIG_INPUT_RTOL`` of the largest element; each
-    sector solve then runs the guards of ``hermitian_eig``.
+    sector solve then runs the guards of ``hermitian_eig``.  A NaN or
+    infinite entry, in a sector or between them, raises ``ParameterError``.
     """
-    scale = max(1.0, float(np.abs(H).max()))
+    scale = _finite_scale(H, "sector solve")
     mixing = float(np.abs(H[0::2, 1::2]).max())
-    if mixing > EIG_INPUT_RTOL * scale:
+    if not mixing <= EIG_INPUT_RTOL * scale:
         raise SimulationError(
             f"Hamiltonian at dim={len(H)} mixes photon parity: max|H[even, odd]| = "
             f"{mixing:.3e} (scale {scale:.3e})"

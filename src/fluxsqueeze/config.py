@@ -107,9 +107,9 @@ class RunConfig:
             items = value if isinstance(value, tuple) else (value,)
             if not all(x is None or math.isfinite(x) for x in items):
                 raise ParameterError(f"{KEY_OF[attr]} must be finite, got {value}")
-        for key in ("e_c", "e_j", "e_l", "edge_length", "z_nv"):
-            if not getattr(self, key) > 0:
-                raise ParameterError(f"{key} must be positive, got {getattr(self, key)}")
+        for attr in ("e_c", "e_j", "e_l", "edge_length", "z_nv"):
+            if not getattr(self, attr) > 0:
+                raise ParameterError(f"{KEY_OF[attr]} must be positive, got {getattr(self, attr)}")
         if self.fs_steps < 2:
             raise ParameterError(f"sweep.fs_steps must be >= 2, got {self.fs_steps}")
         if self.t_steps < 2:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import CircuitParams, reduced_params, stability
-from .errors import GeometryError, ParameterError, StabilityError, TruncationLeakError
+from .circuit import CircuitParams, effective_josephson, reduced_params
+from .errors import GeometryError, ParameterError, TruncationLeakError
 from .operators import FockSpace, TAU_X, TAU_Z, annihilation, exp_normal
 
 # CODATA 2018 constants, SI
@@ -276,30 +276,46 @@ def squeeze_on_product(space: FockSpace, eta2: float) -> np.ndarray:
 UNITARY_TOL = 1e-8
 
 
+def _gram_residual(S: np.ndarray) -> float:
+    """max|S S^dag - 1|, taken on the oscillator factor F when S = F (x) 1.
+
+    S is in that form when both off-spin blocks are exact zeros and its two
+    spin blocks are equal; S S^dag is then (F F^dag) (x) 1, whose residual
+    the dim-sized product gives.  Any other S is checked in full.
+    """
+    factor = S[0::2, 0::2]
+    if not (S[0::2, 1::2].any() or S[1::2, 0::2].any()) and np.array_equal(
+        factor, S[1::2, 1::2]
+    ):
+        S = factor
+    gram = S @ S.conj().T
+    gram.reshape(-1)[:: S.shape[0] + 1] -= 1.0
+    return float(np.abs(gram).max())
+
+
 def conjugate_hamiltonian(S: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Numerical similarity transform S H S^dag.
 
     S must be unitary on the working subspace to ``UNITARY_TOL``;
     squeezing pushed past the truncation breaks that and is rejected.
-    The 2*dim intermediates share one S^dag copy and one work buffer.
+    For ``squeeze_on_product``'s S = F (x) 1 the check runs on F.  The
+    2*dim products share one S^dag copy and one work buffer.
     """
     S = np.asarray(S, dtype=complex)
     if S.shape != H.shape:
         raise ParameterError(f"shape mismatch: S {S.shape} vs H {H.shape}")
-    s_dag = S.conj().T
-    work = S @ s_dag
-    work.reshape(-1)[:: S.shape[0] + 1] -= 1.0
-    unit_res = float(np.abs(work).max())
-    if unit_res > UNITARY_TOL:
+    unit_res = _gram_residual(S)
+    if not unit_res <= UNITARY_TOL:
         raise TruncationLeakError(
             f"transform is not unitary (residual {unit_res:.3e}); the squeeze "
             "leaked through the truncation edge"
         )
-    np.matmul(S, H, out=work)
+    s_dag = S.conj().T
+    work = np.matmul(S, H)
     out = work @ s_dag
     out_dag = np.conjugate(out.T, out=s_dag)
     herm_res = float(np.abs(np.subtract(out, out_dag, out=work)).max())
-    if herm_res > UNITARY_TOL * max(1.0, float(np.abs(out).max())):
+    if not herm_res <= UNITARY_TOL * max(1.0, float(np.abs(out).max())):
         raise TruncationLeakError(
             f"conjugated Hamiltonian lost hermiticity (residual {herm_res:.3e})"
         )
@@ -378,6 +394,8 @@ def amplification_sweep(
     Unstable points become flagged gap rows instead of failures.
     """
     phase = 2.0 * math.pi if two_pi else 1.0
+    f_s_values = [float(f_s) for f_s in fs_grid]
+    fs = np.array(f_s_values)
     rows: list[AmplificationRow] = []
     for ratio in ratios:
         if not ratio > 0:
@@ -385,20 +403,29 @@ def amplification_sweep(
         p0 = CircuitParams(e_c=e_c, e_j=e_l / ratio, e_l=e_l, f_s=INTERACTION_FLUX)
         geom = geometry if geometry is not None else default_geometry(p0)
         g = bare_coupling(p0, geom)
-        for f_s in fs_grid:
-            p = replace(p0, f_s=float(f_s))
-            # boundary points (margin exactly 0) have no quadratic reduction
-            # either, so they land in the gap branch with the unstable ones
-            try:
-                usable = stability(p).stable
-                r = reduced_params(p) if usable else None
-            except StabilityError:
-                r = None
-            if r is None:
+        # the whole grid at once, with the operations of stability() and
+        # reduced_params() in their order, so every point has the scalar bits;
+        # the points these formulas cannot take are rejected or flagged below
+        with np.errstate(all="ignore"):
+            ejf = effective_josephson(p0.e_j, fs)
+            margin = p0.e_l + 0.5 * ejf
+            stiffness = 2.0 * p0.e_l + ejf
+            eta1 = 0.25 * (p0.e_c / (2.0 * stiffness)) * ejf
+            # + 0.0 normalizes the negative zero at the sweet spot
+            eta2 = -eta1 * t * phase + 0.0
+        # boundary points (margin exactly 0) have no quadratic reduction
+        # either, so they land in the gap branch with the unstable ones
+        usable = (margin >= 0.0) & (stiffness > 0)
+        for f_s, ok, eta1_i, eta2_i in zip(
+            f_s_values, usable.tolist(), eta1.tolist(), eta2.tolist()
+        ):
+            if not math.isfinite(f_s):
+                raise ParameterError(f"f_s must be finite, got {f_s}")
+            if not ok:
                 rows.append(
                     AmplificationRow(
                         ratio=ratio,
-                        f_s=float(f_s),
+                        f_s=f_s,
                         eta1=math.nan,
                         eta2=math.nan,
                         gain=math.nan,
@@ -407,24 +434,23 @@ def amplification_sweep(
                     )
                 )
                 continue
-            # + 0.0 normalizes the negative zero at the sweet spot
-            eta2 = -r.eta1 * t * phase + 0.0
+            # math.exp per point: numpy's exp does not round as it does
             try:
-                gain = math.exp(2.0 * eta2)
+                gain = math.exp(2.0 * eta2_i)
             except OverflowError:
                 gain = math.inf
-            if not (math.isfinite(eta2) and math.isfinite(g * gain)):
+            if not (math.isfinite(eta2_i) and math.isfinite(g * gain)):
                 raise ParameterError(
                     f"coupling gain exp(2 eta2) overflows float at ratio={ratio}, "
-                    f"f_s={float(f_s)} (eta2={eta2:.6g}); shorten the evolution "
+                    f"f_s={f_s} (eta2={eta2_i:.6g}); shorten the evolution "
                     f"time run.t (t={t} ns)"
                 )
             rows.append(
                 AmplificationRow(
                     ratio=ratio,
-                    f_s=float(f_s),
-                    eta1=r.eta1,
-                    eta2=eta2,
+                    f_s=f_s,
+                    eta1=eta1_i,
+                    eta2=eta2_i,
                     gain=gain,
                     g_eff=g * gain,
                     status="ok",

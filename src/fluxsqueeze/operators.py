@@ -126,6 +126,16 @@ def su11_generators_2x2() -> SU11Generators:
     return SU11Generators(1j * TAU_Y, -1j * TAU_X, TAU_Z.copy())
 
 
+def _finite_scale(mat: np.ndarray, what: str) -> float:
+    """max(1, max|M_ij|), the scale of the input guards; a NaN or infinite
+    entry, which every guard comparison would let through, raises
+    ``ParameterError``."""
+    peak = float(np.abs(mat).max())
+    if not math.isfinite(peak):
+        raise ParameterError(f"{what} needs finite matrix entries, got max|M| = {peak}")
+    return max(1.0, peak)
+
+
 def hermitian_eig(op) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian operator.
 
@@ -133,21 +143,22 @@ def hermitian_eig(op) -> tuple[np.ndarray, np.ndarray]:
     matrix (columns).  The input must be Hermitian within
     ``EIG_INPUT_RTOL`` of its largest element; the reconstruction
     V diag(E) V^dag is verified against the input.  A float64 array is
-    solved as a real symmetric matrix; other input is made complex.
+    solved as a real symmetric matrix; other input is made complex.  A
+    matrix with a NaN or infinite entry is rejected before the solve.
     """
     real = isinstance(op, np.ndarray) and op.dtype == np.float64
     mat = op if real else np.asarray(op, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {mat.shape}")
-    scale = max(1.0, float(np.abs(mat).max()))
+    scale = _finite_scale(mat, "hermitian_eig")
     herm_res = float(np.abs(mat - mat.conj().T).max())
-    if herm_res > EIG_INPUT_RTOL * scale:
+    if not herm_res <= EIG_INPUT_RTOL * scale:
         raise ParameterError(
             f"matrix is not Hermitian: max|M - M^dag| = {herm_res:.3e} (scale {scale:.3e})"
         )
     w, v = np.linalg.eigh(mat)
     res = _reconstruction_residual(w, v, mat)
-    if res > RECONSTRUCTION_RTOL * scale:
+    if not res <= RECONSTRUCTION_RTOL * scale:
         raise SimulationError(f"eigen-reconstruction residual {res:.3e} exceeds bound")
     return w, v
 
@@ -182,7 +193,11 @@ def evolve(H, t: float) -> np.ndarray:
     Works for any dimension including the 2x2 representation; goes
     through the eigendecomposition, never a series expansion.
     """
-    w, v = hermitian_eig(H)
+    return propagator(*hermitian_eig(H), t)
+
+
+def propagator(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) from the eigenpairs (w, v) of a Hermitian H, checked unitary."""
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
     _check_unitary(u)
     return u
@@ -190,7 +205,7 @@ def evolve(H, t: float) -> np.ndarray:
 
 def _check_unitary(u: np.ndarray, atol: float = UNITARITY_ATOL):
     res = float(np.abs(u @ u.conj().T - np.eye(u.shape[0])).max())
-    if res > atol:
+    if not res <= atol:
         raise SimulationError(f"unitarity residual {res:.3e} exceeds {atol:.1e}")
 
 
@@ -208,11 +223,14 @@ def exp_2x2(K: np.ndarray) -> np.ndarray:
     Hyperbolic arguments are capped at ``HYPERBOLIC_CAP``; beyond it the
     non-unitary representation has grown by e^10, and the squeeze is
     refused as a regime limit (``WrongRegimeError``), naming the first
-    matrix over the cap in stack order.
+    matrix over the cap in stack order.  A NaN or infinite entry is
+    rejected with ``ParameterError`` before any work.
     """
     K = np.asarray(K, dtype=complex)
     if K.shape[-2:] != (2, 2):
         raise ParameterError(f"exp_2x2 needs a (..., 2, 2) stack, got {K.shape}")
+    if not np.isfinite(K).all():
+        raise ParameterError("exp_2x2 needs finite matrix entries")
     half_tr = 0.5 * (K[..., 0, 0] + K[..., 1, 1])
     B = K - half_tr[..., None, None] * np.eye(2)
     mu = np.sqrt(-(B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0]))
@@ -239,16 +257,17 @@ def exp_normal(K) -> np.ndarray:
     generator, so a larger input must satisfy K^dag = -K within
     ``EIG_INPUT_RTOL`` of its largest element; it then goes through the
     eigendecomposition of the Hermitian matrix -iK.  Any other matrix,
-    normal or not, is rejected with ``ParameterError``.
+    normal or not, and any matrix with a NaN or infinite entry, is
+    rejected with ``ParameterError``.
     """
     mat = np.asarray(K, dtype=complex)
     if mat.shape == (2, 2):
         return exp_2x2(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {mat.shape}")
-    scale = max(1.0, float(np.abs(mat).max()))
+    scale = _finite_scale(mat, "exp_normal")
     anti_res = float(np.abs(mat + mat.conj().T).max())
-    if anti_res > EIG_INPUT_RTOL * scale:
+    if not anti_res <= EIG_INPUT_RTOL * scale:
         raise ParameterError(
             f"exp_normal needs an anti-Hermitian matrix beyond 2x2: "
             f"max|K + K^dag| = {anti_res:.3e} (scale {scale:.3e})"
@@ -275,7 +294,7 @@ def _exp_i_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     round_trip = out @ inv
     round_trip.reshape(-1)[:: v.shape[0] + 1] -= 1.0
     res = float(np.abs(round_trip).max())
-    if res > EXP_ROUNDTRIP_ATOL:
+    if not res <= EXP_ROUNDTRIP_ATOL:
         raise SimulationError(f"exp(K)exp(-K) residual {res:.3e} exceeds bound")
     return out
 

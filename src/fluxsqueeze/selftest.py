@@ -74,10 +74,13 @@ def _closed_forms_2x2() -> CheckResult:
         (g.gamma2, math.cosh, math.sinh),
         (g.gamma3, math.cos, math.sin),
     ):
-        # one stacked exponential per generator; the reference stays on
-        # math.* per point, whose bits numpy's float exp/cosh do not share
+        # one stacked exponential per generator; the reference takes math.*
+        # per point, whose bits numpy's float exp/cosh do not share, and
+        # combines them as one stack
         got = operators.exp_2x2(-1j * gts[:, None, None] * gen)
-        want = np.array([even(gt) * eye - 1j * gen * odd(gt) for gt in gts])
+        c = np.array([even(gt) for gt in gts])[:, None, None]
+        s = np.array([odd(gt) for gt in gts])[:, None, None]
+        want = c * eye - 1j * gen * s
         worst = max(worst, np.abs(got - want).max())
     return _check("closed_form_2x2_exponentials", worst, 1e-12)
 
@@ -96,10 +99,11 @@ def _full_complex(p: circuit.CircuitParams, dim: int) -> np.ndarray:
     return circuit.full_hamiltonian(p, operators.make_fock_space(dim)).astype(complex)
 
 
-def _unitarity(p: circuit.CircuitParams, dim: int) -> CheckResult:
-    space = operators.make_fock_space(dim)
-    u_full = operators.evolve(_full_complex(p, dim), 1.0)
-    u1 = gates.gate_u1(p, 1.0, "fock", space)
+def _unitarity(p: circuit.CircuitParams, w: np.ndarray, v: np.ndarray) -> CheckResult:
+    """U = exp(-iH) of the full Hamiltonian from its eigenpairs, and U1."""
+    dim = len(w)
+    u_full = operators.propagator(w, v, 1.0)
+    u1 = gates.gate_u1(p, 1.0, "fock", operators.make_fock_space(dim))
     eye = np.eye(dim)
     res = max(
         np.abs(u_full @ u_full.conj().T - eye).max(),
@@ -108,12 +112,17 @@ def _unitarity(p: circuit.CircuitParams, dim: int) -> CheckResult:
     return _check("propagator_unitarity", res, 1e-9)
 
 
-def _eigen_reconstruction(p: circuit.CircuitParams, dim: int) -> CheckResult:
-    h = _full_complex(p, dim)
-    w, v = operators.hermitian_eig(h)
+def _eigen_reconstruction(h: np.ndarray, w: np.ndarray, v: np.ndarray) -> CheckResult:
     recon = (v * w) @ v.conj().T
     scale = max(1.0, float(np.abs(h).max()))
     return _check("eigen_reconstruction", np.abs(recon - h).max() / scale, 1e-9)
+
+
+def _full_hamiltonian_checks(p: circuit.CircuitParams, dim: int) -> list[CheckResult]:
+    """Both checks built on the full Hamiltonian, from one solve of it."""
+    h = _full_complex(p, dim)
+    w, v = operators.hermitian_eig(h)
+    return [_unitarity(p, w, v), _eigen_reconstruction(h, w, v)]
 
 
 def _hyperbolic_identity(p: circuit.CircuitParams) -> list[CheckResult]:
@@ -230,8 +239,7 @@ def run_selftest(cfg: RunConfig) -> tuple[list[CheckResult], bool]:
         _su11_2x2(),
         _closed_forms_2x2(),
         _phase_charge(cfg.dim, p),
-        _unitarity(p, cfg.dim),
-        _eigen_reconstruction(p, cfg.dim),
+        *_full_hamiltonian_checks(p, cfg.dim),
         *_hyperbolic_identity(p),
         _conjugation_equivalence(p),
         _biot_savart_symmetry(geom),

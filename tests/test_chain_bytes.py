@@ -7,7 +7,9 @@ below are the Kronecker-product versions they replace, kept as the
 reference: every matrix must be equal entry for entry (``np.array_equal``,
 so a zero may differ in sign) and every coefficient, the least-squares
 residual included, equal as a float.  The allocation budget keeps the
-2*dim Kronecker temporaries from coming back.
+2*dim Kronecker temporaries from coming back.  ``conjugate_hamiltonian``
+checks the unitarity of S = F (x) 1 on F; its rejections must read as the
+reference's full check does, for S in that form and for any other S.
 """
 
 import tracemalloc
@@ -18,6 +20,7 @@ import pytest
 from fluxsqueeze.circuit import CircuitParams
 from fluxsqueeze.coupling import (
     UNITARY_TOL,
+    _gram_residual,
     ZERO_FIELD_SPLITTING_GHZ,
     NVParams,
     bare_coupling,
@@ -147,15 +150,37 @@ def _not_hermitian_h(h):
     return h
 
 
+def _off_spin_entry(s):
+    # no longer F (x) 1, so the unitarity check runs on the whole of S
+    s = s.copy()
+    s[0, 1] = 1e-3
+    return s
+
+
+def _unequal_spin_blocks(s):
+    s = s.copy()
+    s[1::2, 1::2] *= 1.0 + 1e-7
+    return s
+
+
 @pytest.mark.parametrize(
     "bend_s, bend_h, error",
     [
         (_not_unitary, None, TruncationLeakError),
         (_slightly_not_unitary, None, TruncationLeakError),
+        (_off_spin_entry, None, TruncationLeakError),
+        (_unequal_spin_blocks, None, TruncationLeakError),
         (_wrong_shape, None, ParameterError),
         (None, _not_hermitian_h, TruncationLeakError),
     ],
-    ids=["non_unitary", "slightly_non_unitary", "shape_mismatch", "non_hermitian_result"],
+    ids=[
+        "non_unitary",
+        "slightly_non_unitary",
+        "off_spin_entry",
+        "unequal_spin_blocks",
+        "shape_mismatch",
+        "non_hermitian_result",
+    ],
 )
 def test_conjugation_rejects_like_kronecker_reference(bend_s, bend_h, error):
     space = make_fock_space(12)
@@ -168,6 +193,59 @@ def test_conjugation_rejects_like_kronecker_reference(bend_s, bend_h, error):
     with pytest.raises(error) as got:
         conjugate_hamiltonian(s, h)
     assert str(got.value) == str(ref.value)
+
+
+def _full_gram_residual(s):
+    return float(np.abs(s @ s.conj().T - np.eye(s.shape[0])).max())
+
+
+@pytest.mark.parametrize("eta2", [0.05, 0.2, 1.0])
+@pytest.mark.parametrize("dim", [2, 3, 8, 96, 192])
+def test_factor_unitarity_residual_matches_the_product_space_one(dim, eta2):
+    s = squeeze_on_product(make_fock_space(dim), eta2)
+    got = _gram_residual(s)
+    # taken on the factor F of S = F (x) 1 ...
+    assert got == _full_gram_residual(s[0::2, 0::2])
+    # ... which is the 2*dim residual up to the summation order
+    assert abs(got - _full_gram_residual(s)) <= 1e-15
+
+
+def test_spin_mixing_transform_is_checked_and_applied_in_full():
+    # a unitary S that is not F (x) 1: F (x) exp(-i 0.3 tau_y)
+    space = make_fock_space(12)
+    f = squeeze_on_product(space, 0.2)[0::2, 0::2]
+    spin = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]], dtype=complex)
+    s = np.kron(f, spin)
+    h = total_hamiltonian(P, NV, G, space)
+    assert _gram_residual(s) == _full_gram_residual(s)
+    assert np.array_equal(conjugate_hamiltonian(s, h), kron_conjugate_hamiltonian(s, h))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("entries", [slice(None), [2], [2, 3]], ids=["all", "one", "both_spins"])
+def test_conjugation_rejects_non_finite_transform(bad, entries):
+    # NaN fails every comparison, so a guard written as res > bound let it pass;
+    # both spin entries keep S = F (x) 1 and so test the check on F
+    space = make_fock_space(12)
+    h = total_hamiltonian(P, NV, G, space)
+    s = squeeze_on_product(space, 0.2)
+    s[entries, entries] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(
+        TruncationLeakError, match="transform is not unitary"
+    ):
+        conjugate_hamiltonian(s, h)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_conjugation_rejects_non_finite_result(bad):
+    space = make_fock_space(12)
+    s = squeeze_on_product(space, 0.2)
+    h = total_hamiltonian(P, NV, G, space)
+    h[3, 3] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(
+        TruncationLeakError, match="lost hermiticity"
+    ):
+        conjugate_hamiltonian(s, h)
 
 
 def _peak_in_product_matrices(fn, *args, **kwargs):

@@ -393,6 +393,16 @@ def test_upper_rung_rejects_parity_mixing(monkeypatch):
         converged_spectrum(params(0.9), 60)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sector_solve_rejects_non_finite_parity_mixing(bad):
+    # entries between the sectors are dropped after the check; a NaN there
+    # failed the old ``mixing > bound`` comparison and was dropped unseen
+    H = full_hamiltonian(params(0.9), make_fock_space(8))
+    H[0, 1] = H[1, 0] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        circuit._sector_eigenvalues(H)
+
+
 @pytest.mark.parametrize("dim", [8, 60, 120])
 @pytest.mark.parametrize("f_s", [0.5, 0.505, 0.75, 0.9, 1.0])
 @pytest.mark.parametrize("builder", [full_hamiltonian, quartic_hamiltonian])

@@ -211,6 +211,17 @@ def test_coupling_non_finite_result_is_geometry_error(capsys, tmp_path, setting,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key", ["circuit.e_c", "circuit.e_j", "circuit.e_l", "geometry.edge_length", "geometry.z_nv"]
+)
+def test_positivity_error_names_the_config_key(capsys, tmp_path, key):
+    out = tmp_path / "report.json"
+    assert main(["coupling", "--set", f"{key}=-1e-8", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {key} must be positive, got -1e-08\n"
+    assert not out.exists()
+
+
 def test_amplify_gain_overflow_names_run_t(capsys, tmp_path):
     out = tmp_path / "gain.csv"
     assert main(["amplify", "--t", "10000", "--out", str(out)]) == 2

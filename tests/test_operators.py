@@ -346,3 +346,73 @@ def test_truncation_leak_warns_for_strong_squeeze():
     assert truncation_leak(u, space) > 1e-6
     with pytest.warns(TruncationLeakWarning):
         warn_on_truncation_leak(u, space, "test")
+
+
+# A NaN residual fails every comparison, so each guard is written as
+# ``not res <= bound``, and the entry points reject non-finite input first.
+NON_FINITE = [math.nan, math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_hermitian_eig_rejects_non_finite_input_before_the_solve(monkeypatch, bad):
+    def no_solve(mat):
+        raise AssertionError("eigh reached")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_solve)
+    for dtype in (float, complex):
+        with pytest.raises(ParameterError, match="finite"):
+            hermitian_eig(np.diag([1.0, bad, 2.0, 3.0]).astype(dtype))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_hermitian_eig_reconstruction_guard_fails_closed(monkeypatch, bad):
+    eigh = np.linalg.eigh
+
+    def spoiled(mat):
+        w, v = eigh(mat)
+        return np.full_like(w, bad), v
+
+    monkeypatch.setattr(np.linalg, "eigh", spoiled)
+    for mat in (np.diag([1.0, 2.0, 3.0]), _squeeze_generator(6) * 1j):
+        with np.errstate(invalid="ignore"), pytest.raises(
+            SimulationError, match="reconstruction"
+        ):
+            hermitian_eig(mat)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_exp_normal_rejects_non_finite_input(monkeypatch, bad):
+    monkeypatch.setattr(np.linalg, "eigh", lambda mat: pytest.fail("eigh reached"))
+    k = _squeeze_generator(8)
+    k[3, 5] = bad
+    with pytest.raises(ParameterError, match="exp_normal needs finite"):
+        exp_normal(k)
+    with pytest.raises(ParameterError, match="exp_2x2 needs finite"):
+        exp_normal(np.array([[0.0, bad], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_exp_2x2_rejects_non_finite_members(bad):
+    stack = np.zeros((3, 2, 2), dtype=complex)
+    stack[1, 0, 1] = complex(0.0, bad)
+    with pytest.raises(ParameterError, match="exp_2x2 needs finite"):
+        exp_2x2(stack)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_exp_round_trip_guard_fails_closed(bad):
+    w, v = np.linalg.eigh(-1j * _squeeze_generator(8))
+    w[2] = bad
+    for vecs in (v, np.eye(8)):
+        with np.errstate(invalid="ignore"), pytest.raises(
+            SimulationError, match="exp\\(K\\)exp\\(-K\\) residual"
+        ):
+            operators._exp_i_eig(w, vecs)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_unitarity_guard_fails_closed(bad):
+    u = np.eye(4, dtype=complex)
+    u[1, 1] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(SimulationError, match="unitarity"):
+        operators._check_unitary(u)
