@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -161,11 +162,22 @@ def _cached_terms(mass: float, omega0: float, dim: int) -> FluxFreeTerms:
     return real
 
 
+# Flux points of one sweep run on several threads at once; the lock makes
+# the first of them build a missing basis while the others wait for it,
+# instead of each building its own copy.
+_TERMS_LOCK = threading.Lock()
+
+
+def _terms(p: CircuitParams, dim: int) -> FluxFreeTerms:
+    with _TERMS_LOCK:
+        return _cached_terms(p.mass, p.omega0, dim)
+
+
 # Each builder returns a float64 matrix: combined from the terms as a real
 # matrix and made exactly symmetric by 0.5 (M + M^T).
 def harmonic_hamiltonian(p: CircuitParams, space: FockSpace) -> np.ndarray:
     """E_c n^2 + E_L phi^2 (the f_s = 1/2 point and the basis oscillator)."""
-    t = _cached_terms(p.mass, p.omega0, space.dim)
+    t = _terms(p, space.dim)
     mat = p.e_c * t.nn + p.e_l * t.pp
     return 0.5 * (mat + mat.T)
 
@@ -173,7 +185,7 @@ def harmonic_hamiltonian(p: CircuitParams, space: FockSpace) -> np.ndarray:
 def full_hamiltonian(p: CircuitParams, space: FockSpace) -> np.ndarray:
     """E_c n^2 - E_J(f_s) cos(phi) + E_L phi^2 with cos as a matrix function."""
     _require_stable(p)
-    t = _cached_terms(p.mass, p.omega0, space.dim)
+    t = _terms(p, space.dim)
     mat = p.e_c * t.nn - p.ej_flux * t.cos_phi + p.e_l * t.pp
     return 0.5 * (mat + mat.T)
 
@@ -181,7 +193,7 @@ def full_hamiltonian(p: CircuitParams, space: FockSpace) -> np.ndarray:
 def quartic_hamiltonian(p: CircuitParams, space: FockSpace) -> np.ndarray:
     """cos(phi) expanded through phi^4; same basis as the full Hamiltonian."""
     _require_stable(p)
-    t = _cached_terms(p.mass, p.omega0, space.dim)
+    t = _terms(p, space.dim)
     mat = (
         p.e_c * t.nn
         + 0.5 * (2.0 * p.e_l + p.ej_flux) * t.pp
@@ -295,17 +307,18 @@ def check_convergence(
     dim: int,
     builder: Builder = full_hamiltonian,
     k: int = 3,
+    lower: np.ndarray | None = None,
 ) -> float:
     """Doubling test: how far the lowest ``k`` levels move from dim to 2*dim.
 
     Both dimensions are solved in complex arithmetic, so the movement
     reported here is the raw one; the caller compares it with its
-    tolerance.
+    tolerance.  A caller that has already solved the dim rung that way
+    passes its ascending eigenvalues as ``lower``, and only 2*dim is solved.
     """
     k_eff = min(k, dim)
-    return float(
-        np.abs(_lowest(builder, p, dim, k_eff) - _lowest(builder, p, 2 * dim, k_eff)).max()
-    )
+    w_lower = _lowest(builder, p, dim, k_eff) if lower is None else lower[:k_eff]
+    return float(np.abs(w_lower - _lowest(builder, p, 2 * dim, k_eff)).max())
 
 
 def converged_spectrum(

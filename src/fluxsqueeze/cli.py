@@ -27,6 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._parallel import map_points
 from .circuit import (
     CircuitParams,
     anharmonicity,
@@ -93,7 +94,23 @@ def _geometry(cfg: RunConfig) -> CouplingGeometry:
     return default_geometry(_circuit(cfg), cfg.edge_length, cfg.z_nv, cfg.inductance)
 
 
+def _spectrum_row(cfg: RunConfig, f_s: float) -> list[str]:
+    p = _circuit(cfg, f_s)
+    if not stability(p).stable:
+        return [fmt(f_s)] + [""] * 8 + ["unstable"]
+    full, _ = converged_spectrum(p, cfg.dim, full_hamiltonian, tol=cfg.convergence_tol)
+    quartic, _ = converged_spectrum(p, cfg.dim, quartic_hamiltonian, tol=cfg.convergence_tol)
+    return (
+        [fmt(f_s)]
+        + [fmt(e) for _, e in full.levels]
+        + [fmt(e) for _, e in quartic.levels]
+        + [fmt(anharmonicity(full)), fmt(anharmonicity(quartic)), "ok"]
+    )
+
+
 def cmd_spectrum(cfg: RunConfig) -> str:
+    """The sweep's flux points are independent and run on every CPU
+    (``_parallel.map_points``); rows keep the grid order."""
     grid = np.linspace(cfg.fs_min, cfg.fs_max, cfg.fs_steps)
     header = [
         "f_s",
@@ -107,20 +124,7 @@ def cmd_spectrum(cfg: RunConfig) -> str:
         "alpha_quartic",
         "status",
     ]
-    rows = []
-    for f_s in grid:
-        p = _circuit(cfg, float(f_s))
-        if not stability(p).stable:
-            rows.append([fmt(float(f_s))] + [""] * 8 + ["unstable"])
-            continue
-        full, _ = converged_spectrum(p, cfg.dim, full_hamiltonian, tol=cfg.convergence_tol)
-        quartic, _ = converged_spectrum(p, cfg.dim, quartic_hamiltonian, tol=cfg.convergence_tol)
-        rows.append(
-            [fmt(float(f_s))]
-            + [fmt(e) for _, e in full.levels]
-            + [fmt(e) for _, e in quartic.levels]
-            + [fmt(anharmonicity(full)), fmt(anharmonicity(quartic)), "ok"]
-        )
+    rows = map_points(functools.partial(_spectrum_row, cfg), grid.tolist())
     comment = (
         "circuit level sweep; energies in GHz, flux dimensionless; "
         f"phase convention {_convention_label(cfg.two_pi)}; dim={cfg.dim}"

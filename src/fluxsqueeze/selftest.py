@@ -118,13 +118,6 @@ def _eigen_reconstruction(h: np.ndarray, w: np.ndarray, v: np.ndarray) -> CheckR
     return _check("eigen_reconstruction", np.abs(recon - h).max() / scale, 1e-9)
 
 
-def _full_hamiltonian_checks(p: circuit.CircuitParams, dim: int) -> list[CheckResult]:
-    """Both checks built on the full Hamiltonian, from one solve of it."""
-    h = _full_complex(p, dim)
-    w, v = operators.hermitian_eig(h)
-    return [_unitarity(p, w, v), _eigen_reconstruction(h, w, v)]
-
-
 def _hyperbolic_identity(p: circuit.CircuitParams) -> list[CheckResult]:
     w0 = p.omega0
     strict = 0.0
@@ -170,8 +163,9 @@ def _biot_savart_symmetry(geom: coupling.CouplingGeometry) -> CheckResult:
     return _check("biot_savart_symmetry", res, 1e-12)
 
 
-def _truncation_convergence(p: circuit.CircuitParams, dim: int, tol: float) -> CheckResult:
-    move = circuit.check_convergence(p, dim, circuit.full_hamiltonian)
+def _truncation_convergence(p: circuit.CircuitParams, w: np.ndarray, tol: float) -> CheckResult:
+    """Movement of the lowest levels from the shared full solve ``w`` to 2*dim."""
+    move = circuit.check_convergence(p, len(w), circuit.full_hamiltonian, lower=w)
     return CheckResult("truncation_convergence", move, tol, passed=move < tol)
 
 
@@ -239,11 +233,17 @@ def run_selftest(cfg: RunConfig) -> tuple[list[CheckResult], bool]:
         _su11_2x2(),
         _closed_forms_2x2(),
         _phase_charge(cfg.dim, p),
-        *_full_hamiltonian_checks(p, cfg.dim),
+    ]
+    # one solve of the full Hamiltonian serves three checks
+    h = _full_complex(p, cfg.dim)
+    w, v = operators.hermitian_eig(h)
+    checks += [
+        _unitarity(p, w, v),
+        _eigen_reconstruction(h, w, v),
         *_hyperbolic_identity(p),
         _conjugation_equivalence(p),
         _biot_savart_symmetry(geom),
-        _truncation_convergence(p, cfg.dim, cfg.convergence_tol),
+        _truncation_convergence(p, w, cfg.convergence_tol),
         *_squeeze_closure(p),
         *_harmonic_point(p, cfg.dim),
     ]

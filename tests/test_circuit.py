@@ -252,6 +252,14 @@ def test_check_convergence_default_dim():
     assert move < 1e-6
 
 
+@pytest.mark.parametrize("dim", [4, 60])
+def test_check_convergence_takes_a_solved_lower_rung(dim):
+    p = params(0.9)
+    h = full_hamiltonian(p, make_fock_space(dim)).astype(complex)
+    w, _ = hermitian_eig(h)
+    assert check_convergence(p, dim, lower=w) == check_convergence(p, dim)
+
+
 def test_check_convergence_reports_tiny_basis_movement():
     # the movement is returned, not raised: the caller judges it
     assert check_convergence(params(0.9), 4) >= CONVERGENCE_TOL

@@ -2,7 +2,8 @@
 
 ``propagator_unitarity`` and ``eigen_reconstruction`` both start from
 the eigenpairs of the complex full Hamiltonian at the configured
-dimension; the battery solves it once.  The closed-form 2x2 check takes
+dimension, and ``truncation_convergence`` takes its eigenvalues as the
+lower rung; the battery solves it once.  The closed-form 2x2 check takes
 its ``math.*`` references per point and combines them as one stack, with
 the bits of the per-point matrices it replaced.
 """
@@ -15,7 +16,7 @@ from fluxsqueeze import operators, selftest
 from fluxsqueeze.config import RunConfig
 
 # warm eigh calls of a default run_selftest before the full Hamiltonian's
-# two identical solves were shared
+# three identical solves were shared
 SOLVES_BEFORE_SHARING = 8
 
 
@@ -36,7 +37,9 @@ def test_default_selftest_solves_the_full_hamiltonian_once(monkeypatch):
     cfg = RunConfig()
     selftest.run_selftest(cfg)  # fills the term and generator caches
     shapes = _count_eigh(monkeypatch, lambda: selftest.run_selftest(cfg))
-    assert len(shapes) == SOLVES_BEFORE_SHARING - 1
+    assert len(shapes) == SOLVES_BEFORE_SHARING - 2
+    # the truncation check solves only its upper rung
+    assert shapes.count(2 * cfg.dim) == 1
 
 
 def test_shared_propagator_keeps_the_unitarity_guard(monkeypatch):

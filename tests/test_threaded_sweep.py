@@ -1,0 +1,170 @@
+"""The spectrum sweep runs its flux points on every CPU.
+
+``cmd_spectrum`` hands its points to ``_parallel.map_points``: the
+calling thread plus one helper per further CPU, with OpenBLAS pinned to
+one thread for the whole sweep and its count restored afterwards.  A
+failing sweep raises what the serial loop raised, the error of the
+lowest failing grid index, and a machine where OpenBLAS cannot be
+pinned runs the same loop on one thread with the same bytes.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fluxsqueeze import _parallel, circuit, cli
+from fluxsqueeze.circuit import CircuitParams, converged_spectrum
+from fluxsqueeze.config import RunConfig
+from fluxsqueeze.errors import ConvergenceError, StabilityError
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+SPECTRUM_DIGEST = "2da70ae751fe6c3e"
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS at two threads, so that a count left at 1 shows."""
+    lib = _parallel._openblas()
+    if lib is None:
+        pytest.skip("OpenBLAS not pinnable")
+    previous = lib.get_num_threads()
+    lib.set_num_threads(2)
+    try:
+        if lib.get_num_threads() != 2:
+            pytest.skip("OpenBLAS runs one thread only")
+        yield 2
+    finally:
+        lib.set_num_threads(previous)
+
+
+def _blas_threads():
+    lib = _parallel._openblas()
+    return None if lib is None else lib.get_num_threads()
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _recording_solver(monkeypatch):
+    """Wrap ``converged_spectrum`` to record the thread and the OpenBLAS
+    thread count of each call."""
+    seen = []
+
+    def solver(*args, **kwargs):
+        seen.append((threading.get_ident(), _blas_threads()))
+        return converged_spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "converged_spectrum", solver)
+    return seen
+
+
+def test_map_points_runs_each_item_once_under_contention(monkeypatch):
+    # more workers than cores and a short switch interval, so that the
+    # workers interleave often; a lost or repeated index shows in `calls`
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 8)
+    items = list(range(3000))
+    calls = [0] * len(items)
+    out = []
+
+    def fn(i):
+        calls[i] += 1
+        return -i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: out.append(_parallel.map_points(fn, items)))
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert out == [[-i for i in items]]
+    assert set(calls) == {1}
+    assert _parallel.map_points(fn, []) == []
+
+
+def test_lowest_failing_index_decides_the_exit_code(monkeypatch, capsys):
+    # the higher point fails at once and the lower one late, so with more
+    # than one worker the higher failure happens first
+    cfg = RunConfig()
+    grid = np.linspace(cfg.fs_min, cfg.fs_max, cfg.fs_steps).tolist()
+    low, high = grid[20], grid[60]
+    canned = converged_spectrum(CircuitParams(cfg.e_c, cfg.e_j, cfg.e_l, cfg.f_s))
+
+    def solver(p, *args, **kwargs):
+        if p.f_s == low:
+            time.sleep(0.2)
+            raise ConvergenceError("lower point")
+        if p.f_s == high:
+            raise StabilityError("higher point")
+        return canned
+
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 4)
+    monkeypatch.setattr(cli, "converged_spectrum", solver)
+    assert cli.main(["spectrum"]) == cli.EXIT_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err == "convergence error: lower point\n"
+
+
+def test_threaded_sweep_builds_each_basis_once(monkeypatch):
+    # dim 24 doubles to 48 at some points, so three bases are built
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 4)
+    circuit._cached_terms.cache_clear()
+    cli.cmd_spectrum(RunConfig(dim=24, fs_steps=21))
+    assert circuit._cached_terms.cache_info().misses == 3
+
+
+def test_sweep_pins_blas_and_restores_its_count(monkeypatch, two_blas_threads):
+    seen = _recording_solver(monkeypatch)
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
+    assert _digest(cli.cmd_spectrum(RunConfig())) == SPECTRUM_DIGEST
+    assert {count for _, count in seen} == {1}
+    assert _blas_threads() == two_blas_threads
+
+
+def test_failing_sweep_restores_the_blas_count(monkeypatch, two_blas_threads):
+    def solver(*args, **kwargs):
+        raise ConvergenceError("no rung")
+
+    monkeypatch.setattr(cli, "converged_spectrum", solver)
+    with pytest.raises(ConvergenceError):
+        cli.cmd_spectrum(RunConfig())
+    assert _blas_threads() == two_blas_threads
+
+
+@pytest.mark.parametrize("limit", ["not pinnable", "one cpu"])
+def test_serial_sweep_writes_the_same_bytes(monkeypatch, limit):
+    if limit == "not pinnable":
+        monkeypatch.setattr(_parallel, "_openblas", lambda: None)
+    else:
+        monkeypatch.setattr(_parallel, "_cpus", lambda: 1)
+    seen = _recording_solver(monkeypatch)
+    assert _digest(cli.cmd_spectrum(RunConfig())) == SPECTRUM_DIGEST
+    assert {thread for thread, _ in seen} == {threading.get_ident()}
+
+
+def test_cli_import_brings_no_thread_pool_module():
+    # the sweep's threading and ctypes come with numpy; a thread-pool
+    # module would add to every command's start-up
+    script = (
+        "import sys, numpy; before = set(sys.modules); import fluxsqueeze.cli; "
+        "new = set(sys.modules) - before; "
+        "assert {'threading', 'ctypes'} <= before, 'numpy no longer loads them'; "
+        "assert 'concurrent.futures' not in new, sorted(new)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr

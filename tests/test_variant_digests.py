@@ -1,11 +1,13 @@
-"""Byte identity of non-default ``amplify`` and ``selftest`` artifacts.
+"""Byte identity of non-default ``spectrum``, ``amplify`` and ``selftest``
+artifacts.
 
 ``tests/test_reference_digests.py`` pins the five default-flag artifacts.
 These variants reach what the defaults do not: other times, the angular
 phase convention, unstable flux points and ratios (including the
 zero-margin point at ratio 1, f_s = 1), a wider flux grid, other
-truncations and working points, and a selftest that fails its invariants
-(exit 5).  Each runs through ``cli.main`` and the sha256 prefix of what it
+truncations and working points, a spectrum sweep whose small starting
+truncations double before they are accepted (dim 32 and 48 at some
+points), and a selftest that fails its invariants (exit 5).  Each runs through ``cli.main`` and the sha256 prefix of what it
 writes is compared with the value recorded on one machine (2 vCPU, numpy
 2.4.6, OpenBLAS 0.3.31); as with the reference digests, another BLAS or
 CPU may round the last printed digit differently.
@@ -18,6 +20,11 @@ import pytest
 from fluxsqueeze.cli import main
 
 VARIANTS = {
+    "spectrum --dim 40": ("47c9b1b01e9774c2", 0),
+    "spectrum --dim 24 --fs-steps 21": ("ac9e058b62a36d4a", 0),
+    "spectrum --dim 16 --fs-steps 21": ("b5e89847f340fe62", 0),
+    "spectrum --set circuit.e_l=50 --fs-steps 41": ("321a442e06b3d9ba", 0),
+    "spectrum --fs-min 0 --fs-max 1 --fs-steps 41": ("ed248df5cf6ea8e8", 0),
     "amplify --t 0.9": ("c425a4ddb7e2ca16", 0),
     "amplify --two-pi": ("5623388fccaa989e", 0),
     "amplify --fs-min 0 --fs-max 1": ("96769643ed4a51ab", 0),
