@@ -3,6 +3,8 @@ and spin-oscillator coupling amplification on a truncated Fock space."""
 
 __version__ = "0.1.0"
 
+# first: sets OpenBLAS's idle policy before any module below loads numpy
+from . import _parallel  # noqa: F401
 from .circuit import (
     CircuitParams,
     ReducedParams,

@@ -14,6 +14,26 @@ and spins, so threads that each call it at default threads are slower
 than one thread alone; pinned to one BLAS thread each, they scale.  A
 pinned run writes the bytes of a run under ``OPENBLAS_NUM_THREADS=1``;
 the reference digests hold under both.
+
+Idle policy.  An OpenBLAS worker with no work busy-waits for
+``2^OPENBLAS_THREAD_TIMEOUT`` TSC cycles before it sleeps, and OpenBLAS
+reads that exponent once, when it loads.  Its default of 28 is about
+80 ms at a 3.3 GHz TSC (2-vCPU AMD EPYC, numpy 2.4.6, OpenBLAS 0.3.31):
+the one worker that numpy starts at load spins through the whole life of
+a light CLI command, and through the first ~55 ms of the threaded sweep,
+where it takes a CPU from a helper thread.
+So, when this module is imported before numpy (``fluxsqueeze`` imports it
+first), it sets the exponent to 20 unless the user has set one: the
+worker then spins about 0.3 ms.  Thread counts and bytes are unchanged.
+Three alternatives were measured and rejected:
+
+* stopping the pool after import gains nothing, because the sweep's
+  ``openblas_set_num_threads(1)`` restarts the worker, which spins again;
+* ``OPENBLAS_NUM_THREADS=1`` removes the spin too, but it moves the bytes
+  of the SandyBridge kernel and slows the library's two-thread Fock-space
+  products by about 25%;
+* an exponent of 16 lets the worker fall asleep between the back-to-back
+  products of the Fock-space path, and waking it costs about 3% there.
 """
 
 from __future__ import annotations
@@ -23,8 +43,13 @@ import ctypes
 import functools
 import itertools
 import os
+import sys
 import threading
 from typing import Callable, Iterator, NamedTuple, Sequence
+
+# read by OpenBLAS when numpy loads it, so too late once numpy is imported
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
 # (prefix, suffix) of the OpenBLAS symbols, in the order they are tried:
 # the scipy_openblas64 and scipy_openblas32 libraries of numpy 2 wheels,

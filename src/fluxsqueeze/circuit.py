@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._parallel import _one_blas_thread
 from .errors import (
     ConvergenceError,
     DegenerateSpectrumError,
@@ -140,15 +141,21 @@ class FluxFreeTerms(NamedTuple):
 @functools.lru_cache(maxsize=MAX_DOUBLINGS + 1)
 def _cached_terms(mass: float, omega0: float, dim: int) -> FluxFreeTerms:
     """n^2, phi^2, cos(phi) and phi^4 of the omega0 basis, built once per
-    (E_c, E_L, dim) and shared by every flux point."""
-    phi, n = phase_charge_operators(make_fock_space(dim), mass, omega0)
-    pp = phi @ phi
-    terms = FluxFreeTerms(
-        nn=n @ n,
-        pp=pp,
-        cos_phi=hermitian_matrix_function(phi, np.cos),
-        phi4=pp @ pp,
-    )
+    (E_c, E_L, dim) and shared by every flux point and every command.
+
+    Built under one OpenBLAS thread, as the sweep builds them, so that the
+    cache holds one set of bits whichever command fills it first (some
+    kernels, SandyBridge among them, round differently at two threads).
+    """
+    with _one_blas_thread():
+        phi, n = phase_charge_operators(make_fock_space(dim), mass, omega0)
+        pp = phi @ phi
+        terms = FluxFreeTerms(
+            nn=n @ n,
+            pp=pp,
+            cos_phi=hermitian_matrix_function(phi, np.cos),
+            phi4=pp @ pp,
+        )
     # formed in complex arithmetic; kept as their real parts only when exact
     for name, mat in zip(FluxFreeTerms._fields, terms):
         if mat.imag.any():

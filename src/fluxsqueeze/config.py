@@ -76,6 +76,15 @@ FINITE_FIELDS = (
 )
 
 
+# Most points a run's grid may hold, checked before any work: sweep.fs_steps
+# times the number of sweep.ratios (amplify keeps one row per flux point and
+# ratio), and run.t_steps.  At peak, measured with tracemalloc on CPython
+# 3.11, one amplify row costs about 1.2 kB and one trotter time about 2.8 kB
+# (the numpy grids, the row's cell strings and its CSV line), so a grid at
+# this size stays under about 0.75 GB.
+MAX_GRID_POINTS = 2**18
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated parameters for one CLI invocation."""
@@ -114,6 +123,16 @@ class RunConfig:
             raise ParameterError(f"sweep.fs_steps must be >= 2, got {self.fs_steps}")
         if self.t_steps < 2:
             raise ParameterError(f"run.t_steps must be >= 2, got {self.t_steps}")
+        if self.fs_steps * len(self.ratios) > MAX_GRID_POINTS:
+            raise ParameterError(
+                f"sweep.fs_steps = {self.fs_steps} at {len(self.ratios)} sweep.ratios "
+                f"exceeds the grid budget of {MAX_GRID_POINTS} points"
+            )
+        if self.t_steps > MAX_GRID_POINTS:
+            raise ParameterError(
+                f"run.t_steps = {self.t_steps} exceeds the grid budget of "
+                f"{MAX_GRID_POINTS} points"
+            )
         if not self.fs_min < self.fs_max:
             raise ParameterError(
                 f"sweep range is empty: fs_min={self.fs_min} >= fs_max={self.fs_max}"

@@ -12,11 +12,10 @@ kernel cannot be named or is not the one requested.
 
 Unlike the native kernel, SandyBridge rounds ``spectrum`` and ``selftest``
 differently at one and at two OpenBLAS threads; the digests were recorded
-at two, which each process is given.  The spectrum sweep runs
-under one OpenBLAS thread, so its SandyBridge digest is the one-thread
-value, and one process that runs ``selftest`` after ``spectrum`` reuses
-the flux-free terms the sweep built and prints the one-thread selftest;
-hence one process per command.
+at two, which each process is given.  The spectrum sweep runs under one
+OpenBLAS thread, and the flux-free terms that every command shares are
+always built under one, so a command writes the same bytes in a fresh
+process and after another command in the same one.
 """
 
 import importlib.util
@@ -45,26 +44,27 @@ KERNEL_DIGESTS = {
     "SandyBridge": {
         "spectrum": "69a4101a0ed3fa8e",
         "trotter": "be0123bcaf615917",
-        "selftest": "278159688e425f79",
+        "selftest": "31357e88e4eea415",
     },
 }
 
-# prints the kernel and the digest of one default-flag artifact, as JSON
+# runs the default-flag commands of argv[2:] in one process, writing each
+# to argv[1], and prints the kernel and the artifact digests, as JSON
 SCRIPT = """
 import hashlib, json, sys
 from fluxsqueeze import _parallel
 from fluxsqueeze.cli import main
-command, out = sys.argv[1:]
-assert main([command, "--out", out]) == 0
-with open(out, "rb") as fh:
-    digest = hashlib.sha256(fh.read()).hexdigest()[:16]
-print(json.dumps({"core": _parallel.core_name(), "digest": digest}))
+out, commands = sys.argv[1], sys.argv[2:]
+digests = []
+for command in commands:
+    assert main([command, "--out", out]) == 0
+    with open(out, "rb") as fh:
+        digests.append(hashlib.sha256(fh.read()).hexdigest()[:16])
+print(json.dumps({"core": _parallel.core_name(), "digests": digests}))
 """
 
 
-@pytest.mark.parametrize("command", list(NATIVE))
-@pytest.mark.parametrize("kernel", list(KERNEL_DIGESTS))
-def test_kernel_digest(tmp_path, kernel, command):
+def _digests(tmp_path, kernel, commands):
     env = {
         **os.environ,
         "PYTHONPATH": str(ROOT / "src"),
@@ -72,7 +72,7 @@ def test_kernel_digest(tmp_path, kernel, command):
         "OPENBLAS_NUM_THREADS": "2",
     }
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, command, str(tmp_path / "artifact.out")],
+        [sys.executable, "-c", SCRIPT, str(tmp_path / "artifact.out"), *commands],
         capture_output=True,
         text=True,
         env=env,
@@ -82,4 +82,20 @@ def test_kernel_digest(tmp_path, kernel, command):
     # OpenBLAS spells some names in its own case ("Sandybridge")
     if record["core"] is None or record["core"].lower() != kernel.lower():
         pytest.skip(f"OpenBLAS kernel {record['core']!r}, not {kernel}")
-    assert record["digest"] == KERNEL_DIGESTS[kernel].get(command, NATIVE[command])
+    return record["digests"]
+
+
+@pytest.mark.parametrize("command", list(NATIVE))
+@pytest.mark.parametrize("kernel", list(KERNEL_DIGESTS))
+def test_kernel_digest(tmp_path, kernel, command):
+    [digest] = _digests(tmp_path, kernel, [command])
+    assert digest == KERNEL_DIGESTS[kernel].get(command, NATIVE[command])
+
+
+@pytest.mark.parametrize("kernel", list(KERNEL_DIGESTS))
+def test_selftest_after_spectrum_writes_fresh_process_bytes(tmp_path, kernel):
+    # the sweep fills the shared term cache that selftest then reads
+    assert _digests(tmp_path, kernel, ["spectrum", "selftest"]) == [
+        KERNEL_DIGESTS[kernel]["spectrum"],
+        KERNEL_DIGESTS[kernel]["selftest"],
+    ]

@@ -8,7 +8,13 @@ from pathlib import Path
 import pytest
 
 from fluxsqueeze.cli import main
-from fluxsqueeze.config import RunConfig, build_config, load_config, parse_config_text
+from fluxsqueeze.config import (
+    MAX_GRID_POINTS,
+    RunConfig,
+    build_config,
+    load_config,
+    parse_config_text,
+)
 from fluxsqueeze.errors import ParameterError
 
 GOOD_CONFIG = """
@@ -220,6 +226,35 @@ def test_positivity_error_names_the_config_key(capsys, tmp_path, key):
     err = capsys.readouterr().err
     assert err == f"configuration error: {key} must be positive, got -1e-08\n"
     assert not out.exists()
+
+
+# TiB-scale grids, which numpy would refuse outright: a missing budget
+# check fails these tests with a MemoryError instead of exhausting memory
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["amplify", "--fs-steps", "1000000000000"], "sweep.fs_steps"),
+        (["spectrum", "--fs-steps", "1000000000000"], "sweep.fs_steps"),
+        (["trotter", "--set", "run.t_steps=1000000000000"], "run.t_steps"),
+    ],
+)
+def test_over_budget_grid_names_its_key(capsys, tmp_path, argv, key):
+    out = tmp_path / "grid.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {key} = 1000000000000")
+    assert "grid budget" in err
+    assert not out.exists()
+
+
+def test_grid_budget_counts_amplify_rows():
+    # only builds configs, so nothing is allocated either way
+    RunConfig(fs_steps=MAX_GRID_POINTS // 2, ratios=(1.01, 1.1))
+    RunConfig(t_steps=MAX_GRID_POINTS)
+    with pytest.raises(ParameterError, match="sweep.fs_steps"):
+        RunConfig(fs_steps=MAX_GRID_POINTS // 2 + 1, ratios=(1.01, 1.1))
+    with pytest.raises(ParameterError, match="run.t_steps"):
+        RunConfig(t_steps=MAX_GRID_POINTS + 1)
 
 
 def test_amplify_gain_overflow_names_run_t(capsys, tmp_path):

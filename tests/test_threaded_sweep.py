@@ -5,10 +5,13 @@ calling thread plus one helper per further CPU, with OpenBLAS pinned to
 one thread for the whole sweep and its count restored afterwards.  A
 failing sweep raises what the serial loop raised, the error of the
 lowest failing grid index, and a machine where OpenBLAS cannot be
-pinned runs the same loop on one thread with the same bytes.
+pinned runs the same loop on one thread with the same bytes.  Importing
+the package before numpy shortens OpenBLAS's idle spin, so its worker does
+not hold a CPU once a call returns.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -168,3 +171,59 @@ def test_cli_import_brings_no_thread_pool_module():
         env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# reports, as JSON, OPENBLAS_THREAD_TIMEOUT after the imports in argv[1],
+# whether OpenBLAS is reachable, and which other threads read state R in
+# three looks 20, 25 and 30 ms after the imports
+IDLE_SCRIPT = """
+import json, os, sys, threading, time
+exec(sys.argv[1])
+from fluxsqueeze import _parallel
+looks = []
+for _ in range(3):
+    time.sleep(0.02 if not looks else 0.005)
+    running = []
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != threading.get_native_id():
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                stat = fh.read()
+            if stat[stat.rindex(")") + 2] == "R":
+                running.append(tid)
+    looks.append(running)
+print(json.dumps({"timeout": os.environ.get("OPENBLAS_THREAD_TIMEOUT"),
+                  "pinnable": _parallel._openblas() is not None, "looks": looks}))
+"""
+
+
+def _idle_run(imports: str, **env) -> dict:
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    proc = subprocess.run(
+        [sys.executable, "-c", IDLE_SCRIPT, imports],
+        capture_output=True,
+        text=True,
+        env={**base, "PYTHONPATH": SRC, **env},
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    if not record["pinnable"]:
+        pytest.skip("OpenBLAS not reachable")
+    return record
+
+
+def test_blas_worker_sleeps_soon_after_import():
+    # at OpenBLAS's default idle timeout the worker still spins (state R)
+    # about 80 ms after numpy loads; under the package's it sleeps after
+    # about 0.3 ms, so one of three looks finds no other thread running
+    record = _idle_run("import fluxsqueeze")
+    assert record["timeout"] == "20"
+    assert [] in record["looks"], record["looks"]
+
+
+def test_user_blas_idle_timeout_is_kept():
+    assert _idle_run("import fluxsqueeze", OPENBLAS_THREAD_TIMEOUT="28")["timeout"] == "28"
+
+
+def test_numpy_imported_first_leaves_the_environment():
+    # OpenBLAS has read its environment by then, so the package sets nothing
+    assert _idle_run("import numpy, fluxsqueeze")["timeout"] is None
