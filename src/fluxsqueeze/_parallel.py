@@ -39,7 +39,6 @@ Three alternatives were measured and rejected:
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import functools
 import itertools
 import os
@@ -65,7 +64,12 @@ class _OpenBLAS(NamedTuple):
 
 @functools.cache
 def _openblas() -> _OpenBLAS | None:
-    """The thread and core-name calls of the loaded OpenBLAS, or None."""
+    """The thread and core-name calls of numpy's OpenBLAS, or None; loads
+    numpy first, as a scan before it loads would cache None for good."""
+    import ctypes
+
+    import numpy  # noqa: F401
+
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             # address, perms, offset, device, inode, path

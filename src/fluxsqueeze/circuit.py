@@ -19,7 +19,6 @@ series.  The oscillator is stable while E_L + E_J(f_s)/2 >= 0.
 from __future__ import annotations
 
 import functools
-import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -32,7 +31,6 @@ from .errors import (
     DegenerateSpectrumError,
     ParameterError,
     SimulationError,
-    StabilityError,
 )
 from .operators import (
     EIG_INPUT_RTOL,
@@ -43,84 +41,16 @@ from .operators import (
     make_fock_space,
     phase_charge_operators,
 )
+from .physics import (  # noqa: F401 (re-exported)
+    CircuitParams, ReducedParams, StabilityResult, _require_stable, cos_pi, effective_josephson,
+    reduced_params, stability,
+)
 
 # Default truncation; the convergence protocol doubles from here.
 DEFAULT_DIM = 60
 # Doubling the truncation must move the lowest levels by less than this (GHz).
 CONVERGENCE_TOL = 1e-6
 MAX_DOUBLINGS = 6
-
-
-def cos_pi(x):
-    """cos(pi * x), exact at half-integer x.
-
-    The flux sweet spot f_s = 1/2 must give E_J(f_s) = 0 exactly so that
-    downstream quantities (eta1, the quartic coefficient, g_eff/g) collapse
-    to their harmonic-point values bit-for-bit.
-    """
-    arr = np.asarray(x, dtype=float)
-    doubled = 2.0 * np.mod(arr, 2.0)
-    nearest = np.round(doubled)
-    on_grid = doubled == nearest
-    table = np.array([1.0, 0.0, -1.0, 0.0])
-    snapped = table[(nearest.astype(np.int64)) % 4]
-    out = np.where(on_grid, snapped, np.cos(np.pi * arr))
-    return out if out.ndim else float(out)
-
-
-def effective_josephson(e_j: float, f_s: float):
-    """Flux-dependent Josephson energy of the symmetric interferometer (GHz)."""
-    return 2.0 * e_j * cos_pi(f_s)
-
-
-@dataclass(frozen=True)
-class CircuitParams:
-    """Energy scales (GHz) and applied normalized flux of the circuit."""
-
-    e_c: float
-    e_j: float
-    e_l: float
-    f_s: float
-
-    def __post_init__(self):
-        for name in ("e_c", "e_j", "e_l"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ParameterError(f"{name} must be finite and positive, got {value}")
-        if not math.isfinite(self.f_s):
-            raise ParameterError(f"f_s must be finite, got {self.f_s}")
-
-    @functools.cached_property
-    def ej_flux(self) -> float:
-        return effective_josephson(self.e_j, self.f_s)
-
-    @property
-    def omega0(self) -> float:
-        """Frequency of the flux-independent basis oscillator."""
-        return 2.0 * math.sqrt(self.e_c * self.e_l)
-
-    @property
-    def mass(self) -> float:
-        return 1.0 / (2.0 * self.e_c)
-
-
-class StabilityResult(NamedTuple):
-    stable: bool
-    margin: float
-
-
-def stability(p: CircuitParams) -> StabilityResult:
-    """Stable iff E_L + E_J(f_s)/2 >= 0; the margin is that quantity in GHz."""
-    margin = p.e_l + 0.5 * p.ej_flux
-    return StabilityResult(margin >= 0.0, margin)
-
-
-def _require_stable(p: CircuitParams):
-    result = stability(p)
-    if not result.stable:
-        raise StabilityError(
-            f"inverted potential at f_s={p.f_s}: E_L + E_J(f_s)/2 = {result.margin:.6g} GHz"
-        )
 
 
 def circuit_operators(p: CircuitParams, space: FockSpace):
@@ -207,41 +137,6 @@ def quartic_hamiltonian(p: CircuitParams, space: FockSpace) -> np.ndarray:
         - (p.ej_flux / 24.0) * t.phi4
     )
     return 0.5 * (mat + mat.T)
-
-
-@dataclass(frozen=True)
-class ReducedParams:
-    """Scalar parameters of the mean-field quadratic reduction.
-
-    omega1 + eta1 = sqrt(2 E_c (2 E_L + E_J(f_s))) by construction, and
-    beta is the fourth power of the zero-point phase width of the reduced
-    oscillator.
-    """
-
-    omega0: float
-    omega1: float
-    eta1: float
-    beta: float
-
-
-def reduced_params(p: CircuitParams) -> ReducedParams:
-    """Closed-form omega1, eta1, beta for the current flux.
-
-        beta  = E_c / (2 (2 E_L + E_J(f_s)))
-        eta1  = beta E_J(f_s) / 4
-        omega1 = sqrt(2 E_c (2 E_L + E_J(f_s))) - eta1
-    """
-    ejf = p.ej_flux
-    stiffness = 2.0 * p.e_l + ejf
-    if not stiffness > 0:
-        raise StabilityError(
-            f"2 E_L + E_J(f_s) = {stiffness:.6g} GHz <= 0 at f_s={p.f_s}; "
-            "the quadratic reduction does not exist"
-        )
-    beta = p.e_c / (2.0 * stiffness)
-    eta1 = 0.25 * beta * ejf
-    omega1 = math.sqrt(2.0 * p.e_c * stiffness) - eta1
-    return ReducedParams(omega0=p.omega0, omega1=omega1, eta1=eta1, beta=beta)
 
 
 @dataclass(frozen=True)

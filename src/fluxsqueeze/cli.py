@@ -22,33 +22,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
-import numpy as np
-
 from . import __version__
-from ._parallel import map_points
-from .circuit import (
-    CircuitParams,
-    anharmonicity,
-    converged_spectrum,
-    full_hamiltonian,
-    quartic_hamiltonian,
-    reduced_params,
-    stability,
-)
 from .config import RunConfig, build_config, load_config, parse_config_text
-from .coupling import (
-    MU_0,
-    CouplingGeometry,
-    amplification_sweep,
-    bare_coupling,
-    bare_coupling_si,
-    biot_savart_b0,
-    default_geometry,
-    inductance_mismatch,
-    inductive_energy_from_inductance,
-)
 from .errors import (
     ConvergenceError,
     DegenerateSpectrumError,
@@ -57,8 +35,15 @@ from .errors import (
     StabilityError,
     TruncationLeakError,
 )
-from .gates import analytic_us, gate_distance, trotter_squeeze
-from .selftest import run_selftest
+from .physics import (
+    MU_0, CircuitParams, CouplingGeometry, bare_coupling, bare_coupling_si, biot_savart_b0,
+    default_geometry, inductance_mismatch, inductive_energy_from_inductance, reduced_params,
+    stability,
+)
+
+# numpy and the modules that compute arrays are imported by the commands
+# that need them: `coupling`, --help, --version and configuration errors
+# then run without loading numpy, which would be most of their run time.
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -94,23 +79,27 @@ def _geometry(cfg: RunConfig) -> CouplingGeometry:
     return default_geometry(_circuit(cfg), cfg.edge_length, cfg.z_nv, cfg.inductance)
 
 
-def _spectrum_row(cfg: RunConfig, f_s: float) -> list[str]:
-    p = _circuit(cfg, f_s)
-    if not stability(p).stable:
-        return [fmt(f_s)] + [""] * 8 + ["unstable"]
-    full, _ = converged_spectrum(p, cfg.dim, full_hamiltonian, tol=cfg.convergence_tol)
-    quartic, _ = converged_spectrum(p, cfg.dim, quartic_hamiltonian, tol=cfg.convergence_tol)
-    return (
-        [fmt(f_s)]
-        + [fmt(e) for _, e in full.levels]
-        + [fmt(e) for _, e in quartic.levels]
-        + [fmt(anharmonicity(full)), fmt(anharmonicity(quartic)), "ok"]
-    )
-
-
 def cmd_spectrum(cfg: RunConfig) -> str:
     """The sweep's flux points are independent and run on every CPU
     (``_parallel.map_points``); rows keep the grid order."""
+    import numpy as np
+
+    from ._parallel import map_points
+    from .circuit import anharmonicity, converged_spectrum, full_hamiltonian, quartic_hamiltonian
+
+    def row(f_s: float) -> list[str]:
+        p = _circuit(cfg, f_s)
+        if not stability(p).stable:
+            return [fmt(f_s)] + [""] * 8 + ["unstable"]
+        full, _ = converged_spectrum(p, cfg.dim, full_hamiltonian, tol=cfg.convergence_tol)
+        quartic, _ = converged_spectrum(p, cfg.dim, quartic_hamiltonian, tol=cfg.convergence_tol)
+        return (
+            [fmt(f_s)]
+            + [fmt(e) for _, e in full.levels]
+            + [fmt(e) for _, e in quartic.levels]
+            + [fmt(anharmonicity(full)), fmt(anharmonicity(quartic)), "ok"]
+        )
+
     grid = np.linspace(cfg.fs_min, cfg.fs_max, cfg.fs_steps)
     header = [
         "f_s",
@@ -124,7 +113,7 @@ def cmd_spectrum(cfg: RunConfig) -> str:
         "alpha_quartic",
         "status",
     ]
-    rows = map_points(functools.partial(_spectrum_row, cfg), grid.tolist())
+    rows = map_points(row, grid.tolist())
     comment = (
         "circuit level sweep; energies in GHz, flux dimensionless; "
         f"phase convention {_convention_label(cfg.two_pi)}; dim={cfg.dim}"
@@ -133,6 +122,10 @@ def cmd_spectrum(cfg: RunConfig) -> str:
 
 
 def cmd_trotter(cfg: RunConfig) -> str:
+    import numpy as np
+
+    from .gates import analytic_us, gate_distance, trotter_squeeze
+
     p = _circuit(cfg)
     t_max = cfg.t if cfg.t is not None else 15.0
     ts = np.linspace(0.0, t_max, cfg.t_steps)
@@ -162,6 +155,10 @@ def cmd_trotter(cfg: RunConfig) -> str:
 
 
 def cmd_amplify(cfg: RunConfig) -> str:
+    import numpy as np
+
+    from .coupling import amplification_sweep
+
     grid = np.linspace(cfg.fs_min, cfg.fs_max, cfg.fs_steps)
     t = cfg.t if cfg.t is not None else 1.0
     rows_data = amplification_sweep(
@@ -224,7 +221,7 @@ def cmd_coupling(cfg: RunConfig) -> str:
         },
         "field": {
             "b0_tesla_per_ampere": b0,
-            "near_edge_asymptote_tesla_per_ampere": MU_0 / (2.0 * np.pi * geom.z_nv),
+            "near_edge_asymptote_tesla_per_ampere": MU_0 / (2.0 * math.pi * geom.z_nv),
         },
         "reduction": {"beta_at_interaction_flux": beta, "beta_quarter_root": beta**0.25},
         "coupling": {
@@ -245,6 +242,8 @@ def cmd_coupling(cfg: RunConfig) -> str:
 
 
 def cmd_selftest(cfg: RunConfig) -> tuple[str, bool]:
+    from .selftest import run_selftest
+
     checks, passed = run_selftest(cfg)
     report = {
         "tool": {"name": "fluxsqueeze", "version": __version__},

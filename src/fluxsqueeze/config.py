@@ -84,6 +84,18 @@ FINITE_FIELDS = (
 # this size stays under about 0.75 GB.
 MAX_GRID_POINTS = 2**18
 
+# Most bytes the dense matrices of a run's first two truncation rungs, at
+# numerics.dim and twice it, may take; checked before any work.  At peak,
+# measured with tracemalloc at dims 120 to 480, a spectrum or selftest run
+# holds about 42 complex dim x dim matrices (16 dim^2 bytes each), or 8.4
+# per rung; the estimate counts 9 per rung and admits dims up to 1221.
+MAX_MATRIX_BYTES = 2**30
+
+
+def matrix_bytes(dim: int) -> int:
+    """Estimated peak bytes of the first two rungs at ``dim``; allocates nothing."""
+    return 9 * 16 * (dim**2 + (2 * dim) ** 2)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -139,6 +151,11 @@ class RunConfig:
             )
         if self.dim < 2:
             raise ParameterError(f"numerics.dim must be >= 2, got {self.dim}")
+        if matrix_bytes(self.dim) > MAX_MATRIX_BYTES:
+            raise ParameterError(
+                f"numerics.dim = {self.dim} exceeds the budget of {MAX_MATRIX_BYTES} bytes "
+                "for the dense matrices of its first two truncation rungs"
+            )
         if self.m_steps < 1:
             raise ParameterError(f"run.m must be >= 1, got {self.m_steps}")
         if self.convention not in ("matched", "swapped"):

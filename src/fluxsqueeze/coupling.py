@@ -1,150 +1,27 @@
-"""Spin side of the hybrid system: transition frequency, loop field,
-bare coupling, the product-space Hamiltonian, and the exponential
-amplification delivered by the squeezing transformation.
+"""Spin side of the hybrid system: the product-space Hamiltonian, the
+squeezing transformation that amplifies the coupling, and the gain sweep.
 
-Internal unit convention: every energy-like quantity is stored in GHz
-(value = E/h / 1e9); geometry is SI (meters, henries, tesla/ampere).
-The presentation "2 pi x ... kHz" seen in the literature is a display
-concern handled by the CLI, never an internal factor.
+The closed forms (constants, loop field, bare coupling, effective
+parameters) live in ``physics`` and are re-exported here; the unit
+convention is the one stated there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitParams, effective_josephson, reduced_params
 from .errors import GeometryError, ParameterError, TruncationLeakError
 from .operators import FockSpace, TAU_X, TAU_Z, annihilation, exp_normal
-
-# CODATA 2018 constants, SI
-H_PLANCK = 6.62607015e-34          # J s (exact)
-E_CHARGE = 1.602176634e-19         # C (exact)
-MU_B = 9.2740100783e-24            # J/T
-G_E = 2.00231930436256             # electron g-factor magnitude
-MU_0 = 1.25663706212e-6            # N/A^2
-PHI_0 = H_PLANCK / (2.0 * E_CHARGE)  # Wb, superconducting flux quantum
-
-# Bohr magneton expressed in the internal energy unit
-MU_B_GHZ_PER_T = MU_B / H_PLANCK / 1e9
-
-ZERO_FIELD_SPLITTING_GHZ = 2.87
-# Flux working point at which the spin-oscillator interaction is evaluated.
-INTERACTION_FLUX = 0.5
-
-
-@dataclass(frozen=True)
-class NVParams:
-    """Two-level defect spin: zero-field splitting and Zeeman shift, GHz."""
-
-    zeeman: float
-    d: float = ZERO_FIELD_SPLITTING_GHZ
-
-    @property
-    def omega_nv(self) -> float:
-        """Transition frequency of the spin's lowest two sublevels (GHz)."""
-        return self.d - self.zeeman
-
-
-@dataclass(frozen=True)
-class CouplingGeometry:
-    """Square-loop geometry: edge length, spin position, loop inductance (SI).
-
-    The spin sits on the symmetry line at distance z_nv from one edge;
-    the field formula diverges at the edges, so 0 < z_nv < l strictly.
-    """
-
-    edge_length: float
-    z_nv: float
-    inductance: float
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.edge_length, self.z_nv, self.inductance))):
-            raise GeometryError(
-                f"geometry must be finite, got edge_length={self.edge_length}, "
-                f"z_nv={self.z_nv}, inductance={self.inductance}"
-            )
-        if not (0.0 < self.z_nv < self.edge_length):
-            raise GeometryError(
-                f"spin position z_nv={self.z_nv} must lie strictly inside "
-                f"(0, {self.edge_length})"
-            )
-        if not self.inductance > 0:
-            raise GeometryError(f"inductance must be positive, got {self.inductance}")
-
-
-def _finite(value: float, what: str, geom_desc: str) -> float:
-    if not math.isfinite(value):
-        raise GeometryError(f"{what} is not finite ({value}) for {geom_desc}")
-    return value
-
-
-def inductive_energy_from_inductance(inductance_h: float) -> float:
-    """E_L = Phi_0^2 / (8 pi^2 L), returned in GHz."""
-    if not inductance_h > 0:
-        raise GeometryError(f"inductance must be positive, got {inductance_h}")
-    e_l_joule = PHI_0**2 / (8.0 * math.pi**2 * inductance_h)
-    return _finite(e_l_joule / H_PLANCK / 1e9, "E_L", f"inductance={inductance_h}")
-
-
-def inductance_from_inductive_energy(e_l_ghz: float) -> float:
-    """Inverse of the E_L(L) relation, returned in henries."""
-    if not e_l_ghz > 0:
-        raise ParameterError(f"E_L must be positive, got {e_l_ghz}")
-    return PHI_0**2 / (8.0 * math.pi**2 * e_l_ghz * 1e9 * H_PLANCK)
-
-
-def inductance_mismatch(e_l_ghz: float, inductance_h: float) -> float:
-    """Relative disagreement between a quoted E_L and a quoted L."""
-    return abs(inductive_energy_from_inductance(inductance_h) - e_l_ghz) / e_l_ghz
-
-
-def default_geometry(
-    p: CircuitParams,
-    edge_length: float = 10e-6,
-    z_nv: float = 0.01e-6,
-    inductance: float | None = None,
-) -> CouplingGeometry:
-    """Geometry with the documented default loop size.
-
-    The 10 um edge is an assumption, not a measured value: with
-    z_nv << l the near-edge field term dominates and the coupling is
-    insensitive to l at the order-of-magnitude level.  When no
-    inductance is given it is derived from the circuit's E_L so the two
-    are consistent by construction.
-    """
-    if inductance is None:
-        inductance = inductance_from_inductive_energy(p.e_l)
-    return CouplingGeometry(edge_length=edge_length, z_nv=z_nv, inductance=inductance)
-
-
-def _describe(geom: CouplingGeometry) -> str:
-    return f"edge_length={geom.edge_length}, z_nv={geom.z_nv}, inductance={geom.inductance}"
-
-
-def _b0_terms(z, l):
-    near = (l**2 + 2.0 * z**2) / (l * z * np.sqrt((l / 2.0) ** 2 + z**2))
-    far = (3.0 * l**2 - 4.0 * l * z + 2.0 * z**2) / (
-        l * (l - z) * np.sqrt((l - z) ** 2 + (l / 2.0) ** 2)
-    )
-    return near + far
-
-
-def biot_savart_b0(geom: CouplingGeometry) -> float:
-    """On-axis field of the square loop per unit current, tesla/ampere.
-
-    Two-term line-integral result for a point on the symmetry line at
-    distance z_nv from one edge; exactly symmetric under z -> l - z.
-    A geometry whose field overflows float raises ``GeometryError``.
-    """
-    try:
-        with np.errstate(all="ignore"):
-            b0 = float(MU_0 / (4.0 * math.pi) * _b0_terms(geom.z_nv, geom.edge_length))
-    except (OverflowError, ZeroDivisionError):
-        b0 = math.inf
-    return _finite(b0, "loop field per unit current", _describe(geom))
+from .physics import (  # noqa: F401 (re-exported)
+    E_CHARGE, G_E, H_PLANCK, INTERACTION_FLUX, MU_0, MU_B, MU_B_GHZ_PER_T, PHI_0,
+    ZERO_FIELD_SPLITTING_GHZ, CircuitParams, CouplingGeometry, EffectiveParams, NVParams, _b0_terms,
+    bare_coupling, bare_coupling_si, biot_savart_b0, default_geometry, effective_josephson,
+    effective_params, inductance_from_inductive_energy, inductance_mismatch,
+    inductive_energy_from_inductance, reduced_params,
+)
 
 
 def b0_profile(geom: CouplingGeometry, z: np.ndarray) -> np.ndarray:
@@ -152,49 +29,7 @@ def b0_profile(geom: CouplingGeometry, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0) or np.any(z >= geom.edge_length):
         raise GeometryError("profile positions must lie strictly inside (0, l)")
-    return MU_0 / (4.0 * math.pi) * _b0_terms(z, geom.edge_length)
-
-
-def _beta_quarter_at_working_point(p: CircuitParams) -> float:
-    working = replace(p, f_s=INTERACTION_FLUX)
-    return reduced_params(working).beta ** 0.25
-
-
-def bare_coupling(p: CircuitParams, geom: CouplingGeometry) -> float:
-    """Spin-oscillator coupling g in GHz (internal-unit route).
-
-    g = g_e mu_B Phi_0 B0(z_nv) beta^(1/4) / (2 sqrt(2) pi L), with beta
-    evaluated at the interaction working point f_s = 1/2 regardless of
-    the flux currently stored in ``p`` (the interferometer is parked
-    there whenever the spin matters).  A coupling that overflows float
-    raises ``GeometryError``.
-    """
-    b0 = biot_savart_b0(geom)
-    beta_q = _beta_quarter_at_working_point(p)
-    g = (
-        G_E
-        * MU_B_GHZ_PER_T
-        * PHI_0
-        * b0
-        * beta_q
-        / (2.0 * math.sqrt(2.0) * math.pi * geom.inductance)
-    )
-    return _finite(g, "spin-loop coupling", _describe(geom))
-
-
-def bare_coupling_si(p: CircuitParams, geom: CouplingGeometry) -> float:
-    """Same coupling computed end-to-end in SI (joules), converted last.
-
-    Kept as an independent route so a cross-check catches unit-chain and
-    2*pi bookkeeping defects; must agree with ``bare_coupling`` to
-    better than 1e-10 relative.
-    """
-    b0 = biot_savart_b0(geom)
-    beta_q = _beta_quarter_at_working_point(p)
-    g_joule = (
-        G_E * MU_B * PHI_0 * b0 * beta_q / (2.0 * math.sqrt(2.0) * math.pi * geom.inductance)
-    )
-    return _finite(g_joule / H_PLANCK / 1e9, "spin-loop coupling (SI route)", _describe(geom))
+    return MU_0 / (4.0 * math.pi) * _b0_terms(z, geom.edge_length, np.sqrt, np.divide)
 
 
 def total_hamiltonian(
@@ -223,34 +58,6 @@ def total_hamiltonian(
         mat[row, col] = band
         mat[col, row] = band
     return mat
-
-
-@dataclass(frozen=True)
-class EffectiveParams:
-    """Squeezing-transformed circuit frequency, photon-pair strength, coupling."""
-
-    omega_eff: float
-    chi: float
-    g_eff: float
-    eta2: float
-
-
-def effective_params(p: CircuitParams, g: float, eta2: float) -> EffectiveParams:
-    """Closed forms of the squeezing transformation:
-
-        omega_eff = omega0 cosh(4 eta2)
-        chi       = omega0 sinh(4 eta2) / 2
-        g_eff     = g exp(2 eta2)
-
-    satisfying omega_eff^2 - 4 chi^2 = omega0^2.
-    """
-    w0 = p.omega0
-    return EffectiveParams(
-        omega_eff=w0 * math.cosh(4.0 * eta2),
-        chi=0.5 * w0 * math.sinh(4.0 * eta2),
-        g_eff=g * math.exp(2.0 * eta2),
-        eta2=eta2,
-    )
 
 
 def squeeze_on_product(space: FockSpace, eta2: float) -> np.ndarray:

@@ -1,0 +1,348 @@
+"""Closed-form scalars of the circuit and the spin-loop coupling.
+
+No numpy at import: this module imports only the standard library and
+``errors``.  ``coupling``, ``--help``, ``--version`` and configuration
+errors need nothing more, and loading numpy would be most of their run
+time.  ``circuit`` and ``coupling`` re-export every name defined here.
+
+Units: energies in GHz (E/h / 1e9), geometry in SI (meters, henries,
+tesla/ampere); "2 pi x ... kHz" is a CLI display concern, never an
+internal factor.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from dataclasses import dataclass, replace
+from typing import NamedTuple
+
+from .errors import GeometryError, ParameterError, StabilityError
+
+# CODATA 2018 constants, SI
+H_PLANCK = 6.62607015e-34          # J s (exact)
+E_CHARGE = 1.602176634e-19         # C (exact)
+MU_B = 9.2740100783e-24            # J/T
+G_E = 2.00231930436256             # electron g-factor magnitude
+MU_0 = 1.25663706212e-6            # N/A^2
+PHI_0 = H_PLANCK / (2.0 * E_CHARGE)  # Wb, superconducting flux quantum
+
+# Bohr magneton expressed in the internal energy unit
+MU_B_GHZ_PER_T = MU_B / H_PLANCK / 1e9
+
+ZERO_FIELD_SPLITTING_GHZ = 2.87
+# Flux working point at which the spin-oscillator interaction is evaluated.
+INTERACTION_FLUX = 0.5
+
+_COS_HALF_TURNS = (1.0, 0.0, -1.0, 0.0)
+
+
+def cos_pi(x):
+    """cos(pi * x), exact at half-integer x.
+
+    The flux sweet spot f_s = 1/2 must give E_J(f_s) = 0 exactly so that
+    downstream quantities (eta1, the quartic coefficient, g_eff/g) collapse
+    to their harmonic-point values bit-for-bit.  A float takes the same
+    steps in ``math``, whose ``cos`` rounds as numpy's does; anything else
+    is taken as an array.
+    """
+    if isinstance(x, (int, float)):
+        x = float(x)
+        if not math.isfinite(x):
+            return math.nan
+        doubled = 2.0 * (x % 2.0)
+        nearest = round(doubled)
+        if doubled == nearest:
+            return _COS_HALF_TURNS[nearest % 4]
+        return math.cos(math.pi * x)
+    import numpy as np
+
+    arr = np.asarray(x, dtype=float)
+    doubled = 2.0 * np.mod(arr, 2.0)
+    nearest = np.round(doubled)
+    on_grid = doubled == nearest
+    snapped = np.array(_COS_HALF_TURNS)[(nearest.astype(np.int64)) % 4]
+    out = np.where(on_grid, snapped, np.cos(np.pi * arr))
+    return out if out.ndim else float(out)
+
+
+def effective_josephson(e_j: float, f_s: float):
+    """Flux-dependent Josephson energy of the symmetric interferometer (GHz)."""
+    return 2.0 * e_j * cos_pi(f_s)
+
+
+@dataclass(frozen=True)
+class CircuitParams:
+    """Energy scales (GHz) and applied normalized flux of the circuit."""
+
+    e_c: float
+    e_j: float
+    e_l: float
+    f_s: float
+
+    def __post_init__(self):
+        for name in ("e_c", "e_j", "e_l"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ParameterError(f"{name} must be finite and positive, got {value}")
+        if not math.isfinite(self.f_s):
+            raise ParameterError(f"f_s must be finite, got {self.f_s}")
+
+    @functools.cached_property
+    def ej_flux(self) -> float:
+        return effective_josephson(self.e_j, self.f_s)
+
+    @property
+    def omega0(self) -> float:
+        """Frequency of the flux-independent basis oscillator."""
+        return 2.0 * math.sqrt(self.e_c * self.e_l)
+
+    @property
+    def mass(self) -> float:
+        return 1.0 / (2.0 * self.e_c)
+
+
+class StabilityResult(NamedTuple):
+    stable: bool
+    margin: float
+
+
+def stability(p: CircuitParams) -> StabilityResult:
+    """Stable iff E_L + E_J(f_s)/2 >= 0; the margin is that quantity in GHz."""
+    margin = p.e_l + 0.5 * p.ej_flux
+    return StabilityResult(margin >= 0.0, margin)
+
+
+def _require_stable(p: CircuitParams):
+    result = stability(p)
+    if not result.stable:
+        raise StabilityError(
+            f"inverted potential at f_s={p.f_s}: E_L + E_J(f_s)/2 = {result.margin:.6g} GHz"
+        )
+
+
+@dataclass(frozen=True)
+class ReducedParams:
+    """Scalar parameters of the mean-field quadratic reduction.
+
+    omega1 + eta1 = sqrt(2 E_c (2 E_L + E_J(f_s))) by construction, and
+    beta is the fourth power of the zero-point phase width of the reduced
+    oscillator.
+    """
+
+    omega0: float
+    omega1: float
+    eta1: float
+    beta: float
+
+
+def reduced_params(p: CircuitParams) -> ReducedParams:
+    """Closed-form omega1, eta1, beta for the current flux.
+
+        beta  = E_c / (2 (2 E_L + E_J(f_s)))
+        eta1  = beta E_J(f_s) / 4
+        omega1 = sqrt(2 E_c (2 E_L + E_J(f_s))) - eta1
+    """
+    ejf = p.ej_flux
+    stiffness = 2.0 * p.e_l + ejf
+    if not stiffness > 0:
+        raise StabilityError(
+            f"2 E_L + E_J(f_s) = {stiffness:.6g} GHz <= 0 at f_s={p.f_s}; "
+            "the quadratic reduction does not exist"
+        )
+    beta = p.e_c / (2.0 * stiffness)
+    eta1 = 0.25 * beta * ejf
+    omega1 = math.sqrt(2.0 * p.e_c * stiffness) - eta1
+    return ReducedParams(omega0=p.omega0, omega1=omega1, eta1=eta1, beta=beta)
+
+
+@dataclass(frozen=True)
+class NVParams:
+    """Two-level defect spin: zero-field splitting and Zeeman shift, GHz."""
+
+    zeeman: float
+    d: float = ZERO_FIELD_SPLITTING_GHZ
+
+    @property
+    def omega_nv(self) -> float:
+        """Transition frequency of the spin's lowest two sublevels (GHz)."""
+        return self.d - self.zeeman
+
+
+@dataclass(frozen=True)
+class CouplingGeometry:
+    """Square-loop geometry: edge length, spin position, loop inductance (SI).
+
+    The spin sits on the symmetry line at distance z_nv from one edge;
+    the field formula diverges at the edges, so 0 < z_nv < l strictly.
+    """
+
+    edge_length: float
+    z_nv: float
+    inductance: float
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.edge_length, self.z_nv, self.inductance))):
+            raise GeometryError(
+                f"geometry must be finite, got edge_length={self.edge_length}, "
+                f"z_nv={self.z_nv}, inductance={self.inductance}"
+            )
+        if not (0.0 < self.z_nv < self.edge_length):
+            raise GeometryError(
+                f"spin position z_nv={self.z_nv} must lie strictly inside "
+                f"(0, {self.edge_length})"
+            )
+        if not self.inductance > 0:
+            raise GeometryError(f"inductance must be positive, got {self.inductance}")
+
+
+def _finite(value: float, what: str, geom_desc: str) -> float:
+    if not math.isfinite(value):
+        raise GeometryError(f"{what} is not finite ({value}) for {geom_desc}")
+    return value
+
+
+def inductive_energy_from_inductance(inductance_h: float) -> float:
+    """E_L = Phi_0^2 / (8 pi^2 L), returned in GHz."""
+    if not inductance_h > 0:
+        raise GeometryError(f"inductance must be positive, got {inductance_h}")
+    e_l_joule = PHI_0**2 / (8.0 * math.pi**2 * inductance_h)
+    return _finite(e_l_joule / H_PLANCK / 1e9, "E_L", f"inductance={inductance_h}")
+
+
+def inductance_from_inductive_energy(e_l_ghz: float) -> float:
+    """Inverse of the E_L(L) relation, returned in henries."""
+    if not e_l_ghz > 0:
+        raise ParameterError(f"E_L must be positive, got {e_l_ghz}")
+    return PHI_0**2 / (8.0 * math.pi**2 * e_l_ghz * 1e9 * H_PLANCK)
+
+
+def inductance_mismatch(e_l_ghz: float, inductance_h: float) -> float:
+    """Relative disagreement between a quoted E_L and a quoted L."""
+    return abs(inductive_energy_from_inductance(inductance_h) - e_l_ghz) / e_l_ghz
+
+
+def default_geometry(
+    p: CircuitParams,
+    edge_length: float = 10e-6,
+    z_nv: float = 0.01e-6,
+    inductance: float | None = None,
+) -> CouplingGeometry:
+    """Geometry with the documented default loop size.
+
+    The 10 um edge is an assumption, not a measured value: with
+    z_nv << l the near-edge field term dominates and the coupling is
+    insensitive to l at the order-of-magnitude level.  When no
+    inductance is given it is derived from the circuit's E_L so the two
+    are consistent by construction.
+    """
+    if inductance is None:
+        inductance = inductance_from_inductive_energy(p.e_l)
+    return CouplingGeometry(edge_length=edge_length, z_nv=z_nv, inductance=inductance)
+
+
+def _describe(geom: CouplingGeometry) -> str:
+    return f"edge_length={geom.edge_length}, z_nv={geom.z_nv}, inductance={geom.inductance}"
+
+
+def _divide(num: float, den: float) -> float:
+    """num / den, giving numpy's +-inf for x / 0 and nan for 0 / 0."""
+    try:
+        return num / den
+    except ZeroDivisionError:
+        return math.copysign(math.inf, num) if num else math.nan
+
+
+def _b0_terms(z, l, sqrt=math.sqrt, divide=_divide):
+    """The two edge terms of the loop field at z; ``coupling.b0_profile``
+    passes an array of z with numpy's ``sqrt`` and ``divide``."""
+    near = divide(l**2 + 2.0 * z**2, l * z * sqrt((l / 2.0) ** 2 + z**2))
+    far = divide(
+        3.0 * l**2 - 4.0 * l * z + 2.0 * z**2,
+        l * (l - z) * sqrt((l - z) ** 2 + (l / 2.0) ** 2),
+    )
+    return near + far
+
+
+def biot_savart_b0(geom: CouplingGeometry) -> float:
+    """On-axis field of the square loop per unit current, tesla/ampere.
+
+    Two-term line-integral result for a point on the symmetry line at
+    distance z_nv from one edge; exactly symmetric under z -> l - z.
+    A geometry whose field overflows float raises ``GeometryError``.
+    """
+    try:
+        b0 = MU_0 / (4.0 * math.pi) * _b0_terms(geom.z_nv, geom.edge_length)
+    except OverflowError:
+        b0 = math.inf
+    return _finite(b0, "loop field per unit current", _describe(geom))
+
+
+def _beta_quarter_at_working_point(p: CircuitParams) -> float:
+    working = replace(p, f_s=INTERACTION_FLUX)
+    return reduced_params(working).beta ** 0.25
+
+
+def bare_coupling(p: CircuitParams, geom: CouplingGeometry) -> float:
+    """Spin-oscillator coupling g in GHz (internal-unit route).
+
+    g = g_e mu_B Phi_0 B0(z_nv) beta^(1/4) / (2 sqrt(2) pi L), with beta
+    evaluated at the interaction working point f_s = 1/2 regardless of
+    the flux currently stored in ``p`` (the interferometer is parked
+    there whenever the spin matters).  A coupling that overflows float
+    raises ``GeometryError``.
+    """
+    b0 = biot_savart_b0(geom)
+    beta_q = _beta_quarter_at_working_point(p)
+    g = (
+        G_E
+        * MU_B_GHZ_PER_T
+        * PHI_0
+        * b0
+        * beta_q
+        / (2.0 * math.sqrt(2.0) * math.pi * geom.inductance)
+    )
+    return _finite(g, "spin-loop coupling", _describe(geom))
+
+
+def bare_coupling_si(p: CircuitParams, geom: CouplingGeometry) -> float:
+    """Same coupling computed end-to-end in SI (joules), converted last.
+
+    Kept as an independent route so a cross-check catches unit-chain and
+    2*pi bookkeeping defects; must agree with ``bare_coupling`` to
+    better than 1e-10 relative.
+    """
+    b0 = biot_savart_b0(geom)
+    beta_q = _beta_quarter_at_working_point(p)
+    g_joule = (
+        G_E * MU_B * PHI_0 * b0 * beta_q / (2.0 * math.sqrt(2.0) * math.pi * geom.inductance)
+    )
+    return _finite(g_joule / H_PLANCK / 1e9, "spin-loop coupling (SI route)", _describe(geom))
+
+
+@dataclass(frozen=True)
+class EffectiveParams:
+    """Squeezing-transformed circuit frequency, photon-pair strength, coupling."""
+
+    omega_eff: float
+    chi: float
+    g_eff: float
+    eta2: float
+
+
+def effective_params(p: CircuitParams, g: float, eta2: float) -> EffectiveParams:
+    """Closed forms of the squeezing transformation:
+
+        omega_eff = omega0 cosh(4 eta2)
+        chi       = omega0 sinh(4 eta2) / 2
+        g_eff     = g exp(2 eta2)
+
+    satisfying omega_eff^2 - 4 chi^2 = omega0^2.
+    """
+    w0 = p.omega0
+    return EffectiveParams(
+        omega_eff=w0 * math.cosh(4.0 * eta2),
+        chi=0.5 * w0 * math.sinh(4.0 * eta2),
+        g_eff=g * math.exp(2.0 * eta2),
+        eta2=eta2,
+    )

@@ -108,8 +108,12 @@ def test_grid_pass_matches_the_loop_on_random_points():
     grid = rng.uniform(-3.0, 3.0, 2000)
     got = amplification_sweep(E_C, (1.005, 2.0), 0.7, grid, e_l=E_L)
     assert_rows_identical(got, loop_amplification_sweep(E_C, (1.005, 2.0), 0.7, grid, E_L))
-    # the array cos_pi the pass rests on has the bits of the scalar one
+    # the array cos_pi the pass rests on has the bits of the scalar one,
+    # which runs in math rather than numpy: also on 100k more points and
+    # every half-integer in [-4, 4]
     assert np.array_equal(cos_pi(grid), [cos_pi(float(x)) for x in grid])
+    points = np.concatenate([rng.uniform(-4.0, 4.0, 100_000), np.arange(-8, 9) / 2.0])
+    assert np.array_equal(cos_pi(points), [cos_pi(x) for x in points.tolist()])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxsqueeze import circuit, cli
+from fluxsqueeze import circuit, cli, physics
 from fluxsqueeze.circuit import (
     CONVERGENCE_TOL,
     MAX_DOUBLINGS,
@@ -340,9 +340,9 @@ def test_converged_spectrum_matches_reference_bitwise(builder, reference, f_s, s
 def test_cmd_spectrum_matches_reference_bitwise(monkeypatch, dim):
     cfg = RunConfig(fs_steps=6, dim=dim)
     got = cli.cmd_spectrum(cfg)
-    monkeypatch.setattr(cli, "converged_spectrum", _reference_converged)
-    monkeypatch.setattr(cli, "full_hamiltonian", _reference_full)
-    monkeypatch.setattr(cli, "quartic_hamiltonian", _reference_quartic)
+    monkeypatch.setattr(circuit, "converged_spectrum", _reference_converged)
+    monkeypatch.setattr(circuit, "full_hamiltonian", _reference_full)
+    monkeypatch.setattr(circuit, "quartic_hamiltonian", _reference_quartic)
     assert got == cli.cmd_spectrum(cfg)
 
 
@@ -426,7 +426,7 @@ def test_ej_flux_is_computed_once(monkeypatch):
     p = params(0.9)
     calls = []
     monkeypatch.setattr(
-        circuit, "effective_josephson", lambda e_j, f_s: calls.append(f_s) or 2.0 * e_j
+        physics, "effective_josephson", lambda e_j, f_s: calls.append(f_s) or 2.0 * e_j
     )
     for _ in range(3):
         p.ej_flux

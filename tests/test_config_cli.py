@@ -10,9 +10,11 @@ import pytest
 from fluxsqueeze.cli import main
 from fluxsqueeze.config import (
     MAX_GRID_POINTS,
+    MAX_MATRIX_BYTES,
     RunConfig,
     build_config,
     load_config,
+    matrix_bytes,
     parse_config_text,
 )
 from fluxsqueeze.errors import ParameterError
@@ -133,13 +135,13 @@ def test_cli_rejects_malformed_ratios_flag(capsys):
 
 def test_json_report_refuses_non_finite_values(capsys, tmp_path, monkeypatch):
     # a report holding a non-finite value is never written as bare Infinity
-    from fluxsqueeze import cli
+    from fluxsqueeze import selftest
     from fluxsqueeze.selftest import CheckResult
 
     def overflowing(cfg):
         return [CheckResult("overflow", math.inf, 1.0, False)], False
 
-    monkeypatch.setattr(cli, "run_selftest", overflowing)
+    monkeypatch.setattr(selftest, "run_selftest", overflowing)
     out = tmp_path / "report.json"
     assert main(["selftest", "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -181,11 +183,11 @@ def test_unstable_selftest_prints_one_short_line(capsys, tmp_path):
 
 
 def test_degenerate_spectrum_exits_4(capsys, monkeypatch):
-    from fluxsqueeze import cli
+    from fluxsqueeze import circuit
     from fluxsqueeze.circuit import Spectrum
 
     flat = Spectrum(levels=((0, 1.0), (1, 1.0), (2, 1.0)), e01=0.0, e12=0.0)
-    monkeypatch.setattr(cli, "converged_spectrum", lambda *args, **kwargs: (flat, 60))
+    monkeypatch.setattr(circuit, "converged_spectrum", lambda *args, **kwargs: (flat, 60))
     assert main(["spectrum", "--fs-steps", "2"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("degenerate spectrum:") and err.count("\n") == 1
@@ -255,6 +257,36 @@ def test_grid_budget_counts_amplify_rows():
         RunConfig(fs_steps=MAX_GRID_POINTS // 2 + 1, ratios=(1.01, 1.1))
     with pytest.raises(ParameterError, match="run.t_steps"):
         RunConfig(t_steps=MAX_GRID_POINTS + 1)
+
+
+# TiB-scale truncations (about 7 TB of matrices at dim 1e5): a missing
+# budget check fails these with a MemoryError before any matrix is filled
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--dim", "100000"],
+        ["selftest", "--set", "numerics.dim=100000"],
+        ["coupling", "--dim", "100000"],
+    ],
+)
+def test_over_budget_dim_names_its_key(capsys, tmp_path, argv):
+    out = tmp_path / "report.out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: numerics.dim = 100000 exceeds the budget")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_matrix_budget_admits_the_documented_dims():
+    # estimates and configs only: nothing is allocated either way
+    assert matrix_bytes(100000) > 2**40
+    for dim in (60, 120, 240):
+        RunConfig(dim=dim)
+    largest = max(d for d in range(1000, 2000) if matrix_bytes(d) <= MAX_MATRIX_BYTES)
+    RunConfig(dim=largest)
+    with pytest.raises(ParameterError, match="numerics.dim"):
+        RunConfig(dim=largest + 1)
 
 
 def test_amplify_gain_overflow_names_run_t(capsys, tmp_path):

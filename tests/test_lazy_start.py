@@ -1,0 +1,197 @@
+"""The package and the CLI start without numpy.
+
+``import fluxsqueeze`` and ``import fluxsqueeze.cli`` load no numpy: the
+package resolves its exports on first access, and the CLI imports numpy
+and the array modules inside the commands that compute arrays.  So
+``coupling``, ``--help``, ``--version`` and every configuration error run
+without it.  Each case runs in a fresh interpreter, where an import made
+by an earlier test cannot hide one.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# every name the package exported before its exports became lazy, with
+# the module each was read from then
+EXPORTS = {
+    **dict.fromkeys(["circuit", "coupling", "errors", "gates", "operators"], None),
+    **dict.fromkeys(
+        [
+            "CircuitParams", "ReducedParams", "Spectrum", "anharmonicity",
+            "converged_spectrum", "cos_pi", "effective_josephson", "full_hamiltonian",
+            "harmonic_hamiltonian", "quartic_hamiltonian", "reduced_params", "spectrum",
+            "stability",
+        ],
+        "circuit",
+    ),
+    **dict.fromkeys(
+        [
+            "AmplificationRow", "CouplingGeometry", "EffectiveParams", "NVParams",
+            "amplification_sweep", "bare_coupling", "bare_coupling_si", "biot_savart_b0",
+            "conjugate_hamiltonian", "default_geometry", "effective_params",
+            "total_hamiltonian",
+        ],
+        "coupling",
+    ),
+    **dict.fromkeys(
+        [
+            "ConvergenceError", "DegenerateSpectrumError", "GeometryError",
+            "InvalidDimensionError", "ParameterError", "SimulationError", "StabilityError",
+            "TruncationLeakError", "TruncationLeakWarning", "WrongRegimeError",
+        ],
+        "errors",
+    ),
+    **dict.fromkeys(
+        [
+            "GateSchedule", "SqueezeResult", "analytic_us", "gate_distance", "gate_u0",
+            "gate_u1", "make_schedule", "squeeze_operator", "squeeze_target",
+            "trotter_squeeze",
+        ],
+        "gates",
+    ),
+    **dict.fromkeys(
+        [
+            "FockSpace", "SU11Generators", "annihilation", "evolve", "exp_normal",
+            "hermitian_eig", "make_fock_space", "phase_charge_operators", "su11_generators",
+            "su11_generators_2x2",
+        ],
+        "operators",
+    ),
+}
+
+
+def _run(script: str, *args: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# argv[1] is run, then whether numpy is loaded is printed
+NUMPY_LOADED = """
+import sys
+exec(sys.argv[1])
+print("numpy" in sys.modules)
+"""
+
+
+def _cli(argv: list, code: int) -> str:
+    return (
+        "from fluxsqueeze import cli\n"
+        "try:\n"
+        f"    code = cli.main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        f"assert code == {code}, code"
+    )
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import fluxsqueeze",
+        "import fluxsqueeze.cli",
+        "from fluxsqueeze import CircuitParams, bare_coupling, errors",
+        _cli(["coupling", "--out", "OUT"], 0),
+        _cli(["--version"], 0),
+        _cli(["--help"], 0),
+        _cli(["spectrum", "--fs-steps", "1"], 2),
+    ],
+    ids=["package", "cli", "scalar-exports", "coupling", "version", "help", "config-error"],
+)
+def test_starts_without_numpy(tmp_path, statement):
+    statement = statement.replace("OUT", str(tmp_path / "report.json"))
+    assert _run(NUMPY_LOADED, statement).splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize(
+    "command", [["spectrum", "--fs-steps", "2"], ["trotter"], ["amplify"], ["selftest"]]
+)
+def test_array_commands_load_numpy(tmp_path, command):
+    statement = _cli([*command, "--out", str(tmp_path / "artifact")], 0)
+    assert _run(NUMPY_LOADED, statement).splitlines()[-1] == "True"
+
+
+# resolves every export through the package before any module is imported
+# directly, then reports each name whose object differs from the one its
+# module held before, or from its defining module's
+EXPORT_SCRIPT = """
+import importlib, json, sys
+import fluxsqueeze
+expected = json.loads(sys.argv[1])
+got = {name: getattr(fluxsqueeze, name) for name in expected}
+bad = []
+for name, module in expected.items():
+    obj = got[name]
+    if module is None:
+        same = obj is sys.modules[f"fluxsqueeze.{name}"]
+    else:
+        defining = sys.modules[obj.__module__]
+        same = obj is getattr(importlib.import_module(f"fluxsqueeze.{module}"), name)
+        same = same and getattr(defining, name) is obj
+    if not same:
+        bad.append(name)
+print(json.dumps({"all": fluxsqueeze.__all__, "dir": dir(fluxsqueeze), "bad": bad}))
+"""
+
+
+def test_exports_are_the_same_objects():
+    record = json.loads(_run(EXPORT_SCRIPT, json.dumps(EXPORTS)))
+    assert sorted(record["all"]) == sorted(EXPORTS)
+    assert len(record["all"]) == 60
+    assert set(EXPORTS) <= set(record["dir"])
+    assert record["bad"] == []
+
+
+def test_unknown_export_raises_attribute_error():
+    import fluxsqueeze
+
+    with pytest.raises(AttributeError, match="no attribute 'not_an_export'"):
+        fluxsqueeze.not_an_export
+
+
+def test_circuit_and_coupling_re_export_the_closed_forms():
+    from fluxsqueeze import circuit, coupling, physics
+
+    for module, names in [
+        (circuit, ["cos_pi", "effective_josephson", "CircuitParams", "StabilityResult",
+                   "stability", "_require_stable", "ReducedParams", "reduced_params"]),
+        (coupling, ["H_PLANCK", "E_CHARGE", "MU_B", "G_E", "MU_0", "PHI_0", "MU_B_GHZ_PER_T",
+                    "ZERO_FIELD_SPLITTING_GHZ", "INTERACTION_FLUX", "NVParams",
+                    "CouplingGeometry", "inductive_energy_from_inductance",
+                    "inductance_from_inductive_energy", "inductance_mismatch",
+                    "default_geometry", "biot_savart_b0", "bare_coupling",
+                    "bare_coupling_si", "EffectiveParams", "effective_params",
+                    "reduced_params"]),
+    ]:
+        for name in names:
+            assert getattr(module, name) is getattr(physics, name), name
+
+
+# the kernel OpenBLAS reports, after the imports in argv[1]
+CORE_SCRIPT = """
+import sys
+exec(sys.argv[1])
+from fluxsqueeze import _parallel
+print(_parallel.core_name(), "numpy" in sys.modules)
+"""
+
+
+def test_openblas_is_found_before_numpy_loads():
+    # _openblas is cached for the process: a lookup that ran before numpy
+    # loaded and cached None would leave the sweep serial for good
+    numpy_first = _run(CORE_SCRIPT, "import numpy").split()
+    package_first = _run(CORE_SCRIPT, "import fluxsqueeze").split()
+    assert package_first == numpy_first
+    assert numpy_first[1] == "True"

@@ -65,7 +65,7 @@ def _recording_solver(monkeypatch):
         seen.append((threading.get_ident(), _blas_threads()))
         return converged_spectrum(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "converged_spectrum", solver)
+    monkeypatch.setattr(circuit, "converged_spectrum", solver)
     return seen
 
 
@@ -112,7 +112,7 @@ def test_lowest_failing_index_decides_the_exit_code(monkeypatch, capsys):
         return canned
 
     monkeypatch.setattr(_parallel, "_cpus", lambda: 4)
-    monkeypatch.setattr(cli, "converged_spectrum", solver)
+    monkeypatch.setattr(circuit, "converged_spectrum", solver)
     assert cli.main(["spectrum"]) == cli.EXIT_CONVERGENCE
     err = capsys.readouterr().err
     assert err == "convergence error: lower point\n"
@@ -138,7 +138,7 @@ def test_failing_sweep_restores_the_blas_count(monkeypatch, two_blas_threads):
     def solver(*args, **kwargs):
         raise ConvergenceError("no rung")
 
-    monkeypatch.setattr(cli, "converged_spectrum", solver)
+    monkeypatch.setattr(circuit, "converged_spectrum", solver)
     with pytest.raises(ConvergenceError):
         cli.cmd_spectrum(RunConfig())
     assert _blas_threads() == two_blas_threads
@@ -214,8 +214,9 @@ def _idle_run(imports: str, **env) -> dict:
 def test_blas_worker_sleeps_soon_after_import():
     # at OpenBLAS's default idle timeout the worker still spins (state R)
     # about 80 ms after numpy loads; under the package's it sleeps after
-    # about 0.3 ms, so one of three looks finds no other thread running
-    record = _idle_run("import fluxsqueeze")
+    # about 0.3 ms, so one of three looks finds no other thread running;
+    # `import fluxsqueeze` alone loads no numpy, and circuit does
+    record = _idle_run("from fluxsqueeze import circuit")
     assert record["timeout"] == "20"
     assert [] in record["looks"], record["looks"]
 
