@@ -2,7 +2,7 @@
 and spin-oscillator coupling amplification on a truncated Fock space.
 
 The names below are loaded on first access (PEP 562), so that importing
-the package loads no numpy; see ``physics``."""
+the package loads no numpy; see ``physics`` and ``gain``."""
 
 import importlib
 
@@ -22,9 +22,8 @@ _EXPORTS = {
         "Spectrum", "anharmonicity", "converged_spectrum", "full_hamiltonian",
         "harmonic_hamiltonian", "quartic_hamiltonian", "spectrum",
     ),
-    "coupling": (
-        "AmplificationRow", "amplification_sweep", "conjugate_hamiltonian", "total_hamiltonian",
-    ),
+    "coupling": ("conjugate_hamiltonian", "total_hamiltonian"),
+    "gain": ("AmplificationRow", "amplification_sweep"),
     "errors": (
         "ConvergenceError", "DegenerateSpectrumError", "GeometryError", "InvalidDimensionError",
         "ParameterError", "SimulationError", "StabilityError", "TruncationLeakError",

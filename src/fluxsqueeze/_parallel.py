@@ -25,13 +25,21 @@ where it takes a CPU from a helper thread.
 So, when this module is imported before numpy (``fluxsqueeze`` imports it
 first), it sets the exponent to 20 unless the user has set one: the
 worker then spins about 0.3 ms.  Thread counts and bytes are unchanged.
-Three alternatives were measured and rejected:
+
+A worker that has fallen asleep is slow to wake: a 60x60 complex product
+at two OpenBLAS threads, 5 ms after the last one, took a median 7-8 ms
+against 0.09 ms at one thread, the wait for one or two 4 ms scheduler
+ticks (same host).  The CLI's ``spectrum``, ``trotter`` and ``selftest``,
+whose products are small and far apart, therefore run entirely under
+``_one_blas_thread`` (``cli.main``); a fresh ``selftest`` takes about
+220 ms so, against about 650 ms at two threads.  The pinned digests of
+every kernel measured hold.  The library keeps the process's thread
+count: the Fock-space path, whose products come back to back, ran about
+5% faster at two threads.
+Two alternatives were measured and rejected:
 
 * stopping the pool after import gains nothing, because the sweep's
   ``openblas_set_num_threads(1)`` restarts the worker, which spins again;
-* ``OPENBLAS_NUM_THREADS=1`` removes the spin too, but it moves the bytes
-  of the SandyBridge kernel and slows the library's two-thread Fock-space
-  products by about 25%;
 * an exponent of 16 lets the worker fall asleep between the back-to-back
   products of the Fock-space path, and waking it costs about 3% there.
 """

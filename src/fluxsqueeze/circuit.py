@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._parallel import _one_blas_thread
+from .config import MAX_MATRIX_BYTES, matrix_bytes
 from .errors import (
     ConvergenceError,
     DegenerateSpectrumError,
@@ -244,11 +245,21 @@ def converged_spectrum(
     ``tol`` and is solved on its even and odd photon-parity sectors.  A
     rung reached by doubling keeps its sector eigenvalues for the next
     comparison and is solved in complex arithmetic only if accepted.
+
+    A doubling whose two rungs would exceed ``config.MAX_MATRIX_BYTES``
+    by ``config.matrix_bytes`` raises ``ConvergenceError`` before the
+    upper rung is built.
     """
     current = dim
     lower = builder(p, make_fock_space(current))
     w_lower, _ = hermitian_eig(lower.astype(complex))
     for _ in range(max_doublings):
+        if matrix_bytes(current) > MAX_MATRIX_BYTES:
+            raise ConvergenceError(
+                f"numerics.convergence_tol = {tol:.1e} GHz is not met by dim={current} "
+                f"(started at {dim}); testing it needs dim={2 * current}, whose dense "
+                f"matrices would exceed the budget of {MAX_MATRIX_BYTES} bytes"
+            )
         upper = builder(p, make_fock_space(2 * current))
         w_upper = _sector_eigenvalues(upper)
         k_eff = min(k, current)

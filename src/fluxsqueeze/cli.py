@@ -20,12 +20,14 @@ and the active phase convention.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import sys
 
 from . import __version__
+from ._parallel import _one_blas_thread
 from .config import RunConfig, build_config, load_config, parse_config_text
 from .errors import (
     ConvergenceError,
@@ -42,8 +44,9 @@ from .physics import (
 )
 
 # numpy and the modules that compute arrays are imported by the commands
-# that need them: `coupling`, --help, --version and configuration errors
-# then run without loading numpy, which would be most of their run time.
+# that need them: `amplify`, `coupling`, --help, --version and
+# configuration errors then run without loading numpy, which would be most
+# of their run time.
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -69,6 +72,21 @@ def _csv(comment: str, header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def linspace(lo: float, hi: float, n: int) -> list[float]:
+    """The n >= 2 points of ``numpy.linspace(lo, hi, n)``, bit for bit,
+    without numpy: point i is ``i * step + lo`` and the last point is ``hi``."""
+    div = n - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0:
+        # numpy's branch for equal endpoints and for a step that underflows
+        points = [i / div * delta + lo for i in range(n)]
+    else:
+        points = [i * step + lo for i in range(n)]
+    points[-1] = hi
+    return points
+
+
 def _circuit(cfg: RunConfig, f_s: float | None = None) -> CircuitParams:
     return CircuitParams(
         e_c=cfg.e_c, e_j=cfg.e_j, e_l=cfg.e_l, f_s=cfg.f_s if f_s is None else f_s
@@ -82,8 +100,6 @@ def _geometry(cfg: RunConfig) -> CouplingGeometry:
 def cmd_spectrum(cfg: RunConfig) -> str:
     """The sweep's flux points are independent and run on every CPU
     (``_parallel.map_points``); rows keep the grid order."""
-    import numpy as np
-
     from ._parallel import map_points
     from .circuit import anharmonicity, converged_spectrum, full_hamiltonian, quartic_hamiltonian
 
@@ -100,7 +116,6 @@ def cmd_spectrum(cfg: RunConfig) -> str:
             + [fmt(anharmonicity(full)), fmt(anharmonicity(quartic)), "ok"]
         )
 
-    grid = np.linspace(cfg.fs_min, cfg.fs_max, cfg.fs_steps)
     header = [
         "f_s",
         "e0_full_ghz",
@@ -113,7 +128,7 @@ def cmd_spectrum(cfg: RunConfig) -> str:
         "alpha_quartic",
         "status",
     ]
-    rows = map_points(row, grid.tolist())
+    rows = map_points(row, linspace(cfg.fs_min, cfg.fs_max, cfg.fs_steps))
     comment = (
         "circuit level sweep; energies in GHz, flux dimensionless; "
         f"phase convention {_convention_label(cfg.two_pi)}; dim={cfg.dim}"
@@ -128,7 +143,7 @@ def cmd_trotter(cfg: RunConfig) -> str:
 
     p = _circuit(cfg)
     t_max = cfg.t if cfg.t is not None else 15.0
-    ts = np.linspace(0.0, t_max, cfg.t_steps)
+    ts = np.array(linspace(0.0, t_max, cfg.t_steps))
     labels = ("00", "01", "10", "11")
     header = ["t_ns"]
     for tag in ("us", "up"):
@@ -155,17 +170,14 @@ def cmd_trotter(cfg: RunConfig) -> str:
 
 
 def cmd_amplify(cfg: RunConfig) -> str:
-    import numpy as np
+    from .gain import amplification_sweep
 
-    from .coupling import amplification_sweep
-
-    grid = np.linspace(cfg.fs_min, cfg.fs_max, cfg.fs_steps)
     t = cfg.t if cfg.t is not None else 1.0
     rows_data = amplification_sweep(
         e_c=cfg.e_c,
         ratios=cfg.ratios,
         t=t,
-        fs_grid=grid,
+        fs_grid=linspace(cfg.fs_min, cfg.fs_max, cfg.fs_steps),
         e_l=cfg.e_l,
         geometry=_geometry(cfg),
         two_pi=cfg.two_pi,
@@ -349,24 +361,32 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
     return out
 
 
+# the commands whose arrays go through OpenBLAS run it on one thread: at
+# two, a small product can wait a scheduler tick for the sleeping worker
+# (see ``_parallel``)
+_ONE_BLAS_THREAD = ("spectrum", "trotter", "selftest")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         file_values = load_config(args.config) if args.config else {}
         cfg = build_config(file_values, _flag_overrides(args))
-        if args.command == "selftest":
-            text, passed = cmd_selftest(cfg)
-            exit_code = EXIT_OK if passed else EXIT_INVARIANT
-        else:
-            runner = {
-                "spectrum": cmd_spectrum,
-                "trotter": cmd_trotter,
-                "amplify": cmd_amplify,
-                "coupling": cmd_coupling,
-            }[args.command]
-            text = runner(cfg)
-            exit_code = EXIT_OK
+        pinned = args.command in _ONE_BLAS_THREAD
+        with _one_blas_thread() if pinned else contextlib.nullcontext():
+            if args.command == "selftest":
+                text, passed = cmd_selftest(cfg)
+                exit_code = EXIT_OK if passed else EXIT_INVARIANT
+            else:
+                runner = {
+                    "spectrum": cmd_spectrum,
+                    "trotter": cmd_trotter,
+                    "amplify": cmd_amplify,
+                    "coupling": cmd_coupling,
+                }[args.command]
+                text = runner(cfg)
+                exit_code = EXIT_OK
         if cfg.out_path:
             with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)

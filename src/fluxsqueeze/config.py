@@ -79,9 +79,11 @@ FINITE_FIELDS = (
 # Most points a run's grid may hold, checked before any work: sweep.fs_steps
 # times the number of sweep.ratios (amplify keeps one row per flux point and
 # ratio), and run.t_steps.  At peak, measured with tracemalloc on CPython
-# 3.11, one amplify row costs about 1.2 kB and one trotter time about 2.8 kB
-# (the numpy grids, the row's cell strings and its CSV line), so a grid at
-# this size stays under about 0.75 GB.
+# 3.11 at 2^16 and 2^18 points, one amplify row costs about 1.16 kB (its
+# AmplificationRow, cell strings and CSV line, and its share of the float
+# grid list) and one trotter time about 2.8 kB (the numpy grids, the row's
+# cell strings and its CSV line), so a grid at this size stays under about
+# 0.75 GB.
 MAX_GRID_POINTS = 2**18
 
 # Most bytes the dense matrices of a run's first two truncation rungs, at

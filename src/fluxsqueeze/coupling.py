@@ -1,19 +1,19 @@
-"""Spin side of the hybrid system: the product-space Hamiltonian, the
-squeezing transformation that amplifies the coupling, and the gain sweep.
+"""Spin side of the hybrid system: the product-space Hamiltonian and the
+squeezing transformation that amplifies the coupling.
 
 The closed forms (constants, loop field, bare coupling, effective
-parameters) live in ``physics`` and are re-exported here; the unit
-convention is the one stated there.
+parameters) live in ``physics`` and the gain sweep in ``gain``; both are
+re-exported here.  The unit convention is the one stated in ``physics``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GeometryError, ParameterError, TruncationLeakError
+from .gain import AmplificationRow, amplification_sweep  # noqa: F401 (re-exported)
 from .operators import FockSpace, TAU_X, TAU_Z, annihilation, exp_normal
 from .physics import (  # noqa: F401 (re-exported)
     E_CHARGE, G_E, H_PLANCK, INTERACTION_FLUX, MU_0, MU_B, MU_B_GHZ_PER_T, PHI_0,
@@ -168,99 +168,3 @@ def project_coupling_coefficients(
     residual = float(np.abs(design @ coeffs - target).max())
     out["residual"] = residual
     return out
-
-
-@dataclass(frozen=True)
-class AmplificationRow:
-    """One point of the gain sweep; unstable points carry NaNs and a flag."""
-
-    ratio: float
-    f_s: float
-    eta1: float
-    eta2: float
-    gain: float
-    g_eff: float
-    status: str
-
-
-def amplification_sweep(
-    e_c: float,
-    ratios: tuple[float, ...],
-    t: float,
-    fs_grid: np.ndarray,
-    e_l: float = 58.6,
-    geometry: CouplingGeometry | None = None,
-    two_pi: bool = False,
-) -> list[AmplificationRow]:
-    """Gain table g_eff/g over flux for several E_L/E_J ratios.
-
-    E_L is held fixed (the loop hardware) and E_J = E_L / ratio, so the
-    bare coupling g is one number for the whole table.  eta2 = -eta1 * t
-    with the plain GHz*ns phase; ``two_pi`` switches in the alternative
-    angular convention eta2 = -2 pi eta1 t for sensitivity studies.
-    Unstable points become flagged gap rows instead of failures.
-    """
-    phase = 2.0 * math.pi if two_pi else 1.0
-    f_s_values = [float(f_s) for f_s in fs_grid]
-    fs = np.array(f_s_values)
-    rows: list[AmplificationRow] = []
-    for ratio in ratios:
-        if not ratio > 0:
-            raise ParameterError(f"E_L/E_J ratio must be positive, got {ratio}")
-        p0 = CircuitParams(e_c=e_c, e_j=e_l / ratio, e_l=e_l, f_s=INTERACTION_FLUX)
-        geom = geometry if geometry is not None else default_geometry(p0)
-        g = bare_coupling(p0, geom)
-        # the whole grid at once, with the operations of stability() and
-        # reduced_params() in their order, so every point has the scalar bits;
-        # the points these formulas cannot take are rejected or flagged below
-        with np.errstate(all="ignore"):
-            ejf = effective_josephson(p0.e_j, fs)
-            margin = p0.e_l + 0.5 * ejf
-            stiffness = 2.0 * p0.e_l + ejf
-            eta1 = 0.25 * (p0.e_c / (2.0 * stiffness)) * ejf
-            # + 0.0 normalizes the negative zero at the sweet spot
-            eta2 = -eta1 * t * phase + 0.0
-        # boundary points (margin exactly 0) have no quadratic reduction
-        # either, so they land in the gap branch with the unstable ones
-        usable = (margin >= 0.0) & (stiffness > 0)
-        for f_s, ok, eta1_i, eta2_i in zip(
-            f_s_values, usable.tolist(), eta1.tolist(), eta2.tolist()
-        ):
-            if not math.isfinite(f_s):
-                raise ParameterError(f"f_s must be finite, got {f_s}")
-            if not ok:
-                rows.append(
-                    AmplificationRow(
-                        ratio=ratio,
-                        f_s=f_s,
-                        eta1=math.nan,
-                        eta2=math.nan,
-                        gain=math.nan,
-                        g_eff=math.nan,
-                        status="unstable",
-                    )
-                )
-                continue
-            # math.exp per point: numpy's exp does not round as it does
-            try:
-                gain = math.exp(2.0 * eta2_i)
-            except OverflowError:
-                gain = math.inf
-            if not (math.isfinite(eta2_i) and math.isfinite(g * gain)):
-                raise ParameterError(
-                    f"coupling gain exp(2 eta2) overflows float at ratio={ratio}, "
-                    f"f_s={f_s} (eta2={eta2_i:.6g}); shorten the evolution "
-                    f"time run.t (t={t} ns)"
-                )
-            rows.append(
-                AmplificationRow(
-                    ratio=ratio,
-                    f_s=f_s,
-                    eta1=eta1_i,
-                    eta2=eta2_i,
-                    gain=gain,
-                    g_eff=g * gain,
-                    status="ok",
-                )
-            )
-    return rows

@@ -1,12 +1,14 @@
-"""The gain table's one array pass over the flux grid against its per-point loop.
+"""The gain table and its flux grid, without numpy, against numpy references.
 
 ``amplification_sweep`` evaluates E_J(f_s), the stability margin, the
-stiffness and eta1 for a whole grid at once.  ``loop_amplification_sweep``
-below is the per-point version it replaces, kept as the reference: one
-``CircuitParams`` per point, then ``stability`` and ``reduced_params``.
-Every row must match it exactly (floats compared by ``repr``, so a zero
-must also keep its sign); unstable rows carry NaNs and are compared by
-status.
+stiffness and eta1 point by point on Python floats.  Two references are
+kept: ``loop_amplification_sweep`` builds one ``CircuitParams`` per point,
+then calls ``stability`` and ``reduced_params``; ``array_amplification_sweep``
+is the numpy pass over the whole grid that the float loop replaced.  Every
+row must match them exactly (floats compared by ``repr``, so a zero must
+also keep its sign); unstable rows carry NaNs and are compared by status.
+The CLI's grids come from ``cli.linspace``, which must give the points of
+``numpy.linspace`` bit for bit.
 """
 
 import math
@@ -14,8 +16,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fluxsqueeze.circuit import CircuitParams, cos_pi, reduced_params, stability
+from fluxsqueeze.cli import linspace
+from fluxsqueeze.config import MAX_GRID_POINTS
 from fluxsqueeze.coupling import (
     INTERACTION_FLUX,
     AmplificationRow,
@@ -62,6 +68,45 @@ def loop_amplification_sweep(e_c, ratios, t, fs_grid, e_l=58.6, geometry=None, t
                     f"time run.t (t={t} ns)"
                 )
             rows.append(AmplificationRow(ratio, float(f_s), r.eta1, eta2, gain, g * gain, "ok"))
+    return rows
+
+
+def array_amplification_sweep(e_c, ratios, t, fs_grid, e_l=58.6, geometry=None, two_pi=False):
+    phase = 2.0 * math.pi if two_pi else 1.0
+    f_s_values = [float(f_s) for f_s in fs_grid]
+    fs = np.array(f_s_values)
+    rows = []
+    for ratio in ratios:
+        if not ratio > 0:
+            raise ParameterError(f"E_L/E_J ratio must be positive, got {ratio}")
+        p0 = CircuitParams(e_c=e_c, e_j=e_l / ratio, e_l=e_l, f_s=INTERACTION_FLUX)
+        geom = geometry if geometry is not None else default_geometry(p0)
+        g = bare_coupling(p0, geom)
+        with np.errstate(all="ignore"):
+            ejf = 2.0 * p0.e_j * cos_pi(fs)
+            margin = p0.e_l + 0.5 * ejf
+            stiffness = 2.0 * p0.e_l + ejf
+            eta1 = 0.25 * (p0.e_c / (2.0 * stiffness)) * ejf
+            eta2 = -eta1 * t * phase + 0.0
+        usable = (margin >= 0.0) & (stiffness > 0)
+        for f_s, ok, eta1_i, eta2_i in zip(f_s_values, usable.tolist(), eta1.tolist(), eta2.tolist()):
+            if not math.isfinite(f_s):
+                raise ParameterError(f"f_s must be finite, got {f_s}")
+            if not ok:
+                nan = math.nan
+                rows.append(AmplificationRow(ratio, f_s, nan, nan, nan, nan, "unstable"))
+                continue
+            try:
+                gain = math.exp(2.0 * eta2_i)
+            except OverflowError:
+                gain = math.inf
+            if not (math.isfinite(eta2_i) and math.isfinite(g * gain)):
+                raise ParameterError(
+                    f"coupling gain exp(2 eta2) overflows float at ratio={ratio}, "
+                    f"f_s={f_s} (eta2={eta2_i:.6g}); shorten the evolution "
+                    f"time run.t (t={t} ns)"
+                )
+            rows.append(AmplificationRow(ratio, f_s, eta1_i, eta2_i, gain, g * gain, "ok"))
     return rows
 
 
@@ -132,3 +177,55 @@ def test_gain_overflow_message_matches_the_loop():
     with pytest.raises(ParameterError, match="overflows") as got:
         amplification_sweep(E_C, DEFAULT_RATIOS, 1e4, DEFAULT_GRID, e_l=E_L)
     assert str(got.value) == str(ref.value)
+
+
+def _outcome(sweep, *args, **kwargs):
+    try:
+        return sweep(*args, **kwargs)
+    except ParameterError as exc:
+        return str(exc)
+
+
+def test_rows_match_the_array_pass_on_random_grids():
+    # both phase conventions, grids reaching the unstable side, and times
+    # long enough that some grids end in the gain overflow error
+    rng = np.random.default_rng(20261019)
+    overflows = 0
+    for _ in range(300):
+        grid = rng.uniform(-3.0, 3.0, rng.integers(1, 60))
+        grid[rng.random(grid.size) < 0.1] = 0.5
+        ratios = tuple(rng.uniform(0.3, 3.0, rng.integers(1, 4)).tolist())
+        t = float(rng.choice([rng.uniform(0.0, 2.0), rng.uniform(1e3, 1e4)]))
+        two_pi = bool(rng.integers(2))
+        got = _outcome(amplification_sweep, E_C, ratios, t, grid, e_l=E_L, two_pi=two_pi)
+        want = _outcome(array_amplification_sweep, E_C, ratios, t, grid, E_L, None, two_pi)
+        if isinstance(want, str):
+            overflows += 1
+            assert got == want
+        else:
+            assert_rows_identical(got, want)
+    assert 0 < overflows < 300
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=finite, hi=finite, n=st.integers(2, MAX_GRID_POINTS))
+@example(lo=0.5, hi=1.0, n=101)
+@example(lo=0.0, hi=15.0, n=151)
+@example(lo=1.0, hi=0.5, n=101)
+@example(lo=0.7, hi=0.7, n=5)
+@example(lo=0.0, hi=-0.0, n=3)
+@example(lo=-0.0, hi=0.0, n=3)
+@example(lo=-0.0, hi=-0.0, n=2)
+@example(lo=5e-324, hi=1e-323, n=7)
+@example(lo=-1.7e308, hi=1.7e308, n=4)
+@example(lo=-1.0, hi=2.0, n=MAX_GRID_POINTS)
+def test_cli_grid_is_numpy_linspace(lo, hi, n):
+    with np.errstate(all="ignore"):
+        want = np.linspace(lo, hi, n)
+    # bit patterns, stricter than reprs and faster on 2^18 points: a zero
+    # must keep its sign
+    got = np.array(linspace(lo, hi, n))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

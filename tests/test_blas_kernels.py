@@ -10,12 +10,13 @@ keep their native digests.  Each command runs in a fresh process, because
 OpenBLAS reads the variable when it loads; the test is skipped where the
 kernel cannot be named or is not the one requested.
 
-Unlike the native kernel, SandyBridge rounds ``spectrum`` and ``selftest``
-differently at one and at two OpenBLAS threads; the digests were recorded
-at two, which each process is given.  The spectrum sweep runs under one
-OpenBLAS thread, and the flux-free terms that every command shares are
-always built under one, so a command writes the same bytes in a fresh
-process and after another command in the same one.
+Unlike the native kernel, SandyBridge rounds some products differently
+at one and at two OpenBLAS threads.  The CLI runs ``spectrum``,
+``trotter`` and ``selftest`` under one OpenBLAS thread whatever
+``OPENBLAS_NUM_THREADS`` says, so each kernel's digests are checked with
+the variable at 1 and at 2.  The flux-free terms that every command
+shares are built under one thread as well, so a command writes the same
+bytes in a fresh process and after another command in the same one.
 """
 
 import importlib.util
@@ -64,12 +65,12 @@ print(json.dumps({"core": _parallel.core_name(), "digests": digests}))
 """
 
 
-def _digests(tmp_path, kernel, commands):
+def _digests(tmp_path, kernel, threads, commands):
     env = {
         **os.environ,
         "PYTHONPATH": str(ROOT / "src"),
         "OPENBLAS_CORETYPE": kernel,
-        "OPENBLAS_NUM_THREADS": "2",
+        "OPENBLAS_NUM_THREADS": threads,
     }
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(tmp_path / "artifact.out"), *commands],
@@ -85,17 +86,22 @@ def _digests(tmp_path, kernel, commands):
     return record["digests"]
 
 
+THREADS = ["1", "2"]
+
+
 @pytest.mark.parametrize("command", list(NATIVE))
+@pytest.mark.parametrize("threads", THREADS)
 @pytest.mark.parametrize("kernel", list(KERNEL_DIGESTS))
-def test_kernel_digest(tmp_path, kernel, command):
-    [digest] = _digests(tmp_path, kernel, [command])
+def test_kernel_digest(tmp_path, kernel, threads, command):
+    [digest] = _digests(tmp_path, kernel, threads, [command])
     assert digest == KERNEL_DIGESTS[kernel].get(command, NATIVE[command])
 
 
+@pytest.mark.parametrize("threads", THREADS)
 @pytest.mark.parametrize("kernel", list(KERNEL_DIGESTS))
-def test_selftest_after_spectrum_writes_fresh_process_bytes(tmp_path, kernel):
+def test_selftest_after_spectrum_writes_fresh_process_bytes(tmp_path, kernel, threads):
     # the sweep fills the shared term cache that selftest then reads
-    assert _digests(tmp_path, kernel, ["spectrum", "selftest"]) == [
+    assert _digests(tmp_path, kernel, threads, ["spectrum", "selftest"]) == [
         KERNEL_DIGESTS[kernel]["spectrum"],
         KERNEL_DIGESTS[kernel]["selftest"],
     ]

@@ -289,6 +289,51 @@ def test_matrix_budget_admits_the_documented_dims():
         RunConfig(dim=largest + 1)
 
 
+def _never_converging_builder(asked):
+    """A builder that records each rung's dim and returns a 4x4 diagonal
+    whose third level moves with every rung: nothing of the requested size
+    is allocated, and no doubling test passes."""
+    import numpy as np
+
+    def builder(p, space):
+        asked.append(space.dim)
+        return np.diag([0.0, 1.0, 2.0 + len(asked) / 10, 3.0])
+
+    return builder
+
+
+def test_doubling_ladder_stops_before_the_matrix_budget():
+    # estimates only: the ladder from dim 60 may build dim 1920 but not 3840
+    assert matrix_bytes(960) <= MAX_MATRIX_BYTES < matrix_bytes(1920)
+    from fluxsqueeze.circuit import CircuitParams, converged_spectrum
+    from fluxsqueeze.errors import ConvergenceError
+
+    asked = []
+    with pytest.raises(ConvergenceError) as exc:
+        converged_spectrum(
+            CircuitParams(0.12, 58.0, 58.6, 0.9), 60, _never_converging_builder(asked), tol=1e-30
+        )
+    assert asked == [60, 120, 240, 480, 960, 1920]
+    message = str(exc.value)
+    assert "numerics.convergence_tol = 1.0e-30" in message
+    assert "dim=1920" in message and "dim=3840" in message
+
+
+def test_unreachable_convergence_tol_exits_4(capsys, monkeypatch, tmp_path):
+    from fluxsqueeze import circuit
+
+    asked = []
+    monkeypatch.setattr(circuit, "full_hamiltonian", _never_converging_builder(asked))
+    out = tmp_path / "levels.csv"
+    argv = ["spectrum", "--fs-steps", "2", "--set", "numerics.convergence_tol=1e-30"]
+    assert main([*argv, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("convergence error: numerics.convergence_tol = 1.0e-30")
+    assert "dim=1920" in err and err.count("\n") == 1
+    assert max(asked) == 1920
+    assert not out.exists()
+
+
 def test_amplify_gain_overflow_names_run_t(capsys, tmp_path):
     out = tmp_path / "gain.csv"
     assert main(["amplify", "--t", "10000", "--out", str(out)]) == 2

@@ -3,8 +3,8 @@
 ``import fluxsqueeze`` and ``import fluxsqueeze.cli`` load no numpy: the
 package resolves its exports on first access, and the CLI imports numpy
 and the array modules inside the commands that compute arrays.  So
-``coupling``, ``--help``, ``--version`` and every configuration error run
-without it.  Each case runs in a fresh interpreter, where an import made
+``amplify``, ``coupling``, ``--help``, ``--version`` and every
+configuration error run without it.  Each case runs in a fresh interpreter, where an import made
 by an earlier test cannot hide one.
 """
 
@@ -103,12 +103,18 @@ def _cli(argv: list, code: int) -> str:
         "import fluxsqueeze",
         "import fluxsqueeze.cli",
         "from fluxsqueeze import CircuitParams, bare_coupling, errors",
+        "from fluxsqueeze import AmplificationRow, amplification_sweep",
+        _cli(["amplify", "--out", "OUT"], 0),
+        _cli(["amplify", "--two-pi", "--out", "OUT"], 0),
         _cli(["coupling", "--out", "OUT"], 0),
         _cli(["--version"], 0),
         _cli(["--help"], 0),
         _cli(["spectrum", "--fs-steps", "1"], 2),
     ],
-    ids=["package", "cli", "scalar-exports", "coupling", "version", "help", "config-error"],
+    ids=[
+        "package", "cli", "scalar-exports", "gain-exports", "amplify", "amplify-two-pi",
+        "coupling", "version", "help", "config-error",
+    ],
 )
 def test_starts_without_numpy(tmp_path, statement):
     statement = statement.replace("OUT", str(tmp_path / "report.json"))
@@ -116,7 +122,7 @@ def test_starts_without_numpy(tmp_path, statement):
 
 
 @pytest.mark.parametrize(
-    "command", [["spectrum", "--fs-steps", "2"], ["trotter"], ["amplify"], ["selftest"]]
+    "command", [["spectrum", "--fs-steps", "2"], ["trotter"], ["selftest"]]
 )
 def test_array_commands_load_numpy(tmp_path, command):
     statement = _cli([*command, "--out", str(tmp_path / "artifact")], 0)
@@ -162,8 +168,10 @@ def test_unknown_export_raises_attribute_error():
 
 
 def test_circuit_and_coupling_re_export_the_closed_forms():
-    from fluxsqueeze import circuit, coupling, physics
+    from fluxsqueeze import circuit, coupling, gain, physics
 
+    for name in ["AmplificationRow", "amplification_sweep"]:
+        assert getattr(coupling, name) is getattr(gain, name), name
     for module, names in [
         (circuit, ["cos_pi", "effective_josephson", "CircuitParams", "StabilityResult",
                    "stability", "_require_stable", "ReducedParams", "reduced_params"]),

@@ -8,6 +8,10 @@ lowest failing grid index, and a machine where OpenBLAS cannot be
 pinned runs the same loop on one thread with the same bytes.  Importing
 the package before numpy shortens OpenBLAS's idle spin, so its worker does
 not hold a CPU once a call returns.
+
+``cli.main`` runs every command whose arrays go through OpenBLAS
+(``spectrum``, ``trotter``, ``selftest``) under one OpenBLAS thread and
+restores the count afterwards, whatever the exit code.
 """
 
 import hashlib
@@ -22,10 +26,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fluxsqueeze import _parallel, circuit, cli
+from fluxsqueeze import _parallel, circuit, cli, gates
+from fluxsqueeze import selftest as selftest_module
 from fluxsqueeze.circuit import CircuitParams, converged_spectrum
 from fluxsqueeze.config import RunConfig
-from fluxsqueeze.errors import ConvergenceError, StabilityError
+from fluxsqueeze.errors import ConvergenceError, ParameterError, StabilityError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 SPECTRUM_DIGEST = "2da70ae751fe6c3e"
@@ -228,3 +233,39 @@ def test_user_blas_idle_timeout_is_kept():
 def test_numpy_imported_first_leaves_the_environment():
     # OpenBLAS has read its environment by then, so the package sets nothing
     assert _idle_run("import numpy, fluxsqueeze")["timeout"] is None
+
+
+# each array command, and a function it calls inside main's pin: the
+# spectrum sweep's own pin is inside map_points, so spectrum is seen
+# before it
+ARRAY_COMMANDS = {
+    "spectrum": (["spectrum", "--fs-steps", "3"], _parallel, "map_points"),
+    "trotter": (["trotter", "--set", "run.t_steps=3"], gates, "trotter_squeeze"),
+    "selftest": (["selftest"], selftest_module, "run_selftest"),
+}
+
+
+@pytest.mark.parametrize("command", list(ARRAY_COMMANDS))
+@pytest.mark.parametrize(
+    "error, code",
+    [(None, cli.EXIT_OK), (ParameterError, cli.EXIT_CONFIG),
+     (StabilityError, cli.EXIT_STABILITY), (ConvergenceError, cli.EXIT_CONVERGENCE)],
+    ids=["exit0", "exit2", "exit3", "exit4"],
+)
+def test_array_commands_run_on_one_blas_thread(
+    monkeypatch, tmp_path, two_blas_threads, command, error, code
+):
+    argv, module, name = ARRAY_COMMANDS[command]
+    original = getattr(module, name)
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(_blas_threads())
+        if error is not None:
+            raise error("injected")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    assert cli.main([*argv, "--out", str(tmp_path / "artifact")]) == code
+    assert seen == [1]
+    assert _blas_threads() == two_blas_threads
