@@ -31,10 +31,10 @@ _EXPORTS = {
     ),
     "gates": (
         "GateSchedule", "SqueezeResult", "analytic_us", "gate_distance", "gate_u0", "gate_u1",
-        "make_schedule", "squeeze_operator", "squeeze_target", "trotter_squeeze",
+        "make_schedule", "squeeze_operator", "trotter_squeeze",
     ),
     "operators": (
-        "FockSpace", "SU11Generators", "annihilation", "evolve", "exp_normal", "hermitian_eig",
+        "FockSpace", "SU11Generators", "annihilation", "exp_normal", "hermitian_eig",
         "make_fock_space", "phase_charge_operators", "su11_generators", "su11_generators_2x2",
     ),
 }

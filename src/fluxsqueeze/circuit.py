@@ -78,7 +78,8 @@ def _cached_terms(mass: float, omega0: float, dim: int) -> FluxFreeTerms:
     cache holds one set of bits whichever command fills it first (some
     kernels, SandyBridge among them, round differently at two threads).
     """
-    with _one_blas_thread():
+    # an extreme E_c or E_L overflows a product: rejected below, not warned
+    with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         phi, n = phase_charge_operators(make_fock_space(dim), mass, omega0)
         pp = phi @ phi
         terms = FluxFreeTerms(
@@ -87,6 +88,9 @@ def _cached_terms(mass: float, omega0: float, dim: int) -> FluxFreeTerms:
             cos_phi=hermitian_matrix_function(phi, np.cos),
             phi4=pp @ pp,
         )
+    for name, mat in zip(FluxFreeTerms._fields, terms):
+        if not np.isfinite(mat).all():
+            raise ParameterError(f"circuit.e_c and circuit.e_l give a non-finite {name} at dim={dim}")
     # formed in complex arithmetic; kept as their real parts only when exact
     for name, mat in zip(FluxFreeTerms._fields, terms):
         if mat.imag.any():
@@ -148,10 +152,6 @@ class Spectrum:
     e01: float
     e12: float
 
-    @property
-    def energies(self) -> np.ndarray:
-        return np.array([e for _, e in self.levels])
-
 
 def _lowest_levels(w: np.ndarray, k: int) -> Spectrum:
     if k < 3:
@@ -162,11 +162,15 @@ def _lowest_levels(w: np.ndarray, k: int) -> Spectrum:
     return Spectrum(levels=levels, e01=float(w[1] - w[0]), e12=float(w[2] - w[1]))
 
 
+def solve(H) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a circuit Hamiltonian, solved on a complex copy: the
+    printed levels were fixed that way, and a real solve rounds differently."""
+    return hermitian_eig(np.asarray(H, dtype=complex))
+
+
 def spectrum(H: np.ndarray, k: int = 3) -> Spectrum:
-    """Lowest ``k`` eigenvalues with the first two gaps extracted, solved
-    in complex arithmetic."""
-    w, _ = hermitian_eig(np.asarray(H, dtype=complex))
-    return _lowest_levels(w, k)
+    """Lowest ``k`` eigenvalues with the first two gaps extracted."""
+    return _lowest_levels(solve(H)[0], k)
 
 
 def anharmonicity(s: Spectrum) -> float:
@@ -177,11 +181,6 @@ def anharmonicity(s: Spectrum) -> float:
 
 
 Builder = Callable[[CircuitParams, FockSpace], np.ndarray]
-
-
-def _lowest(builder: Builder, p: CircuitParams, dim: int, k: int) -> np.ndarray:
-    w, _ = hermitian_eig(np.asarray(builder(p, make_fock_space(dim)), dtype=complex))
-    return w[:k]
 
 
 def _sector_eigenvalues(H: np.ndarray) -> np.ndarray:
@@ -203,25 +202,6 @@ def _sector_eigenvalues(H: np.ndarray) -> np.ndarray:
     w = np.concatenate([hermitian_eig(H[s::2, s::2])[0] for s in (0, 1)])
     w.sort()
     return w
-
-
-def check_convergence(
-    p: CircuitParams,
-    dim: int,
-    builder: Builder = full_hamiltonian,
-    k: int = 3,
-    lower: np.ndarray | None = None,
-) -> float:
-    """Doubling test: how far the lowest ``k`` levels move from dim to 2*dim.
-
-    Both dimensions are solved in complex arithmetic, so the movement
-    reported here is the raw one; the caller compares it with its
-    tolerance.  A caller that has already solved the dim rung that way
-    passes its ascending eigenvalues as ``lower``, and only 2*dim is solved.
-    """
-    k_eff = min(k, dim)
-    w_lower = _lowest(builder, p, dim, k_eff) if lower is None else lower[:k_eff]
-    return float(np.abs(w_lower - _lowest(builder, p, 2 * dim, k_eff)).max())
 
 
 def converged_spectrum(
@@ -252,7 +232,7 @@ def converged_spectrum(
     """
     current = dim
     lower = builder(p, make_fock_space(current))
-    w_lower, _ = hermitian_eig(lower.astype(complex))
+    w_lower, _ = solve(lower)
     for _ in range(max_doublings):
         if matrix_bytes(current) > MAX_MATRIX_BYTES:
             raise ConvergenceError(
@@ -265,7 +245,7 @@ def converged_spectrum(
         k_eff = min(k, current)
         if np.abs(w_lower[:k_eff] - w_upper[:k_eff]).max() < tol:
             if current != dim:
-                w_lower, _ = hermitian_eig(lower.astype(complex))
+                w_lower, _ = solve(lower)
             return _lowest_levels(w_lower, k), current
         current *= 2
         lower, w_lower = upper, w_upper

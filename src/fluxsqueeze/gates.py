@@ -288,11 +288,6 @@ class SqueezeResult:
     schedule: GateSchedule
 
 
-def squeeze_target(eta2: float, rep: str = "2x2", space: FockSpace | None = None) -> np.ndarray:
-    """Directly exponentiated exp[eta2 (a^2 - a^dag^2)] (= exp(-2i eta2 G2))."""
-    return representation(rep, space).target(eta2)
-
-
 def squeeze_operator(
     p: CircuitParams,
     t: float,

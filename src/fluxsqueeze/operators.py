@@ -8,7 +8,7 @@ algebra identities hold exactly only on an interior subspace; the
 truncation edge (top one or two levels) is excluded wherever an identity
 is asserted.
 
-Units: energies in GHz, times in ns. The phase accumulated by ``evolve``
+Units: energies in GHz, times in ns. The phase accumulated by ``propagator``
 is the plain product energy*time with no additional 2*pi factor.
 """
 
@@ -187,15 +187,6 @@ def hermitian_matrix_function(op, fn) -> np.ndarray:
     return (v * fn(w)) @ v.conj().T
 
 
-def evolve(H, t: float) -> np.ndarray:
-    """Unitary propagator U = exp(-i H t) of a Hermitian generator.
-
-    Works for any dimension including the 2x2 representation; goes
-    through the eigendecomposition, never a series expansion.
-    """
-    return propagator(*hermitian_eig(H), t)
-
-
 def propagator(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) from the eigenpairs (w, v) of a Hermitian H, checked unitary."""
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
@@ -233,8 +224,10 @@ def exp_2x2(K: np.ndarray) -> np.ndarray:
         raise ParameterError("exp_2x2 needs finite matrix entries")
     half_tr = 0.5 * (K[..., 0, 0] + K[..., 1, 1])
     B = K - half_tr[..., None, None] * np.eye(2)
-    mu = np.sqrt(-(B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0]))
-    over = np.ravel(np.abs(mu.real) > HYPERBOLIC_CAP)
+    # a huge time overflows mu to inf, which the cap below rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = np.sqrt(-(B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0]))
+    over = np.ravel(~(np.abs(mu.real) <= HYPERBOLIC_CAP))
     if over.any():
         first = np.ravel(mu.real)[over.argmax()]
         raise WrongRegimeError(
@@ -251,25 +244,23 @@ def exp_2x2(K: np.ndarray) -> np.ndarray:
 
 
 def exp_normal(K) -> np.ndarray:
-    """exp(K) for an anti-Hermitian matrix (or any 2x2 matrix, via the closed form).
+    """exp(K) for an anti-Hermitian matrix.
 
     Every squeezing gate is the exponential of ``i`` times a Hermitian
-    generator, so a larger input must satisfy K^dag = -K within
+    generator, so the input must satisfy K^dag = -K within
     ``EIG_INPUT_RTOL`` of its largest element; it then goes through the
     eigendecomposition of the Hermitian matrix -iK.  Any other matrix,
     normal or not, and any matrix with a NaN or infinite entry, is
     rejected with ``ParameterError``.
     """
     mat = np.asarray(K, dtype=complex)
-    if mat.shape == (2, 2):
-        return exp_2x2(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ParameterError(f"expected a square matrix, got shape {mat.shape}")
     scale = _finite_scale(mat, "exp_normal")
     anti_res = float(np.abs(mat + mat.conj().T).max())
     if not anti_res <= EIG_INPUT_RTOL * scale:
         raise ParameterError(
-            f"exp_normal needs an anti-Hermitian matrix beyond 2x2: "
+            "exp_normal needs an anti-Hermitian matrix: "
             f"max|K + K^dag| = {anti_res:.3e} (scale {scale:.3e})"
         )
     # K = i H with H Hermitian

@@ -212,9 +212,11 @@ def inductive_energy_from_inductance(inductance_h: float) -> float:
 
 def inductance_from_inductive_energy(e_l_ghz: float) -> float:
     """Inverse of the E_L(L) relation, returned in henries."""
-    if not e_l_ghz > 0:
-        raise ParameterError(f"E_L must be positive, got {e_l_ghz}")
-    return PHI_0**2 / (8.0 * math.pi**2 * e_l_ghz * 1e9 * H_PLANCK)
+    den = 8.0 * math.pi**2 * e_l_ghz * 1e9 * H_PLANCK
+    inductance = PHI_0**2 / den if den > 0 else math.inf
+    if not 0 < inductance < math.inf:
+        raise ParameterError(f"circuit.e_l = {e_l_ghz} GHz gives no finite positive inductance")
+    return inductance
 
 
 def inductance_mismatch(e_l_ghz: float, inductance_h: float) -> float:

@@ -12,7 +12,6 @@ from fluxsqueeze.circuit import (
     CircuitParams,
     Spectrum,
     anharmonicity,
-    check_convergence,
     circuit_operators,
     converged_spectrum,
     cos_pi,
@@ -32,6 +31,7 @@ from fluxsqueeze.errors import (
     StabilityError,
 )
 from fluxsqueeze.config import RunConfig
+from fluxsqueeze.selftest import run_selftest
 from fluxsqueeze.operators import (
     hermitian_eig,
     hermitian_matrix_function,
@@ -247,22 +247,23 @@ def test_mean_field_matches_quartic_gap_within_five_percent():
         assert abs(e01 - reduced_params(p).omega1) / e01 < 0.05
 
 
-def test_check_convergence_default_dim():
-    move = check_convergence(params(0.9), 60)
-    assert move < 1e-6
-
-
-@pytest.mark.parametrize("dim", [4, 60])
-def test_check_convergence_takes_a_solved_lower_rung(dim):
-    p = params(0.9)
-    h = full_hamiltonian(p, make_fock_space(dim)).astype(complex)
-    w, _ = hermitian_eig(h)
-    assert check_convergence(p, dim, lower=w) == check_convergence(p, dim)
-
-
-def test_check_convergence_reports_tiny_basis_movement():
-    # the movement is returned, not raised: the caller judges it
-    assert check_convergence(params(0.9), 4) >= CONVERGENCE_TOL
+@pytest.mark.parametrize("dim", [60, 4])
+def test_selftest_truncation_convergence_is_the_complex_doubling_movement(dim):
+    # the check reports max|w_dim[:3] - w_2dim[:3]| of two complex solves,
+    # bit for bit; the movement of a tiny basis is reported, not raised
+    checks, passed = run_selftest(RunConfig(dim=dim))
+    check = {c.name: c for c in checks}["truncation_convergence"]
+    lower, upper = (
+        hermitian_eig(full_hamiltonian(params(0.9), make_fock_space(d)).astype(complex))[0]
+        for d in (dim, 2 * dim)
+    )
+    assert check.value == float(np.abs(lower[:3] - upper[:3]).max())
+    assert check.threshold == CONVERGENCE_TOL
+    if dim == 60:
+        assert check.passed and check.value < 1e-6
+    else:
+        assert not check.passed and check.value >= CONVERGENCE_TOL
+        assert not passed
 
 
 def test_converged_spectrum_accepts_default():

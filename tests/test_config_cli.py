@@ -610,3 +610,33 @@ def test_failing_convergence_check_prints_the_value_it_judged(tmp_path):
     assert loose["passed"] and loose["value"] < 1e-12
     assert not tight["passed"] and tight["threshold"] == 1e-13
     assert tight["value"] == loose["value"]
+
+
+# extreme values that once ended in a ZeroDivisionError, named the wrong
+# key, or printed numpy RuntimeWarnings before the classified error line
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["coupling", "--set", "circuit.e_l=1e-320"], 2, "configuration error: circuit.e_l"),
+        (["amplify", "--set", "circuit.e_l=1e-320"], 2, "configuration error: circuit.e_l"),
+        (["selftest", "--set", "circuit.e_l=1e-320"], 2, "configuration error: circuit.e_l"),
+        (["selftest", "--set", "circuit.e_l=1e300"], 2, "configuration error: circuit.e_l"),
+        (["spectrum", "--set", "circuit.e_l=1e-320"], 2, "configuration error: circuit.e_c and circuit.e_l"),
+        (["trotter", "--t", "1e300"], 3, "stability error: hyperbolic argument |inf|"),
+        (["trotter", "--t", "1e200"], 3, "stability error: hyperbolic argument |inf|"),
+    ],
+    ids=["coupling", "amplify", "selftest-tiny", "selftest-huge", "spectrum", "trotter-1e300",
+         "trotter-1e200"],
+)
+def test_extreme_input_is_one_classified_line(tmp_path, argv, code, message):
+    out = tmp_path / "artifact"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fluxsqueeze.cli", *argv, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == code
+    assert proc.stderr.startswith(message), proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()

@@ -16,8 +16,8 @@ from fluxsqueeze.gates import (
     gate_u0,
     gate_u1,
     make_schedule,
+    representation,
     squeeze_operator,
-    squeeze_target,
     trotter_squeeze,
 )
 from fluxsqueeze.operators import make_fock_space, su11_generators_2x2
@@ -136,7 +136,7 @@ def test_fock_gates_are_exactly_zero_between_parity_sectors(dim):
     for mat in (
         gate_u1(P09, 1.0, "fock", space),
         analytic_us(P09, 1.0, "fock", space),
-        squeeze_target(0.3, "fock", space),
+        representation("fock", space).target(0.3),
         trotter_squeeze(P09, 1.0, 100, "fock", space),
     ):
         assert np.all(_between_sectors(mat) == 0.0)
@@ -171,14 +171,14 @@ def test_analytic_us_fock_matches_generator_exponential(dim, t):
 
 @pytest.mark.parametrize("eta2", [0.3, -0.3])
 @pytest.mark.parametrize("dim", [2, 3, 8, 60, 121])
-def test_squeeze_target_fock_matches_generator_exponential(dim, eta2):
+def test_fock_target_matches_generator_exponential(dim, eta2):
     from fluxsqueeze.operators import annihilation, exp_normal
 
     space = make_fock_space(dim)
     a = annihilation(space)
     ad = a.conj().T
     want = exp_normal(eta2 * (a @ a - ad @ ad))
-    assert np.abs(squeeze_target(eta2, "fock", space) - want).max() < 1e-12
+    assert np.abs(representation("fock", space).target(eta2) - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("backend, solves", [("analytic", 0), ("trotter", 1)])
@@ -325,8 +325,8 @@ def test_squeeze_requires_negative_eta1():
         squeeze_operator(P05, 1.0, rep="2x2")
 
 
-def test_squeeze_target_fock_matches_2x2_structure():
-    target = squeeze_target(0.3, "2x2")
+def test_compact_target_matches_2x2_structure():
+    target = representation("2x2").target(0.3)
     assert target[0, 0] == pytest.approx(math.cosh(0.6), rel=1e-14)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from fluxsqueeze.operators import (
     TAU_Z,
     annihilation,
     commutator,
-    evolve,
     exp_2x2,
     exp_generator,
     exp_normal,
@@ -26,6 +26,7 @@ from fluxsqueeze.operators import (
     interior,
     make_fock_space,
     phase_charge_operators,
+    propagator,
     su11_generators,
     su11_generators_2x2,
     truncation_leak,
@@ -216,20 +217,20 @@ def test_split_reconstruction_residual_matches_complex_product(dim):
     assert split == pytest.approx(direct, abs=1e-14 * np.abs(h).max())
 
 
-def test_evolve_zero_hamiltonian():
-    u = evolve(np.zeros((5, 5), dtype=complex), 3.7)
+def test_propagator_zero_hamiltonian():
+    u = propagator(*hermitian_eig(np.zeros((5, 5), dtype=complex)), 3.7)
     assert np.abs(u - np.eye(5)).max() < 1e-15
 
 
-def test_evolve_number_operator_period():
+def test_propagator_number_operator_period():
     space = make_fock_space(40)
     h = OMEGA0 * np.diag(np.arange(40, dtype=float))
-    u = evolve(h, 2.0 * math.pi / OMEGA0)
+    u = propagator(*hermitian_eig(h), 2.0 * math.pi / OMEGA0)
     assert np.abs(u - np.eye(40)).max() < 1e-12
 
 
-def test_evolve_pauli_z_quarter_period():
-    u = evolve(TAU_Z, math.pi / 2.0)
+def test_propagator_pauli_z_quarter_period():
+    u = propagator(*hermitian_eig(TAU_Z), math.pi / 2.0)
     expected = np.diag([np.exp(-1j * math.pi / 2), np.exp(1j * math.pi / 2)])
     assert np.abs(u - expected).max() < 1e-14
 
@@ -333,6 +334,16 @@ def test_exp_2x2_hyperbolic_cap_is_a_regime_limit():
         exp_2x2(-1j * 11.0 * g.gamma1)
 
 
+def test_exp_2x2_overflowing_argument_is_a_regime_limit():
+    # both determinant products overflow to inf, so mu is inf - inf = nan,
+    # which the cap must reject rather than return a NaN matrix
+    g = su11_generators_2x2()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WrongRegimeError, match=r"\|nan\|"):
+            exp_2x2(-1j * 1e200 * (g.gamma3 - g.gamma1))
+
+
 def test_truncation_leak_identity_is_zero():
     space = make_fock_space(50)
     assert truncation_leak(np.eye(50), space) == 0.0
@@ -387,7 +398,7 @@ def test_exp_normal_rejects_non_finite_input(monkeypatch, bad):
     k[3, 5] = bad
     with pytest.raises(ParameterError, match="exp_normal needs finite"):
         exp_normal(k)
-    with pytest.raises(ParameterError, match="exp_2x2 needs finite"):
+    with pytest.raises(ParameterError, match="exp_normal needs finite"):
         exp_normal(np.array([[0.0, bad], [0.0, 0.0]]))
 
 
