@@ -2,46 +2,19 @@
 
 numpy offers no call that sets its BLAS thread count, so ``_openblas``
 finds the OpenBLAS that numpy has loaded, by its path in
-``/proc/self/maps``, and binds its own ``openblas_get_num_threads``,
-``openblas_set_num_threads`` and ``openblas_get_corename`` through
-``ctypes``.  The ``scipy_openblas64`` build that numpy wheels bundle
-names them ``scipy_openblas_set_num_threads64_`` and so on.  Where no
-such library or symbol is found (another platform, another BLAS),
-nothing is pinnable and ``map_points`` runs on the calling thread alone.
+``/proc/self/maps``, and binds its thread-count and core-name calls
+through ``ctypes``.  Where no such library or symbol is found (another
+platform, another BLAS), nothing is pinnable and ``map_points`` runs on
+the calling thread alone.  A pinned run writes the bytes of a run under
+``OPENBLAS_NUM_THREADS=1``.
 
-Under concurrent calls the OpenBLAS pool of the numpy wheels serializes
-and spins, so threads that each call it at default threads are slower
-than one thread alone; pinned to one BLAS thread each, they scale.  A
-pinned run writes the bytes of a run under ``OPENBLAS_NUM_THREADS=1``;
-the reference digests hold under both.
-
-Idle policy.  An OpenBLAS worker with no work busy-waits for
-``2^OPENBLAS_THREAD_TIMEOUT`` TSC cycles before it sleeps, and OpenBLAS
-reads that exponent once, when it loads.  Its default of 28 is about
-80 ms at a 3.3 GHz TSC (2-vCPU AMD EPYC, numpy 2.4.6, OpenBLAS 0.3.31):
-the one worker that numpy starts at load spins through the whole life of
-a light CLI command, and through the first ~55 ms of the threaded sweep,
-where it takes a CPU from a helper thread.
-So, when this module is imported before numpy (``fluxsqueeze`` imports it
-first), it sets the exponent to 20 unless the user has set one: the
-worker then spins about 0.3 ms.  Thread counts and bytes are unchanged.
-
-A worker that has fallen asleep is slow to wake: a 60x60 complex product
-at two OpenBLAS threads, 5 ms after the last one, took a median 7-8 ms
-against 0.09 ms at one thread, the wait for one or two 4 ms scheduler
-ticks (same host).  The CLI's ``spectrum``, ``trotter`` and ``selftest``,
-whose products are small and far apart, therefore run entirely under
-``_one_blas_thread`` (``cli.main``); a fresh ``selftest`` takes about
-220 ms so, against about 650 ms at two threads.  The pinned digests of
-every kernel measured hold.  The library keeps the process's thread
-count: the Fock-space path, whose products come back to back, ran about
-5% faster at two threads.
-Two alternatives were measured and rejected:
-
-* stopping the pool after import gains nothing, because the sweep's
-  ``openblas_set_num_threads(1)`` restarts the worker, which spins again;
-* an exponent of 16 lets the worker fall asleep between the back-to-back
-  products of the Fock-space path, and waking it costs about 3% there.
+Imported before numpy (``fluxsqueeze`` imports it first), this module
+sets ``OPENBLAS_THREAD_TIMEOUT`` to 20 unless the user has set it, so
+that an idle OpenBLAS worker spins about 0.3 ms, not about 80 ms, before
+it sleeps.  Thread counts and bytes are unchanged.  The CLI runs the
+commands whose small products come far apart under ``_one_blas_thread``,
+as a sleeping worker is slow to wake; the library keeps the process's
+thread count.
 """
 
 from __future__ import annotations

@@ -1,16 +1,10 @@
 """Command-line driver: reproducible sweeps serialized as CSV/JSON.
 
-Subcommands
------------
-spectrum   three lowest circuit levels and anharmonicities over a flux sweep
-trotter    2x2 matrix elements of the interleaved product vs the direct propagator
-amplify    coupling-gain table over flux for several E_L/E_J ratios
-coupling   JSON report of the bare spin-loop coupling with unit cross-checks
-selftest   invariant battery; nonzero exit on any violation
-
-Exit codes: 0 success, 1 unexpected error, 2 configuration/parameter,
-3 stability, 4 convergence/truncation/degenerate spectrum, 5 invariant
-failure.  Options must be spelled in full; prefixes are not accepted.
+One subcommand per entry of ``COMMANDS``; each option is a row of
+``config.KNOWN_KEYS`` and parses as that key does in a config file.
+Each error class carries its exit code and stderr label (``errors``);
+a failing invariant battery exits 5.  Options must be spelled in full;
+prefixes are not accepted.
 
 Output is deterministic: fixed row order, floats at 12 significant
 digits in scientific notation, and a leading comment line naming units
@@ -28,31 +22,32 @@ import sys
 
 from . import __version__
 from ._parallel import _one_blas_thread
-from .config import RunConfig, build_config, load_config, parse_config_text
-from .errors import (
-    ConvergenceError,
-    DegenerateSpectrumError,
-    ParameterError,
-    SimulationError,
-    StabilityError,
-    TruncationLeakError,
-)
+from .config import KNOWN_KEYS, RunConfig, build_config, load_config, parse_bool, parse_value
+from .errors import ConvergenceError, ParameterError, SimulationError, StabilityError
 from .physics import (
-    MU_0, CircuitParams, CouplingGeometry, bare_coupling, bare_coupling_si, biot_savart_b0,
-    default_geometry, inductance_mismatch, inductive_energy_from_inductance, reduced_params,
-    stability,
+    MU_0, bare_coupling, bare_coupling_si, biot_savart_b0, inductance_mismatch,
+    inductive_energy_from_inductance, reduced_params, stability,
 )
 
-# numpy and the modules that compute arrays are imported by the commands
-# that need them: `amplify`, `coupling`, --help, --version and
-# configuration errors then run without loading numpy, which would be most
-# of their run time.
+# the commands that compute arrays import numpy and those modules
+# themselves: the others, --help, --version and configuration errors then
+# run without loading numpy, which would be most of their run time
+
+# name -> (help, whether it runs OpenBLAS on one thread: at two, a small
+# product can wait a scheduler tick for the sleeping worker; see ``_parallel``)
+COMMANDS = {
+    "spectrum": ("lowest levels and anharmonicity over a flux sweep (CSV)", True),
+    "trotter": ("interleaved-product fidelity vs evolution time (CSV)", True),
+    "amplify": ("coupling gain over flux for several E_L/E_J ratios (CSV)", False),
+    "coupling": ("bare coupling report with unit cross-checks (JSON)", False),
+    "selftest": ("invariant battery (JSON, nonzero exit on failure)", True),
+}
 
 EXIT_OK = 0
-EXIT_UNEXPECTED = 1
-EXIT_CONFIG = 2
-EXIT_STABILITY = 3
-EXIT_CONVERGENCE = 4
+EXIT_UNEXPECTED = SimulationError.exit_code
+EXIT_CONFIG = ParameterError.exit_code
+EXIT_STABILITY = StabilityError.exit_code
+EXIT_CONVERGENCE = ConvergenceError.exit_code
 EXIT_INVARIANT = 5
 
 
@@ -87,16 +82,6 @@ def linspace(lo: float, hi: float, n: int) -> list[float]:
     return points
 
 
-def _circuit(cfg: RunConfig, f_s: float | None = None) -> CircuitParams:
-    return CircuitParams(
-        e_c=cfg.e_c, e_j=cfg.e_j, e_l=cfg.e_l, f_s=cfg.f_s if f_s is None else f_s
-    )
-
-
-def _geometry(cfg: RunConfig) -> CouplingGeometry:
-    return default_geometry(_circuit(cfg), cfg.edge_length, cfg.z_nv, cfg.inductance)
-
-
 def cmd_spectrum(cfg: RunConfig) -> str:
     """The sweep's flux points are independent and run on every CPU
     (``_parallel.map_points``); rows keep the grid order."""
@@ -104,7 +89,7 @@ def cmd_spectrum(cfg: RunConfig) -> str:
     from .circuit import anharmonicity, converged_spectrum, full_hamiltonian, quartic_hamiltonian
 
     def row(f_s: float) -> list[str]:
-        p = _circuit(cfg, f_s)
+        p = cfg.circuit(f_s)
         if not stability(p).stable:
             return [fmt(f_s)] + [""] * 8 + ["unstable"]
         full, _ = converged_spectrum(p, cfg.dim, full_hamiltonian, tol=cfg.convergence_tol)
@@ -141,7 +126,7 @@ def cmd_trotter(cfg: RunConfig) -> str:
 
     from .gates import analytic_us, gate_distance, trotter_squeeze
 
-    p = _circuit(cfg)
+    p = cfg.circuit()
     t_max = cfg.t if cfg.t is not None else 15.0
     ts = np.array(linspace(0.0, t_max, cfg.t_steps))
     labels = ("00", "01", "10", "11")
@@ -179,7 +164,7 @@ def cmd_amplify(cfg: RunConfig) -> str:
         t=t,
         fs_grid=linspace(cfg.fs_min, cfg.fs_max, cfg.fs_steps),
         e_l=cfg.e_l,
-        geometry=_geometry(cfg),
+        geometry=cfg.geometry(),
         two_pi=cfg.two_pi,
     )
     header = ["ratio_el_over_ej", "f_s", "eta1_ghz", "eta2", "gain", "g_eff_ghz", "status"]
@@ -208,8 +193,8 @@ def cmd_amplify(cfg: RunConfig) -> str:
 
 
 def cmd_coupling(cfg: RunConfig) -> str:
-    geom = _geometry(cfg)
-    p = _circuit(cfg, f_s=0.5)
+    geom = cfg.geometry()
+    p = cfg.circuit(0.5)
     b0 = biot_savart_b0(geom)
     g_internal = bare_coupling(p, geom)
     g_si = bare_coupling_si(p, geom)
@@ -277,29 +262,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("spectrum", "lowest levels and anharmonicity over a flux sweep (CSV)"),
-        ("trotter", "interleaved-product fidelity vs evolution time (CSV)"),
-        ("amplify", "coupling gain over flux for several E_L/E_J ratios (CSV)"),
-        ("coupling", "bare coupling report with unit cross-checks (JSON)"),
-        ("selftest", "invariant battery (JSON, nonzero exit on failure)"),
-    ):
+    for name, (helptext, _) in COMMANDS.items():
         cmd = sub.add_parser(name, help=helptext, allow_abbrev=False)
         cmd.add_argument("--config", help="flat key-value config file")
-        cmd.add_argument("--out", help="output path (default: stdout)")
-        cmd.add_argument("--dim", type=int, help="Fock truncation dimension")
-        cmd.add_argument(
-            "--two-pi",
-            action="store_const",
-            const=True,
-            help="use the angular 2*pi*GHz*ns phase convention in the gain sweep",
-        )
-        cmd.add_argument("--fs-min", type=float, help="sweep start flux")
-        cmd.add_argument("--fs-max", type=float, help="sweep end flux")
-        cmd.add_argument("--fs-steps", type=int, help="sweep point count")
-        cmd.add_argument("--ratios", help="comma list of E_L/E_J ratios")
-        cmd.add_argument("--t", type=float, help="evolution time in ns (trotter: sweep max)")
-        cmd.add_argument("--M", type=int, dest="m_steps", help="interleaving step count")
+        # a flag's text is parsed later, by its key's parser
+        for key, (_, parse, flag, flag_help) in KNOWN_KEYS.items():
+            if flag:
+                switch = {"action": "store_const", "const": "true"} if parse is parse_bool else {}
+                cmd.add_argument(flag, dest=key, help=flag_help, **switch)
         cmd.add_argument(
             "--set",
             action="append",
@@ -311,45 +281,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _flag_overrides(args: argparse.Namespace) -> dict:
-    flags = {
-        "dim": args.dim,
-        "two_pi": args.two_pi,
-        "fs_min": args.fs_min,
-        "fs_max": args.fs_max,
-        "fs_steps": args.fs_steps,
-        "t": args.t,
-        "m_steps": args.m_steps,
-        "out_path": args.out,
-    }
-    if args.ratios is not None:
-        try:
-            flags["ratios"] = tuple(float(r) for r in args.ratios.split(",") if r.strip())
-        except ValueError as exc:
-            raise ParameterError(f"--ratios expects comma-separated numbers: {exc}") from exc
-    extra_lines = []
+    """The flags, then each ``--set`` item in order, parsed as their
+    config keys are in a file; a later setting wins."""
+    settings = [
+        (key, getattr(args, key), flag) for key, (_, _, flag, _) in KNOWN_KEYS.items() if flag
+    ]
     for item in args.set:
-        if "=" not in item:
+        key, eq, text = item.partition("=")
+        if not eq:
             raise ParameterError(f"--set expects KEY=VALUE, got {item!r}")
-        extra_lines.append(item)
-    if extra_lines:
-        for attr, value in parse_config_text("\n".join(extra_lines), source="--set").items():
-            flags[attr] = value
-    return flags
-
-
-# float options whose value may be negative
-_SIGNED_FLOAT_OPTIONS = ("--fs-min", "--fs-max", "--t")
+        settings.append((key.strip(), text, "--set"))
+    return dict(parse_value(*setting) for setting in settings if setting[1] is not None)
 
 
 def _attach_signed_values(argv: list[str]) -> list[str]:
-    """Join ``--t -1e-3`` into ``--t=-1e-3`` for the signed float options.
+    """Join ``--t -1e-3`` into ``--t=-1e-3`` after every flag that takes a value.
 
     argparse takes a separate token such as ``-1e-3`` (exponent notation)
     for an option and refuses it as a value; the ``=`` form always parses.
     """
+    takes_value = {
+        flag for _, parse, flag, _ in KNOWN_KEYS.values() if flag and parse is not parse_bool
+    }
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in _SIGNED_FLOAT_OPTIONS and token.startswith("-"):
+        if out and out[-1] in takes_value and token.startswith("-"):
             try:
                 float(token)
             except ValueError:
@@ -361,53 +317,26 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
     return out
 
 
-# the commands whose arrays go through OpenBLAS run it on one thread: at
-# two, a small product can wait a scheduler tick for the sleeping worker
-# (see ``_parallel``)
-_ONE_BLAS_THREAD = ("spectrum", "trotter", "selftest")
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         file_values = load_config(args.config) if args.config else {}
         cfg = build_config(file_values, _flag_overrides(args))
-        pinned = args.command in _ONE_BLAS_THREAD
+        _, pinned = COMMANDS[args.command]
         with _one_blas_thread() if pinned else contextlib.nullcontext():
-            if args.command == "selftest":
-                text, passed = cmd_selftest(cfg)
-                exit_code = EXIT_OK if passed else EXIT_INVARIANT
-            else:
-                runner = {
-                    "spectrum": cmd_spectrum,
-                    "trotter": cmd_trotter,
-                    "amplify": cmd_amplify,
-                    "coupling": cmd_coupling,
-                }[args.command]
-                text = runner(cfg)
-                exit_code = EXIT_OK
+            # looked up at call time, so that a wrapper set on this module runs
+            result = globals()[f"cmd_{args.command}"](cfg)
+        text, passed = result if isinstance(result, tuple) else (result, True)
         if cfg.out_path:
             with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-        return exit_code
-    except ParameterError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except StabilityError as exc:
-        print(f"stability error: {exc}", file=sys.stderr)
-        return EXIT_STABILITY
-    except (ConvergenceError, TruncationLeakError) as exc:
-        print(f"convergence error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except DegenerateSpectrumError as exc:
-        print(f"degenerate spectrum: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
+        return EXIT_OK if passed else EXIT_INVARIANT
     except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNEXPECTED
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except Exception as exc:  # last resort: one line, never a traceback
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_UNEXPECTED

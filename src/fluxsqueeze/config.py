@@ -18,55 +18,61 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ParameterError
+from .physics import CircuitParams, CouplingGeometry, default_geometry
 
 
-def _parse_bool(text: str) -> bool:
+def parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("true", "yes", "on", "1"):
         return True
     if lowered in ("false", "no", "off", "0"):
         return False
-    raise ParameterError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
-        raise ParameterError("expected a comma-separated list of numbers")
+        raise ValueError("expected a comma-separated list of numbers")
     return tuple(float(part) for part in items)
 
 
-def _parse_optional_float(text: str):
-    return None if text.strip().lower() in ("", "none") else float(text)
+def _optional(parse):
+    """``parse``, with ``none`` and the empty string read as unset."""
+    return lambda text: None if text.strip().lower() in ("", "none") else parse(text)
 
 
-# config key -> (RunConfig attribute, parser)
+# config key -> (RunConfig attribute, parser, CLI flag or None, flag help);
+# a flag's value goes through the same parser as the key's file value
 KNOWN_KEYS = {
-    "circuit.e_c": ("e_c", float),
-    "circuit.e_j": ("e_j", float),
-    "circuit.e_l": ("e_l", float),
-    "circuit.f_s": ("f_s", float),
-    "geometry.edge_length": ("edge_length", float),
-    "geometry.z_nv": ("z_nv", float),
-    "geometry.inductance": ("inductance", _parse_optional_float),
-    "sweep.fs_min": ("fs_min", float),
-    "sweep.fs_max": ("fs_max", float),
-    "sweep.fs_steps": ("fs_steps", int),
-    "sweep.ratios": ("ratios", _parse_floats),
-    "run.t": ("t", _parse_optional_float),
-    "run.t_steps": ("t_steps", int),
-    "run.m": ("m_steps", int),
-    "numerics.dim": ("dim", int),
-    "numerics.two_pi": ("two_pi", _parse_bool),
-    "numerics.convention": ("convention", str),
-    "numerics.convergence_tol": ("convergence_tol", float),
-    "trotter.threshold": ("trotter_threshold", float),
-    "output.path": ("out_path", str),
+    "circuit.e_c": ("e_c", float, None, None),
+    "circuit.e_j": ("e_j", float, None, None),
+    "circuit.e_l": ("e_l", float, None, None),
+    "circuit.f_s": ("f_s", float, None, None),
+    "geometry.edge_length": ("edge_length", float, None, None),
+    "geometry.z_nv": ("z_nv", float, None, None),
+    "geometry.inductance": ("inductance", _optional(float), None, None),
+    "sweep.fs_min": ("fs_min", float, "--fs-min", "sweep start flux"),
+    "sweep.fs_max": ("fs_max", float, "--fs-max", "sweep end flux"),
+    "sweep.fs_steps": ("fs_steps", int, "--fs-steps", "sweep point count"),
+    "sweep.ratios": ("ratios", _parse_floats, "--ratios", "comma list of E_L/E_J ratios"),
+    "run.t": ("t", _optional(float), "--t", "evolution time in ns (trotter: sweep max)"),
+    "run.t_steps": ("t_steps", int, None, None),
+    "run.m": ("m_steps", int, "--M", "interleaving step count"),
+    "numerics.dim": ("dim", int, "--dim", "Fock truncation dimension"),
+    "numerics.two_pi": (
+        "two_pi", parse_bool, "--two-pi",
+        "use the angular 2*pi*GHz*ns phase convention in the gain sweep",
+    ),
+    "numerics.convention": ("convention", str, None, None),
+    "numerics.convergence_tol": ("convergence_tol", float, None, None),
+    "trotter.threshold": ("trotter_threshold", float, None, None),
+    "output.path": ("out_path", _optional(str), "--out", "output path (default: stdout)"),
 }
 
 
 # RunConfig attribute -> config key, for error messages
-KEY_OF = {attr: key for key, (attr, _) in KNOWN_KEYS.items()}
+KEY_OF = {attr: key for key, (attr, *_) in KNOWN_KEYS.items()}
 
 # float-valued attributes that must be finite (``None`` means "not set";
 # ``ratios`` is checked element-wise)
@@ -172,6 +178,26 @@ class RunConfig:
         if self.t is not None and self.t < 0:
             raise ParameterError(f"run.t must be non-negative, got {self.t}")
 
+    def circuit(self, f_s: float | None = None) -> CircuitParams:
+        """The configured circuit, at flux ``f_s`` when one is given."""
+        return CircuitParams(self.e_c, self.e_j, self.e_l, self.f_s if f_s is None else f_s)
+
+    def geometry(self) -> CouplingGeometry:
+        """The configured loop; its inductance is derived from E_L when unset."""
+        return default_geometry(self.circuit(), self.edge_length, self.z_nv, self.inductance)
+
+
+def parse_value(key: str, text: str, source: str) -> tuple[str, object]:
+    """The RunConfig attribute and value of one ``key = text`` setting;
+    ``source`` (a file and line, or a flag) starts any error message."""
+    if key not in KNOWN_KEYS:
+        raise ParameterError(f"{source}: unknown config key {key!r}")
+    attr, parse = KNOWN_KEYS[key][:2]
+    try:
+        return attr, parse(text.strip())
+    except ValueError as exc:
+        raise ParameterError(f"{source}: bad value for {key}: {exc}") from exc
+
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     """Parse the flat key-value grammar into RunConfig attribute values."""
@@ -183,16 +209,8 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         if "=" not in line:
             raise ParameterError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, rhs = line.partition("=")
-        key = key.strip()
-        if key not in KNOWN_KEYS:
-            raise ParameterError(f"{source}:{lineno}: unknown config key {key!r}")
-        attr, parser = KNOWN_KEYS[key]
-        try:
-            values[attr] = parser(rhs.strip())
-        except ParameterError:
-            raise
-        except ValueError as exc:
-            raise ParameterError(f"{source}:{lineno}: bad value for {key}: {exc}") from exc
+        attr, value = parse_value(key.strip(), rhs, f"{source}:{lineno}")
+        values[attr] = value
     return values
 
 

@@ -214,8 +214,9 @@ def exp_2x2(K: np.ndarray) -> np.ndarray:
     Hyperbolic arguments are capped at ``HYPERBOLIC_CAP``; beyond it the
     non-unitary representation has grown by e^10, and the squeeze is
     refused as a regime limit (``WrongRegimeError``), naming the first
-    matrix over the cap in stack order.  A NaN or infinite entry is
-    rejected with ``ParameterError`` before any work.
+    matrix in stack order that is over the cap or whose argument
+    overflowed.  A NaN or infinite entry is rejected with
+    ``ParameterError`` before any work.
     """
     K = np.asarray(K, dtype=complex)
     if K.shape[-2:] != (2, 2):
@@ -224,14 +225,15 @@ def exp_2x2(K: np.ndarray) -> np.ndarray:
         raise ParameterError("exp_2x2 needs finite matrix entries")
     half_tr = 0.5 * (K[..., 0, 0] + K[..., 1, 1])
     B = K - half_tr[..., None, None] * np.eye(2)
-    # a huge time overflows mu to inf, which the cap below rejects
+    # a huge time overflows mu to inf, which the checks below reject
     with np.errstate(over="ignore", invalid="ignore"):
         mu = np.sqrt(-(B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0]))
-    over = np.ravel(~(np.abs(mu.real) <= HYPERBOLIC_CAP))
+    over = np.ravel(~(np.abs(mu.real) <= HYPERBOLIC_CAP) | ~np.isfinite(mu))
     if over.any():
-        first = np.ravel(mu.real)[over.argmax()]
+        first = np.ravel(mu)[over.argmax()]
+        size = abs(first.real) if np.isfinite(first) else abs(first)
         raise WrongRegimeError(
-            f"hyperbolic argument |{first:.2f}| exceeds cap {HYPERBOLIC_CAP}; "
+            f"hyperbolic argument |{size:#.4g}| exceeds cap {HYPERBOLIC_CAP}; "
             "matrix elements would exceed cosh(10); shorten the evolution time run.t"
         )
     zero = np.abs(mu) < 1e-300

@@ -222,19 +222,18 @@ def run_selftest(cfg: RunConfig) -> tuple[list[CheckResult], bool]:
             f"numerics.dim must be >= {MIN_DIM} for selftest (its interior checks "
             f"drop the top two levels), got {cfg.dim}"
         )
-    p = circuit.CircuitParams(e_c=cfg.e_c, e_j=cfg.e_j, e_l=cfg.e_l, f_s=cfg.f_s)
-    geom = coupling.default_geometry(p, cfg.edge_length, cfg.z_nv, cfg.inductance)
-    checks: list[CheckResult] = [
+    # the geometry and the shared solve come first: an E_L or E_c out of
+    # range is then a configuration error before any check computes with it
+    p, geom = cfg.circuit(), cfg.geometry()
+    # one solve of the full Hamiltonian serves three checks
+    h = circuit.full_hamiltonian(p, operators.make_fock_space(cfg.dim))
+    w, v = circuit.solve(h)
+    checks = [
         _ladder_commutator(cfg.dim),
         _su11_commutators(cfg.dim),
         _su11_2x2(),
         _closed_forms_2x2(),
         _phase_charge(cfg.dim, p),
-    ]
-    # one solve of the full Hamiltonian serves three checks
-    h = circuit.full_hamiltonian(p, operators.make_fock_space(cfg.dim))
-    w, v = circuit.solve(h)
-    checks += [
         _unitarity(p, w, v),
         _eigen_reconstruction(h, w, v),
         *_hyperbolic_identity(p),

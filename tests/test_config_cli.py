@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from fluxsqueeze.cli import main
 from fluxsqueeze.config import (
+    KNOWN_KEYS,
     MAX_GRID_POINTS,
     MAX_MATRIX_BYTES,
     RunConfig,
@@ -131,6 +133,62 @@ def test_cli_rejects_non_finite_input(capsys, tmp_path, args, value):
 def test_cli_rejects_malformed_ratios_flag(capsys):
     assert main(["amplify", "--ratios", "1.005,abc"]) == 2
     assert "--ratios" in capsys.readouterr().err
+
+
+# each flag's text goes through its config key's parser: a bad value is one
+# classified line naming the flag or the key, not an argparse usage block
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["amplify", "--ratios", ","], "--ratios: bad value for sweep.ratios"),
+        (["amplify", "--ratios="], "--ratios: bad value for sweep.ratios"),
+        (["amplify", "--fs-steps", "1.5"], "--fs-steps: bad value for sweep.fs_steps"),
+        (["trotter", "--M", "x"], "--M: bad value for run.m"),
+        (["trotter", "--M", "-1e0"], "--M: bad value for run.m"),
+        (["spectrum", "--dim", "-5"], "numerics.dim must be >= 2"),
+        (["amplify", "--set", "numerics.two_pi=maybe"], "--set: bad value for numerics.two_pi"),
+    ],
+)
+def test_bad_flag_value_is_one_classified_line(capsys, tmp_path, argv, names):
+    out = tmp_path / "artifact"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and names in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_flags_and_set_items_parse_alike(tmp_path):
+    flags, keys = tmp_path / "flags.csv", tmp_path / "keys.csv"
+    argv = ["--fs-steps", "3", "--ratios", "1.01, 1.1", "--t", "2", "--two-pi"]
+    sets = ["sweep.fs_steps=3", "sweep.ratios=1.01, 1.1", "run.t=2", "numerics.two_pi=true"]
+    assert main(["amplify", *argv, "--out", str(flags)]) == 0
+    assert main(["amplify", *[a for s in sets for a in ("--set", s)], "--out", str(keys)]) == 0
+    assert flags.read_bytes() == keys.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["none", "None", ""])
+def test_output_path_none_writes_to_stdout(capsys, tmp_path, monkeypatch, value):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.conf").write_text(f"output.path = {value}\n", encoding="utf-8")
+    for argv in (["--config", "run.conf"], ["--set", f"output.path={value}"], ["--out", value]):
+        assert main(["coupling", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["tool"]["name"] == "fluxsqueeze"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]
+
+
+def _readme_section(start: str, end: str) -> str:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text[text.index(start):][: text[text.index(start):].index(end)]
+
+
+def test_readme_lists_the_option_table():
+    ini = _readme_section("```ini\n", "\n```")
+    readme_keys = {line.partition("=")[0].strip() for line in ini.splitlines()[1:]}
+    assert readme_keys == set(KNOWN_KEYS)
+    flags = _readme_section("Flags:", "\n\n")
+    readme_flags = dict(re.findall(r"`(--[\w-]+)`\s+\(`([\w.]+)`\)", flags))
+    assert readme_flags == {row[2]: key for key, row in KNOWN_KEYS.items() if row[2]}
 
 
 def test_json_report_refuses_non_finite_values(capsys, tmp_path, monkeypatch):
@@ -622,11 +680,13 @@ def test_failing_convergence_check_prints_the_value_it_judged(tmp_path):
         (["selftest", "--set", "circuit.e_l=1e-320"], 2, "configuration error: circuit.e_l"),
         (["selftest", "--set", "circuit.e_l=1e300"], 2, "configuration error: circuit.e_l"),
         (["spectrum", "--set", "circuit.e_l=1e-320"], 2, "configuration error: circuit.e_c and circuit.e_l"),
+        (["selftest", "--set", "circuit.e_c=1e-320"], 2,
+         "configuration error: circuit.e_c and circuit.e_l"),
         (["trotter", "--t", "1e300"], 3, "stability error: hyperbolic argument |inf|"),
         (["trotter", "--t", "1e200"], 3, "stability error: hyperbolic argument |inf|"),
     ],
-    ids=["coupling", "amplify", "selftest-tiny", "selftest-huge", "spectrum", "trotter-1e300",
-         "trotter-1e200"],
+    ids=["coupling", "amplify", "selftest-tiny", "selftest-huge", "spectrum", "selftest-tiny-e_c",
+         "trotter-1e300", "trotter-1e200"],
 )
 def test_extreme_input_is_one_classified_line(tmp_path, argv, code, message):
     out = tmp_path / "artifact"

@@ -8,12 +8,13 @@ rows must be equal as text.  The Fock gates take one time per call.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from fluxsqueeze.circuit import CircuitParams
-from fluxsqueeze.cli import _circuit, cmd_trotter, fmt
+from fluxsqueeze.cli import cmd_trotter, fmt
 from fluxsqueeze.config import build_config
 from fluxsqueeze.errors import ParameterError, WrongRegimeError
 from fluxsqueeze.gates import (
@@ -31,7 +32,7 @@ G = su11_generators_2x2()
 
 
 def loop_trotter_rows(cfg):
-    p = _circuit(cfg)
+    p = cfg.circuit()
     t_max = cfg.t if cfg.t is not None else 15.0
     rows = []
     for t in np.linspace(0.0, t_max, cfg.t_steps):
@@ -75,6 +76,15 @@ def test_exp_2x2_cap_names_the_first_over_cap_member():
         exp_2x2(stack)
     with pytest.raises(WrongRegimeError, match=re.escape("|11.00| exceeds cap")):
         exp_2x2(np.delete(stack, 2, axis=0))
+
+
+@pytest.mark.parametrize("t", [1e200, 1e300])
+def test_overflowing_rotation_is_a_regime_error_without_warnings(t):
+    # mu = sqrt(-det B) overflows to inf*j, whose cosh and sinh are NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WrongRegimeError, match=re.escape("|inf|")):
+            gate_u0(P09, t)
 
 
 @pytest.mark.parametrize("shape", [(2,), (3, 3), (4, 2, 3)])
