@@ -2,7 +2,7 @@
 and spin-oscillator coupling amplification on a truncated Fock space.
 
 The names below are loaded on first access (PEP 562), so that importing
-the package loads no numpy; see ``physics`` and ``gain``."""
+the package loads no numpy; see ``physics``."""
 
 import importlib
 
@@ -14,16 +14,16 @@ from . import _parallel  # noqa: F401
 # defining module -> the names the package exports from it
 _EXPORTS = {
     "physics": (
-        "CircuitParams", "CouplingGeometry", "EffectiveParams", "NVParams", "ReducedParams",
-        "bare_coupling", "bare_coupling_si", "biot_savart_b0", "cos_pi", "default_geometry",
-        "effective_josephson", "effective_params", "reduced_params", "stability",
+        "AmplificationRow", "CircuitParams", "CouplingGeometry", "EffectiveParams", "NVParams",
+        "ReducedParams", "amplification_sweep", "bare_coupling", "bare_coupling_si",
+        "biot_savart_b0", "cos_pi", "default_geometry", "effective_josephson",
+        "effective_params", "reduced_params", "stability",
     ),
     "circuit": (
         "Spectrum", "anharmonicity", "converged_spectrum", "full_hamiltonian",
         "harmonic_hamiltonian", "quartic_hamiltonian", "spectrum",
     ),
     "coupling": ("conjugate_hamiltonian", "total_hamiltonian"),
-    "gain": ("AmplificationRow", "amplification_sweep"),
     "errors": (
         "ConvergenceError", "DegenerateSpectrumError", "GeometryError", "InvalidDimensionError",
         "ParameterError", "SimulationError", "StabilityError", "TruncationLeakError",

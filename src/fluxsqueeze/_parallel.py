@@ -13,8 +13,9 @@ sets ``OPENBLAS_THREAD_TIMEOUT`` to 20 unless the user has set it, so
 that an idle OpenBLAS worker spins about 0.3 ms, not about 80 ms, before
 it sleeps.  Thread counts and bytes are unchanged.  The CLI runs the
 commands whose small products come far apart under ``_one_blas_thread``,
-as a sleeping worker is slow to wake; the library keeps the process's
-thread count.
+as a sleeping worker is slow to wake.  In the library, ``map_points`` and
+``circuit._cached_terms`` pin one thread too; every other call keeps the
+process's thread count.
 """
 
 from __future__ import annotations

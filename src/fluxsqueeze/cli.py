@@ -25,8 +25,8 @@ from ._parallel import _one_blas_thread
 from .config import KNOWN_KEYS, RunConfig, build_config, load_config, parse_bool, parse_value
 from .errors import ConvergenceError, ParameterError, SimulationError, StabilityError
 from .physics import (
-    MU_0, bare_coupling, bare_coupling_si, biot_savart_b0, inductance_mismatch,
-    inductive_energy_from_inductance, reduced_params, stability,
+    MU_0, amplification_sweep, bare_coupling, bare_coupling_si, biot_savart_b0,
+    inductance_mismatch, inductive_energy_from_inductance, reduced_params, stability,
 )
 
 # the commands that compute arrays import numpy and those modules
@@ -155,8 +155,6 @@ def cmd_trotter(cfg: RunConfig) -> str:
 
 
 def cmd_amplify(cfg: RunConfig) -> str:
-    from .gain import amplification_sweep
-
     t = cfg.t if cfg.t is not None else 1.0
     rows_data = amplification_sweep(
         e_c=cfg.e_c,
@@ -329,8 +327,11 @@ def main(argv=None) -> int:
             result = globals()[f"cmd_{args.command}"](cfg)
         text, passed = result if isinstance(result, tuple) else (result, True)
         if cfg.out_path:
-            with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+            try:
+                with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ParameterError(f"cannot write output.path {cfg.out_path}: {exc}") from exc
         else:
             sys.stdout.write(text)
         return EXIT_OK if passed else EXIT_INVARIANT

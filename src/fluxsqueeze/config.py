@@ -218,18 +218,15 @@ def load_config(path: str | Path) -> dict:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text, source=str(path))
 
 
 def build_config(file_values: dict | None = None, flag_values: dict | None = None) -> RunConfig:
-    """Merge file values and flag overrides (flags win) into a RunConfig."""
-    merged: dict = {}
-    if file_values:
-        merged.update(file_values)
-    if flag_values:
-        merged.update({k: v for k, v in flag_values.items() if v is not None})
+    """Merge file values and flag overrides (flags win) into a RunConfig;
+    a flag set to ``None`` unsets what the file gave."""
+    merged = {**(file_values or {}), **(flag_values or {})}
     valid = {f.name for f in fields(RunConfig)}
     unknown = set(merged) - valid
     if unknown:

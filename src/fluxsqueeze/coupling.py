@@ -2,8 +2,7 @@
 squeezing transformation that amplifies the coupling.
 
 The closed forms (constants, loop field, bare coupling, effective
-parameters) live in ``physics`` and the gain sweep in ``gain``; both are
-re-exported here.  The unit convention is the one stated in ``physics``.
+parameters, the gain sweep) live in ``physics`` and are re-exported here.  The unit convention is the one stated in ``physics``.
 """
 
 from __future__ import annotations
@@ -13,14 +12,13 @@ import math
 import numpy as np
 
 from .errors import GeometryError, ParameterError, TruncationLeakError
-from .gain import AmplificationRow, amplification_sweep  # noqa: F401 (re-exported)
-from .operators import FockSpace, TAU_X, TAU_Z, annihilation, exp_normal
+from .operators import FockSpace, TAU_X, TAU_Z, annihilation, exp_normal, unitarity_residual
 from .physics import (  # noqa: F401 (re-exported)
     E_CHARGE, G_E, H_PLANCK, INTERACTION_FLUX, MU_0, MU_B, MU_B_GHZ_PER_T, PHI_0,
-    ZERO_FIELD_SPLITTING_GHZ, CircuitParams, CouplingGeometry, EffectiveParams, NVParams, _b0_terms,
-    bare_coupling, bare_coupling_si, biot_savart_b0, default_geometry, effective_josephson,
-    effective_params, inductance_from_inductive_energy, inductance_mismatch,
-    inductive_energy_from_inductance, reduced_params,
+    ZERO_FIELD_SPLITTING_GHZ, AmplificationRow, CircuitParams, CouplingGeometry, EffectiveParams,
+    NVParams, _b0_terms, amplification_sweep, bare_coupling, bare_coupling_si, biot_savart_b0,
+    default_geometry, effective_josephson, effective_params, inductance_from_inductive_energy,
+    inductance_mismatch, inductive_energy_from_inductance, reduced_params,
 )
 
 
@@ -95,9 +93,7 @@ def _gram_residual(S: np.ndarray) -> float:
         factor, S[1::2, 1::2]
     ):
         S = factor
-    gram = S @ S.conj().T
-    gram.reshape(-1)[:: S.shape[0] + 1] -= 1.0
-    return float(np.abs(gram).max())
+    return unitarity_residual(S)
 
 
 def conjugate_hamiltonian(S: np.ndarray, H: np.ndarray) -> np.ndarray:

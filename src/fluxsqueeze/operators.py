@@ -33,10 +33,9 @@ from .errors import (
 # Hermiticity (eigensolve) and anti-Hermiticity (exponential) tolerance
 # for inputs, scaled by the largest matrix element.
 EIG_INPUT_RTOL = 1e-10
-# Unitarity and eigen-reconstruction residual bounds.
-UNITARITY_ATOL = 1e-9
+# Eigen-reconstruction residual bound, scaled by the largest matrix element.
 RECONSTRUCTION_RTOL = 1e-9
-# exp(K)exp(-K) round-trip residual bound.
+# exp(K)exp(-K) round-trip (unitarity) residual bound.
 EXP_ROUNDTRIP_ATOL = 1e-9
 # Hyperbolic-argument cap for the closed-form 2x2 exponential.  Beyond
 # this the non-unitary representation grows without bound and results
@@ -157,28 +156,10 @@ def hermitian_eig(op) -> tuple[np.ndarray, np.ndarray]:
             f"matrix is not Hermitian: max|M - M^dag| = {herm_res:.3e} (scale {scale:.3e})"
         )
     w, v = np.linalg.eigh(mat)
-    res = _reconstruction_residual(w, v, mat)
+    res = float(np.abs((v * w) @ v.conj().T - mat).max())
     if not res <= RECONSTRUCTION_RTOL * scale:
         raise SimulationError(f"eigen-reconstruction residual {res:.3e} exceeds bound")
     return w, v
-
-
-def _reconstruction_residual(w: np.ndarray, v: np.ndarray, mat: np.ndarray) -> float:
-    """max|V diag(w) V^dag - M| of an eigendecomposition.
-
-    A complex V is split into its real and imaginary parts, so that
-    V diag(w) V^dag = (Ar Vr^T + Ai Vi^T) + i (Ai Vr^T - Ar Vi^T) with
-    A = V diag(w) takes four real products.  A single complex product of
-    a few dozen levels crosses OpenBLAS's threading cut-off, and waking
-    its thread pool costs more than the product.
-    """
-    if np.isrealobj(v):
-        return float(np.abs((v * w) @ v.T - mat).max())
-    vr, vi = np.ascontiguousarray(v.real), np.ascontiguousarray(v.imag)
-    ar, ai = vr * w, vi * w
-    re = ar @ vr.T + ai @ vi.T
-    im = ai @ vr.T - ar @ vi.T
-    return float(np.hypot(re - mat.real, im - mat.imag).max())
 
 
 def hermitian_matrix_function(op, fn) -> np.ndarray:
@@ -189,15 +170,14 @@ def hermitian_matrix_function(op, fn) -> np.ndarray:
 
 def propagator(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) from the eigenpairs (w, v) of a Hermitian H, checked unitary."""
-    u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    _check_unitary(u)
-    return u
+    return _exp_i_eig(-t * w, v)
 
 
-def _check_unitary(u: np.ndarray, atol: float = UNITARITY_ATOL):
-    res = float(np.abs(u @ u.conj().T - np.eye(u.shape[0])).max())
-    if not res <= atol:
-        raise SimulationError(f"unitarity residual {res:.3e} exceeds {atol:.1e}")
+def unitarity_residual(u: np.ndarray) -> float:
+    """max|U U^dag - 1|, the guard of every unitary this package forms."""
+    gram = u @ u.conj().T
+    gram.reshape(-1)[:: u.shape[0] + 1] -= 1.0
+    return float(np.abs(gram).max())
 
 
 def exp_2x2(K: np.ndarray) -> np.ndarray:
@@ -274,19 +254,14 @@ def _exp_i_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """exp(iH) from the eigenpairs (w, v) of a Hermitian H, checked by the
     exp(K)exp(-K) round trip with K = iH.
 
-    exp(-iH) is taken as exp(iH)^dag, so the round trip costs one product.
-    For a real symmetric H (real ``v``) the products stay real and exp(iH)
-    is symmetric, so its adjoint is its conjugate.
+    exp(-iH) is taken as exp(iH)^dag, so the round trip is the unitarity
+    residual.  For a real symmetric H (real ``v``) the products stay real.
     """
     if np.isrealobj(v):
         out = (v * np.cos(w)) @ v.T + 1j * ((v * np.sin(w)) @ v.T)
-        inv = out.conj()
     else:
         out = (v * np.exp(1j * w)) @ v.conj().T
-        inv = out.conj().T
-    round_trip = out @ inv
-    round_trip.reshape(-1)[:: v.shape[0] + 1] -= 1.0
-    res = float(np.abs(round_trip).max())
+    res = unitarity_residual(out)
     if not res <= EXP_ROUNDTRIP_ATOL:
         raise SimulationError(f"exp(K)exp(-K) residual {res:.3e} exceeds bound")
     return out

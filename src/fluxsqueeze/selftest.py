@@ -98,11 +98,7 @@ def _unitarity(p: circuit.CircuitParams, w: np.ndarray, v: np.ndarray) -> CheckR
     dim = len(w)
     u_full = operators.propagator(w, v, 1.0)
     u1 = gates.gate_u1(p, 1.0, "fock", operators.make_fock_space(dim))
-    eye = np.eye(dim)
-    res = max(
-        np.abs(u_full @ u_full.conj().T - eye).max(),
-        np.abs(u1 @ u1.conj().T - eye).max(),
-    )
+    res = max(operators.unitarity_residual(u_full), operators.unitarity_residual(u1))
     return _check("propagator_unitarity", res, 1e-9)
 
 

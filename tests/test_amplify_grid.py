@@ -4,7 +4,8 @@
 stiffness and eta1 point by point on Python floats.  Two references are
 kept: ``loop_amplification_sweep`` builds one ``CircuitParams`` per point,
 then calls ``stability`` and ``reduced_params``; ``array_amplification_sweep``
-is the numpy pass over the whole grid that the float loop replaced.  Every
+is the numpy pass over the whole grid that the float loop replaced, with
+``array_cos_pi``, numpy's form of ``cos_pi``.  Every
 row must match them exactly (floats compared by ``repr``, so a zero must
 also keep its sign); unstable rows carry NaNs and are compared by status.
 The CLI's grids come from ``cli.linspace``, which must give the points of
@@ -34,6 +35,15 @@ from fluxsqueeze.errors import ParameterError, StabilityError
 E_C, E_L = 0.12, 58.6
 DEFAULT_GRID = np.linspace(0.5, 1.0, 101)
 DEFAULT_RATIOS = (1.005, 1.01, 1.05, 1.1)
+
+
+def array_cos_pi(x):
+    """cos(pi * x) of an array, snapped to 0 and +-1 at half-integers."""
+    arr = np.asarray(x, dtype=float)
+    doubled = 2.0 * np.mod(arr, 2.0)
+    nearest = np.round(doubled)
+    snapped = np.array([1.0, 0.0, -1.0, 0.0])[nearest.astype(np.int64) % 4]
+    return np.where(doubled == nearest, snapped, np.cos(np.pi * arr))
 
 
 def loop_amplification_sweep(e_c, ratios, t, fs_grid, e_l=58.6, geometry=None, two_pi=False):
@@ -83,7 +93,7 @@ def array_amplification_sweep(e_c, ratios, t, fs_grid, e_l=58.6, geometry=None, 
         geom = geometry if geometry is not None else default_geometry(p0)
         g = bare_coupling(p0, geom)
         with np.errstate(all="ignore"):
-            ejf = 2.0 * p0.e_j * cos_pi(fs)
+            ejf = 2.0 * p0.e_j * array_cos_pi(fs)
             margin = p0.e_l + 0.5 * ejf
             stiffness = 2.0 * p0.e_l + ejf
             eta1 = 0.25 * (p0.e_c / (2.0 * stiffness)) * ejf
@@ -153,12 +163,12 @@ def test_grid_pass_matches_the_loop_on_random_points():
     grid = rng.uniform(-3.0, 3.0, 2000)
     got = amplification_sweep(E_C, (1.005, 2.0), 0.7, grid, e_l=E_L)
     assert_rows_identical(got, loop_amplification_sweep(E_C, (1.005, 2.0), 0.7, grid, E_L))
-    # the array cos_pi the pass rests on has the bits of the scalar one,
-    # which runs in math rather than numpy: also on 100k more points and
-    # every half-integer in [-4, 4]
-    assert np.array_equal(cos_pi(grid), [cos_pi(float(x)) for x in grid])
+    # the scalar cos_pi, which runs in math rather than numpy, has the bits
+    # of numpy's array form: also on 100k more points and every
+    # half-integer in [-4, 4]
+    assert np.array_equal(array_cos_pi(grid), [cos_pi(float(x)) for x in grid])
     points = np.concatenate([rng.uniform(-4.0, 4.0, 100_000), np.arange(-8, 9) / 2.0])
-    assert np.array_equal(cos_pi(points), [cos_pi(x) for x in points.tolist()])
+    assert np.array_equal(array_cos_pi(points), [cos_pi(x) for x in points.tolist()])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

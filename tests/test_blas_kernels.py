@@ -6,9 +6,10 @@ it pick another, and ``spectrum``, ``trotter`` and ``selftest`` then
 round a few cells differently in their last digits; the digests below
 were recorded that way on the same machine (2 vCPU, numpy 2.4.6,
 OpenBLAS 0.3.31).  ``amplify`` and ``coupling`` make no BLAS call and
-keep their native digests.  Each command runs in a fresh process, because
-OpenBLAS reads the variable when it loads; the test is skipped where the
-kernel cannot be named or is not the one requested.
+keep their native digests.  OpenBLAS reads the variable when it loads, so
+each (kernel, thread count) pair runs in two fresh processes (``RUNS``);
+the test is skipped where the kernel cannot be named or is not the one
+requested.
 
 Unlike the native kernel, SandyBridge rounds some products differently
 at one and at two OpenBLAS threads.  The CLI runs ``spectrum``,
@@ -65,7 +66,15 @@ print(json.dumps({"core": _parallel.core_name(), "digests": digests}))
 """
 
 
-def _digests(tmp_path, kernel, threads, commands):
+# the two processes of each (kernel, threads) pair.  The first runs
+# selftest fresh, then three commands that read none of the caches it
+# fills; the second runs spectrum fresh, then selftest on the term cache
+# that the sweep filled.
+RUNS = (("selftest", "trotter", "amplify", "coupling"), ("spectrum", "selftest"))
+
+
+def _run(out, kernel, threads, commands):
+    """The kernel OpenBLAS picked and each command's artifact digest."""
     env = {
         **os.environ,
         "PYTHONPATH": str(ROOT / "src"),
@@ -73,17 +82,34 @@ def _digests(tmp_path, kernel, threads, commands):
         "OPENBLAS_NUM_THREADS": threads,
     }
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(tmp_path / "artifact.out"), *commands],
+        [sys.executable, "-c", SCRIPT, str(out), *commands],
         capture_output=True,
         text=True,
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout)
-    # OpenBLAS spells some names in its own case ("Sandybridge")
-    if record["core"] is None or record["core"].lower() != kernel.lower():
-        pytest.skip(f"OpenBLAS kernel {record['core']!r}, not {kernel}")
-    return record["digests"]
+    return record["core"], dict(zip(commands, record["digests"]))
+
+
+@pytest.fixture(scope="module")
+def kernel_runs(tmp_path_factory):
+    """``runs(kernel, threads)``: the digests of both ``RUNS``, each
+    process started once per module; skips where the kernel is not used."""
+    cache = {}
+
+    def runs(kernel, threads):
+        if (kernel, threads) not in cache:
+            out = tmp_path_factory.mktemp("kernel") / "artifact.out"
+            cache[kernel, threads] = [_run(out, kernel, threads, commands) for commands in RUNS]
+        records = cache[kernel, threads]
+        # OpenBLAS spells some names in its own case ("Sandybridge")
+        for core, _ in records:
+            if core is None or core.lower() != kernel.lower():
+                pytest.skip(f"OpenBLAS kernel {core!r}, not {kernel}")
+        return [digests for _, digests in records]
+
+    return runs
 
 
 THREADS = ["1", "2"]
@@ -92,16 +118,19 @@ THREADS = ["1", "2"]
 @pytest.mark.parametrize("command", list(NATIVE))
 @pytest.mark.parametrize("threads", THREADS)
 @pytest.mark.parametrize("kernel", list(KERNEL_DIGESTS))
-def test_kernel_digest(tmp_path, kernel, threads, command):
-    [digest] = _digests(tmp_path, kernel, threads, [command])
+def test_kernel_digest(kernel_runs, kernel, threads, command):
+    # each command as the first of its process, or after selftest only
+    first, second = kernel_runs(kernel, threads)
+    digest = second[command] if command == "spectrum" else first[command]
     assert digest == KERNEL_DIGESTS[kernel].get(command, NATIVE[command])
 
 
 @pytest.mark.parametrize("threads", THREADS)
 @pytest.mark.parametrize("kernel", list(KERNEL_DIGESTS))
-def test_selftest_after_spectrum_writes_fresh_process_bytes(tmp_path, kernel, threads):
+def test_selftest_after_spectrum_writes_fresh_process_bytes(kernel_runs, kernel, threads):
     # the sweep fills the shared term cache that selftest then reads
-    assert _digests(tmp_path, kernel, threads, ["spectrum", "selftest"]) == [
-        KERNEL_DIGESTS[kernel]["spectrum"],
-        KERNEL_DIGESTS[kernel]["selftest"],
-    ]
+    _, second = kernel_runs(kernel, threads)
+    assert second == {
+        "spectrum": KERNEL_DIGESTS[kernel]["spectrum"],
+        "selftest": KERNEL_DIGESTS[kernel]["selftest"],
+    }

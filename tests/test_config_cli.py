@@ -62,10 +62,41 @@ def test_parse_rejects_bad_value():
 
 
 def test_flags_override_file_values():
-    cfg = build_config(parse_config_text(GOOD_CONFIG), {"fs_steps": 21, "dim": None})
+    file_values = parse_config_text(GOOD_CONFIG)
+    cfg = build_config(file_values, {"fs_steps": 21})
     assert cfg.fs_steps == 21  # flag wins
-    assert cfg.dim == 60  # None flag means "not given"
-    assert cfg.e_c == 0.12
+    assert cfg.dim == 60  # set nowhere: the default
+    assert cfg.e_c == 0.12 and cfg.inductance == 1.4e-9
+    # a flag given as none arrives as None and unsets the file's value
+    assert build_config(file_values, {"inductance": None}).inductance is None
+
+
+@pytest.mark.parametrize("unset", [["--out", "none"], ["--set", "output.path=none"]])
+def test_none_unsets_the_config_files_output_path(tmp_path, capsys, unset):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"output.path = {tmp_path / 'from-file.json'}\n", encoding="utf-8")
+    assert main(["coupling", "--config", str(conf), *unset]) == 0
+    assert json.loads(capsys.readouterr().out)["tool"]["name"] == "fluxsqueeze"
+    assert not (tmp_path / "from-file.json").exists()
+
+
+def test_none_unsets_the_config_files_time(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("run.t = 2.0\n", encoding="utf-8")
+    assert main(["amplify", "--config", str(conf), "--fs-steps", "2"]) == 0
+    assert "t=2.00000000000e+00 ns" in capsys.readouterr().out
+    assert main(["amplify", "--config", str(conf), "--fs-steps", "2", "--t", "none"]) == 0
+    assert "t=1.00000000000e+00 ns" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "."])
+def test_unwritable_out_is_one_configuration_error(tmp_path, capsys, target):
+    out = tmp_path / target
+    assert main(["coupling", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot write output.path {out}: ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_validation():
@@ -600,18 +631,26 @@ def test_module_entry_point_runs():
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def test_unexpected_exception_is_one_line_exit_1(tmp_path):
-    # the output directory does not exist, so open() raises; the CLI
-    # reports the FileNotFoundError in one line
-    out = tmp_path / "missing" / "x.json"
+# runs ``coupling`` with its command replaced by one that fails unexpectedly
+FAILING_COMMAND = """
+import sys
+from fluxsqueeze import cli
+def broken(cfg):
+    raise KeyError("no such table")
+cli.cmd_coupling = broken
+sys.exit(cli.main(["coupling"]))
+"""
+
+
+def test_unexpected_exception_is_one_line_exit_1():
     proc = subprocess.run(
-        [sys.executable, "-m", "fluxsqueeze.cli", "coupling", "--out", str(out)],
+        [sys.executable, "-c", FAILING_COMMAND],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error: FileNotFoundError:")
+    assert proc.stderr.startswith("error: KeyError: 'no such table'")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
@@ -684,17 +723,22 @@ def test_failing_convergence_check_prints_the_value_it_judged(tmp_path):
          "configuration error: circuit.e_c and circuit.e_l"),
         (["trotter", "--t", "1e300"], 3, "stability error: hyperbolic argument |inf|"),
         (["trotter", "--t", "1e200"], 3, "stability error: hyperbolic argument |inf|"),
+        (["coupling", "--config", "utf16.conf"], 2,
+         "configuration error: cannot read config file utf16.conf: 'utf-8' codec"),
     ],
     ids=["coupling", "amplify", "selftest-tiny", "selftest-huge", "spectrum", "selftest-tiny-e_c",
-         "trotter-1e300", "trotter-1e200"],
+         "trotter-1e300", "trotter-1e200", "config-not-utf-8"],
 )
 def test_extreme_input_is_one_classified_line(tmp_path, argv, code, message):
+    # a config file that starts with a UTF-16 byte order mark
+    (tmp_path / "utf16.conf").write_bytes("\ufeffcircuit.e_c = 0.12\n".encode("utf-16-le"))
     out = tmp_path / "artifact"
     proc = subprocess.run(
         [sys.executable, "-m", "fluxsqueeze.cli", *argv, "--out", str(out)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": SRC},
+        cwd=tmp_path,
     )
     assert proc.returncode == code
     assert proc.stderr.startswith(message), proc.stderr

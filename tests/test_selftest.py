@@ -43,11 +43,26 @@ def test_default_selftest_solves_the_full_hamiltonian_once(monkeypatch):
 
 
 def test_shared_propagator_keeps_the_unitarity_guard(monkeypatch):
-    checked = []
-    guard = operators._check_unitary
-    monkeypatch.setattr(operators, "_check_unitary", lambda u: checked.append(u.shape) or guard(u))
+    # the shared guard runs inside propagator, apart from the selftest's
+    # own printed residual
+    inside, checked = [], []
+    guard, propagate = operators.unitarity_residual, operators.propagator
+
+    def counting_guard(u):
+        checked.append((u.shape, bool(inside)))
+        return guard(u)
+
+    def tracked_propagator(*args):
+        inside.append(True)
+        try:
+            return propagate(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(operators, "unitarity_residual", counting_guard)
+    monkeypatch.setattr(operators, "propagator", tracked_propagator)
     checks, passed = selftest.run_selftest(RunConfig(dim=30))
-    assert passed and (30, 30) in checked
+    assert passed and ((30, 30), True) in checked
 
 
 def _closed_forms_per_point():
