@@ -41,6 +41,7 @@ from .operators import (
     hermitian_matrix_function,
     make_fock_space,
     phase_charge_operators,
+    require_below,
 )
 from .physics import (  # noqa: F401 (re-exported)
     CircuitParams, ReducedParams, StabilityResult, _require_stable, cos_pi, effective_josephson,
@@ -188,17 +189,16 @@ def _sector_eigenvalues(H: np.ndarray) -> np.ndarray:
     parity, solved on its even and on its odd levels.
 
     The entries between the two sectors are dropped only after a check
-    that none exceeds ``EIG_INPUT_RTOL`` of the largest element; each
-    sector solve then runs the guards of ``hermitian_eig``.  A NaN or
-    infinite entry, in a sector or between them, raises ``ParameterError``.
+    that none exceeds ``EIG_INPUT_RTOL`` of the largest element, else
+    ``ConvergenceError``; each sector solve then runs the guards of
+    ``hermitian_eig``.  A NaN or infinite entry, in a sector or between
+    them, raises ``ParameterError``.
     """
     scale = _finite_scale(H, "sector solve")
-    mixing = float(np.abs(H[0::2, 1::2]).max())
-    if not mixing <= EIG_INPUT_RTOL * scale:
-        raise SimulationError(
-            f"Hamiltonian at dim={len(H)} mixes photon parity: max|H[even, odd]| = "
-            f"{mixing:.3e} (scale {scale:.3e})"
-        )
+    require_below(
+        float(np.abs(H[0::2, 1::2]).max()), EIG_INPUT_RTOL * scale, ConvergenceError,
+        f"Hamiltonian at dim={len(H)} mixes photon parity: max|H[even, odd]|",
+    )
     w = np.concatenate([hermitian_eig(H[s::2, s::2])[0] for s in (0, 1)])
     w.sort()
     return w
@@ -210,14 +210,13 @@ def converged_spectrum(
     builder: Builder = full_hamiltonian,
     k: int = 3,
     tol: float = CONVERGENCE_TOL,
-    max_doublings: int = MAX_DOUBLINGS,
 ) -> tuple[Spectrum, int]:
     """Spectrum at the first truncation whose doubling test passes.
 
-    Starts from ``dim`` and doubles until the lowest ``k`` levels move by
-    less than ``tol`` GHz, then reports the values at the accepted (smaller)
-    dimension together with that dimension.  ``builder`` is one of the
-    circuit builders of this module.
+    Starts from ``dim`` and doubles, ``MAX_DOUBLINGS`` times at most, until
+    the lowest ``k`` levels move by less than ``tol`` GHz, then reports the
+    values at the accepted (smaller) dimension with that dimension.
+    ``builder`` is one of the circuit builders of this module.
 
     Each rung of the ladder is built once, as the builder's real
     symmetric matrix.  The lower rung, whose levels are reported, is
@@ -233,7 +232,7 @@ def converged_spectrum(
     current = dim
     lower = builder(p, make_fock_space(current))
     w_lower, _ = solve(lower)
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         if matrix_bytes(current) > MAX_MATRIX_BYTES:
             raise ConvergenceError(
                 f"numerics.convergence_tol = {tol:.1e} GHz is not met by dim={current} "

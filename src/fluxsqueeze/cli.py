@@ -23,7 +23,7 @@ import sys
 from . import __version__
 from ._parallel import _one_blas_thread
 from .config import KNOWN_KEYS, RunConfig, build_config, load_config, parse_bool, parse_value
-from .errors import ConvergenceError, ParameterError, SimulationError, StabilityError
+from .errors import ParameterError, SimulationError
 from .physics import (
     MU_0, amplification_sweep, bare_coupling, bare_coupling_si, biot_savart_b0,
     inductance_mismatch, inductive_energy_from_inductance, reduced_params, stability,
@@ -45,9 +45,6 @@ COMMANDS = {
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = SimulationError.exit_code
-EXIT_CONFIG = ParameterError.exit_code
-EXIT_STABILITY = StabilityError.exit_code
-EXIT_CONVERGENCE = ConvergenceError.exit_code
 EXIT_INVARIANT = 5
 
 
@@ -264,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=helptext, allow_abbrev=False)
         cmd.add_argument("--config", help="flat key-value config file")
         # a flag's text is parsed later, by its key's parser
-        for key, (_, parse, flag, flag_help) in KNOWN_KEYS.items():
+        for key, (_, parse, flag, flag_help, _) in KNOWN_KEYS.items():
             if flag:
                 switch = {"action": "store_const", "const": "true"} if parse is parse_bool else {}
                 cmd.add_argument(flag, dest=key, help=flag_help, **switch)
@@ -282,7 +279,7 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
     """The flags, then each ``--set`` item in order, parsed as their
     config keys are in a file; a later setting wins."""
     settings = [
-        (key, getattr(args, key), flag) for key, (_, _, flag, _) in KNOWN_KEYS.items() if flag
+        (key, getattr(args, key), flag) for key, (_, _, flag, *_) in KNOWN_KEYS.items() if flag
     ]
     for item in args.set:
         key, eq, text = item.partition("=")
@@ -299,7 +296,7 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
     for an option and refuses it as a value; the ``=`` form always parses.
     """
     takes_value = {
-        flag for _, parse, flag, _ in KNOWN_KEYS.values() if flag and parse is not parse_bool
+        flag for _, parse, flag, *_ in KNOWN_KEYS.values() if flag and parse is not parse_bool
     }
     out: list[str] = []
     for token in argv:

@@ -42,44 +42,56 @@ def _optional(parse):
     return lambda text: None if text.strip().lower() in ("", "none") else parse(text)
 
 
-# config key -> (RunConfig attribute, parser, CLI flag or None, flag help);
-# a flag's value goes through the same parser as the key's file value
+def _all_finite(value) -> bool:
+    """``None`` means unset; a tuple (sweep.ratios) is tested element-wise."""
+    items = value if isinstance(value, tuple) else (value,)
+    return all(x is None or math.isfinite(x) for x in items)
+
+
+def _at_least(n: int) -> tuple:
+    return ((f">= {n}", lambda x: x >= n),)
+
+
+# the checks of a key: (what its value must be, test) pairs, run in order
+FINITE = (("finite", _all_finite),)
+POSITIVE = FINITE + (("positive", lambda x: x > 0),)
+
+# config key -> (RunConfig attribute, parser, CLI flag or None, flag help,
+# checks); a flag's value goes through the same parser as the key's file value
 KNOWN_KEYS = {
-    "circuit.e_c": ("e_c", float, None, None),
-    "circuit.e_j": ("e_j", float, None, None),
-    "circuit.e_l": ("e_l", float, None, None),
-    "circuit.f_s": ("f_s", float, None, None),
-    "geometry.edge_length": ("edge_length", float, None, None),
-    "geometry.z_nv": ("z_nv", float, None, None),
-    "geometry.inductance": ("inductance", _optional(float), None, None),
-    "sweep.fs_min": ("fs_min", float, "--fs-min", "sweep start flux"),
-    "sweep.fs_max": ("fs_max", float, "--fs-max", "sweep end flux"),
-    "sweep.fs_steps": ("fs_steps", int, "--fs-steps", "sweep point count"),
-    "sweep.ratios": ("ratios", _parse_floats, "--ratios", "comma list of E_L/E_J ratios"),
-    "run.t": ("t", _optional(float), "--t", "evolution time in ns (trotter: sweep max)"),
-    "run.t_steps": ("t_steps", int, None, None),
-    "run.m": ("m_steps", int, "--M", "interleaving step count"),
-    "numerics.dim": ("dim", int, "--dim", "Fock truncation dimension"),
+    "circuit.e_c": ("e_c", float, None, None, POSITIVE),
+    "circuit.e_j": ("e_j", float, None, None, POSITIVE),
+    "circuit.e_l": ("e_l", float, None, None, POSITIVE),
+    "circuit.f_s": ("f_s", float, None, None, FINITE),
+    "geometry.edge_length": ("edge_length", float, None, None, POSITIVE),
+    "geometry.z_nv": ("z_nv", float, None, None, POSITIVE),
+    "geometry.inductance": ("inductance", _optional(float), None, None, FINITE),
+    "sweep.fs_min": ("fs_min", float, "--fs-min", "sweep start flux", FINITE),
+    "sweep.fs_max": ("fs_max", float, "--fs-max", "sweep end flux", FINITE),
+    "sweep.fs_steps": ("fs_steps", int, "--fs-steps", "sweep point count", _at_least(2)),
+    "sweep.ratios": ("ratios", _parse_floats, "--ratios", "comma list of E_L/E_J ratios", FINITE),
+    "run.t": (
+        "t", _optional(float), "--t", "evolution time in ns (trotter: sweep max)",
+        FINITE + (("non-negative", lambda t: t is None or t >= 0),),
+    ),
+    "run.t_steps": ("t_steps", int, None, None, _at_least(2)),
+    "run.m": ("m_steps", int, "--M", "interleaving step count", _at_least(1)),
+    "numerics.dim": ("dim", int, "--dim", "Fock truncation dimension", _at_least(2)),
     "numerics.two_pi": (
         "two_pi", parse_bool, "--two-pi",
-        "use the angular 2*pi*GHz*ns phase convention in the gain sweep",
+        "use the angular 2*pi*GHz*ns phase convention in the gain sweep", (),
     ),
-    "numerics.convention": ("convention", str, None, None),
-    "numerics.convergence_tol": ("convergence_tol", float, None, None),
-    "trotter.threshold": ("trotter_threshold", float, None, None),
-    "output.path": ("out_path", _optional(str), "--out", "output path (default: stdout)"),
+    "numerics.convention": (
+        "convention", str, None, None,
+        (("'matched' or 'swapped'", lambda c: c in ("matched", "swapped")),),
+    ),
+    "numerics.convergence_tol": (
+        "convergence_tol", float, None, None,
+        (("finite and > 0", lambda x: math.isfinite(x) and x > 0),),
+    ),
+    "trotter.threshold": ("trotter_threshold", float, None, None, FINITE),
+    "output.path": ("out_path", _optional(str), "--out", "output path (default: stdout)", ()),
 }
-
-
-# RunConfig attribute -> config key, for error messages
-KEY_OF = {attr: key for key, (attr, *_) in KNOWN_KEYS.items()}
-
-# float-valued attributes that must be finite (``None`` means "not set";
-# ``ratios`` is checked element-wise)
-FINITE_FIELDS = (
-    "e_c", "e_j", "e_l", "f_s", "edge_length", "z_nv", "inductance",
-    "fs_min", "fs_max", "ratios", "t", "trotter_threshold",
-)
 
 
 # Most points a run's grid may hold, checked before any work: sweep.fs_steps
@@ -131,18 +143,11 @@ class RunConfig:
     out_path: str | None = None
 
     def __post_init__(self):
-        for attr in FINITE_FIELDS:
+        for key, (attr, *_, checks) in KNOWN_KEYS.items():
             value = getattr(self, attr)
-            items = value if isinstance(value, tuple) else (value,)
-            if not all(x is None or math.isfinite(x) for x in items):
-                raise ParameterError(f"{KEY_OF[attr]} must be finite, got {value}")
-        for attr in ("e_c", "e_j", "e_l", "edge_length", "z_nv"):
-            if not getattr(self, attr) > 0:
-                raise ParameterError(f"{KEY_OF[attr]} must be positive, got {getattr(self, attr)}")
-        if self.fs_steps < 2:
-            raise ParameterError(f"sweep.fs_steps must be >= 2, got {self.fs_steps}")
-        if self.t_steps < 2:
-            raise ParameterError(f"run.t_steps must be >= 2, got {self.t_steps}")
+            for what, ok in checks:
+                if not ok(value):
+                    raise ParameterError(f"{key} must be {what}, got {value!r}")
         if self.fs_steps * len(self.ratios) > MAX_GRID_POINTS:
             raise ParameterError(
                 f"sweep.fs_steps = {self.fs_steps} at {len(self.ratios)} sweep.ratios "
@@ -157,26 +162,11 @@ class RunConfig:
             raise ParameterError(
                 f"sweep range is empty: fs_min={self.fs_min} >= fs_max={self.fs_max}"
             )
-        if self.dim < 2:
-            raise ParameterError(f"numerics.dim must be >= 2, got {self.dim}")
         if matrix_bytes(self.dim) > MAX_MATRIX_BYTES:
             raise ParameterError(
                 f"numerics.dim = {self.dim} exceeds the budget of {MAX_MATRIX_BYTES} bytes "
                 "for the dense matrices of its first two truncation rungs"
             )
-        if self.m_steps < 1:
-            raise ParameterError(f"run.m must be >= 1, got {self.m_steps}")
-        if self.convention not in ("matched", "swapped"):
-            raise ParameterError(
-                f"numerics.convention must be 'matched' or 'swapped', got {self.convention!r}"
-            )
-        if not (math.isfinite(self.convergence_tol) and self.convergence_tol > 0):
-            raise ParameterError(
-                "numerics.convergence_tol must be finite and > 0, "
-                f"got {self.convergence_tol}"
-            )
-        if self.t is not None and self.t < 0:
-            raise ParameterError(f"run.t must be non-negative, got {self.t}")
 
     def circuit(self, f_s: float | None = None) -> CircuitParams:
         """The configured circuit, at flux ``f_s`` when one is given."""

@@ -12,7 +12,10 @@ import math
 import numpy as np
 
 from .errors import GeometryError, ParameterError, TruncationLeakError
-from .operators import FockSpace, TAU_X, TAU_Z, annihilation, exp_normal, unitarity_residual
+from .operators import (
+    UNITARY_TOL, FockSpace, TAU_X, TAU_Z, annihilation, exp_normal, require_below,
+    unitarity_residual,
+)
 from .physics import (  # noqa: F401 (re-exported)
     E_CHARGE, G_E, H_PLANCK, INTERACTION_FLUX, MU_0, MU_B, MU_B_GHZ_PER_T, PHI_0,
     ZERO_FIELD_SPLITTING_GHZ, AmplificationRow, CircuitParams, CouplingGeometry, EffectiveParams,
@@ -78,9 +81,6 @@ def squeeze_on_product(space: FockSpace, eta2: float) -> np.ndarray:
     return out
 
 
-UNITARY_TOL = 1e-8
-
-
 def _gram_residual(S: np.ndarray) -> float:
     """max|S S^dag - 1|, taken on the oscillator factor F when S = F (x) 1.
 
@@ -99,29 +99,30 @@ def _gram_residual(S: np.ndarray) -> float:
 def conjugate_hamiltonian(S: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Numerical similarity transform S H S^dag.
 
-    S must be unitary on the working subspace to ``UNITARY_TOL``;
-    squeezing pushed past the truncation breaks that and is rejected.
-    For ``squeeze_on_product``'s S = F (x) 1 the check runs on F.  The
-    2*dim products share one S^dag copy and one work buffer.
+    S must be unitary on the working subspace to ``operators.UNITARY_TOL``,
+    and S H S^dag Hermitian to that bound scaled by its largest element;
+    squeezing pushed past the truncation breaks both and is rejected
+    with ``TruncationLeakError``.  For ``squeeze_on_product``'s S = F (x) 1
+    the unitarity check runs on F.  The 2*dim products share one S^dag
+    copy and one work buffer.
     """
     S = np.asarray(S, dtype=complex)
     if S.shape != H.shape:
         raise ParameterError(f"shape mismatch: S {S.shape} vs H {H.shape}")
-    unit_res = _gram_residual(S)
-    if not unit_res <= UNITARY_TOL:
-        raise TruncationLeakError(
-            f"transform is not unitary (residual {unit_res:.3e}); the squeeze "
-            "leaked through the truncation edge"
-        )
+    require_below(
+        _gram_residual(S), UNITARY_TOL, TruncationLeakError,
+        "transform is not unitary, the squeeze leaked through the truncation edge: "
+        "max|S S^dag - 1|",
+    )
     s_dag = S.conj().T
     work = np.matmul(S, H)
     out = work @ s_dag
     out_dag = np.conjugate(out.T, out=s_dag)
-    herm_res = float(np.abs(np.subtract(out, out_dag, out=work)).max())
-    if not herm_res <= UNITARY_TOL * max(1.0, float(np.abs(out).max())):
-        raise TruncationLeakError(
-            f"conjugated Hamiltonian lost hermiticity (residual {herm_res:.3e})"
-        )
+    require_below(
+        float(np.abs(np.subtract(out, out_dag, out=work)).max()),
+        UNITARY_TOL * max(1.0, float(np.abs(out).max())), TruncationLeakError,
+        "conjugated Hamiltonian lost hermiticity: max|H - H^dag|",
+    )
     out += out_dag
     out *= 0.5
     return out

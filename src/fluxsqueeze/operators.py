@@ -44,6 +44,14 @@ HYPERBOLIC_CAP = 10.0
 # A low-lying state may place at most this much weight in the top 10%
 # of Fock levels before a truncation-leak warning fires.
 LEAK_TOL = 1e-6
+# Unitarity (and scaled hermiticity) bound of ``coupling.conjugate_hamiltonian``.
+UNITARY_TOL = 1e-8
+
+
+def require_below(residual: float, bound: float, error: type[SimulationError], what: str) -> None:
+    """Raise ``error`` unless ``residual <= bound``, the test of every guard; a NaN fails it."""
+    if not residual <= bound:
+        raise error(f"{what} residual {residual:.3e} exceeds bound {bound:.3e}")
 
 
 @dataclass(frozen=True)
@@ -126,13 +134,19 @@ def su11_generators_2x2() -> SU11Generators:
 
 
 def _finite_scale(mat: np.ndarray, what: str) -> float:
-    """max(1, max|M_ij|), the scale of the input guards; a NaN or infinite
-    entry, which every guard comparison would let through, raises
-    ``ParameterError``."""
+    """max(1, max|M_ij|), the scale of the input guards; a matrix that is
+    not square, or has a NaN or infinite entry, raises ``ParameterError``."""
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ParameterError(f"expected a square matrix, got shape {mat.shape}")
     peak = float(np.abs(mat).max())
     if not math.isfinite(peak):
         raise ParameterError(f"{what} needs finite matrix entries, got max|M| = {peak}")
     return max(1.0, peak)
+
+
+def reconstruction_residual(mat: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
+    """max|V diag(w) V^dag - M|, unscaled."""
+    return float(np.abs((v * w) @ v.conj().T - mat).max())
 
 
 def hermitian_eig(op) -> tuple[np.ndarray, np.ndarray]:
@@ -147,18 +161,14 @@ def hermitian_eig(op) -> tuple[np.ndarray, np.ndarray]:
     """
     real = isinstance(op, np.ndarray) and op.dtype == np.float64
     mat = op if real else np.asarray(op, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ParameterError(f"expected a square matrix, got shape {mat.shape}")
     scale = _finite_scale(mat, "hermitian_eig")
-    herm_res = float(np.abs(mat - mat.conj().T).max())
-    if not herm_res <= EIG_INPUT_RTOL * scale:
-        raise ParameterError(
-            f"matrix is not Hermitian: max|M - M^dag| = {herm_res:.3e} (scale {scale:.3e})"
-        )
+    require_below(
+        float(np.abs(mat - mat.conj().T).max()), EIG_INPUT_RTOL * scale, ParameterError,
+        "matrix is not Hermitian: max|M - M^dag|",
+    )
     w, v = np.linalg.eigh(mat)
-    res = float(np.abs((v * w) @ v.conj().T - mat).max())
-    if not res <= RECONSTRUCTION_RTOL * scale:
-        raise SimulationError(f"eigen-reconstruction residual {res:.3e} exceeds bound")
+    res = reconstruction_residual(mat, w, v)
+    require_below(res, RECONSTRUCTION_RTOL * scale, SimulationError, "eigen-reconstruction")
     return w, v
 
 
@@ -236,15 +246,11 @@ def exp_normal(K) -> np.ndarray:
     rejected with ``ParameterError``.
     """
     mat = np.asarray(K, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ParameterError(f"expected a square matrix, got shape {mat.shape}")
     scale = _finite_scale(mat, "exp_normal")
-    anti_res = float(np.abs(mat + mat.conj().T).max())
-    if not anti_res <= EIG_INPUT_RTOL * scale:
-        raise ParameterError(
-            "exp_normal needs an anti-Hermitian matrix: "
-            f"max|K + K^dag| = {anti_res:.3e} (scale {scale:.3e})"
-        )
+    require_below(
+        float(np.abs(mat + mat.conj().T).max()), EIG_INPUT_RTOL * scale, ParameterError,
+        "exp_normal needs an anti-Hermitian matrix: max|K + K^dag|",
+    )
     # K = i H with H Hermitian
     w, v = np.linalg.eigh(-1j * mat)
     return _exp_i_eig(w, v)
@@ -261,9 +267,7 @@ def _exp_i_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
         out = (v * np.cos(w)) @ v.T + 1j * ((v * np.sin(w)) @ v.T)
     else:
         out = (v * np.exp(1j * w)) @ v.conj().T
-    res = unitarity_residual(out)
-    if not res <= EXP_ROUNDTRIP_ATOL:
-        raise SimulationError(f"exp(K)exp(-K) residual {res:.3e} exceeds bound")
+    require_below(unitarity_residual(out), EXP_ROUNDTRIP_ATOL, SimulationError, "exp(K)exp(-K)")
     return out
 
 

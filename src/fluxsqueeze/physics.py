@@ -78,6 +78,11 @@ class CircuitParams:
                 raise ParameterError(f"{name} must be finite and positive, got {value}")
         if not math.isfinite(self.f_s):
             raise ParameterError(f"f_s must be finite, got {self.f_s}")
+        if not (0 < self.omega0 < math.inf and 0 < self.mass < math.inf):
+            raise ParameterError(
+                f"circuit.e_c and circuit.e_l give a basis oscillator of omega0={self.omega0} "
+                f"and mass={self.mass}; both must be finite and positive"
+            )
 
     @functools.cached_property
     def ej_flux(self) -> float:
@@ -188,8 +193,8 @@ class CouplingGeometry:
 
 
 def _finite(value: float, what: str, geom_desc: str) -> float:
-    if not math.isfinite(value):
-        raise GeometryError(f"{what} is not finite ({value}) for {geom_desc}")
+    if not 0 < value < math.inf:
+        raise GeometryError(f"{what} is not finite and positive ({value}) for {geom_desc}")
     return value
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import circuit, coupling, gates, operators
 from .config import RunConfig
-from .errors import ParameterError
+from .errors import ParameterError, WrongRegimeError
 
 # the interior checks drop the top two levels and need one left
 MIN_DIM = 3
@@ -99,13 +99,12 @@ def _unitarity(p: circuit.CircuitParams, w: np.ndarray, v: np.ndarray) -> CheckR
     u_full = operators.propagator(w, v, 1.0)
     u1 = gates.gate_u1(p, 1.0, "fock", operators.make_fock_space(dim))
     res = max(operators.unitarity_residual(u_full), operators.unitarity_residual(u1))
-    return _check("propagator_unitarity", res, 1e-9)
+    return _check("propagator_unitarity", res, operators.EXP_ROUNDTRIP_ATOL)
 
 
 def _eigen_reconstruction(h: np.ndarray, w: np.ndarray, v: np.ndarray) -> CheckResult:
-    recon = (v * w) @ v.conj().T
-    scale = max(1.0, float(np.abs(h).max()))
-    return _check("eigen_reconstruction", np.abs(recon - h).max() / scale, 1e-9)
+    res = operators.reconstruction_residual(h, w, v) / max(1.0, float(np.abs(h).max()))
+    return _check("eigen_reconstruction", res, operators.RECONSTRUCTION_RTOL)
 
 
 def _hyperbolic_identity(p: circuit.CircuitParams) -> list[CheckResult]:
@@ -168,6 +167,8 @@ def _squeeze_closure(p: circuit.CircuitParams) -> list[CheckResult]:
     if circuit.reduced_params(p).eta1 >= 0.0:
         p = replace(p, f_s=0.9)
     r = circuit.reduced_params(p)
+    if not r.eta1 < 0.0:
+        raise WrongRegimeError(f"no squeezing interaction: eta1 = {r.eta1} GHz at f_s={p.f_s}")
     worst = 0.0
     for eta2 in (0.1, 0.24, 1.0):
         t = eta2 / (-r.eta1)

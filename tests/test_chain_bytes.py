@@ -71,14 +71,16 @@ def kron_conjugate_hamiltonian(S, H):
     unit_res = float(np.abs(S @ S.conj().T - np.eye(S.shape[0])).max())
     if unit_res > UNITARY_TOL:
         raise TruncationLeakError(
-            f"transform is not unitary (residual {unit_res:.3e}); the squeeze "
-            "leaked through the truncation edge"
+            "transform is not unitary, the squeeze leaked through the truncation edge: "
+            f"max|S S^dag - 1| residual {unit_res:.3e} exceeds bound {UNITARY_TOL:.3e}"
         )
     out = S @ H @ S.conj().T
     herm_res = float(np.abs(out - out.conj().T).max())
-    if herm_res > UNITARY_TOL * max(1.0, float(np.abs(out).max())):
+    herm_bound = UNITARY_TOL * max(1.0, float(np.abs(out).max()))
+    if herm_res > herm_bound:
         raise TruncationLeakError(
-            f"conjugated Hamiltonian lost hermiticity (residual {herm_res:.3e})"
+            "conjugated Hamiltonian lost hermiticity: "
+            f"max|H - H^dag| residual {herm_res:.3e} exceeds bound {herm_bound:.3e}"
         )
     return as_hermitian(out)
 

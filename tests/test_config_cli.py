@@ -122,6 +122,23 @@ def test_spectrum_rejects_bad_convergence_tol(capsys, value):
     assert "convergence_tol" in capsys.readouterr().err
 
 
+# a value that fails each check of the KNOWN_KEYS check column
+FAILS_CHECK = {
+    "finite": "nan", "positive": "-1", "non-negative": "-1", ">= 1": "0", ">= 2": "1",
+    "'matched' or 'swapped'": "diagonal", "finite and > 0": "0",
+}
+
+
+@pytest.mark.parametrize(
+    "key, what", [(key, what) for key, row in KNOWN_KEYS.items() for what, _ in row[4]]
+)
+def test_each_key_check_fails_as_one_configuration_line(capsys, key, what):
+    assert main(["coupling", "--set", f"{key}={FAILS_CHECK[what]}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {key} must be {what}, got ")
+    assert err.count("\n") == 1
+
+
 FINITE_KEYS = [
     "circuit.e_c", "circuit.e_j", "circuit.e_l", "circuit.f_s",
     "geometry.edge_length", "geometry.z_nv", "geometry.inductance",
@@ -725,9 +742,20 @@ def test_failing_convergence_check_prints_the_value_it_judged(tmp_path):
         (["trotter", "--t", "1e200"], 3, "stability error: hyperbolic argument |inf|"),
         (["coupling", "--config", "utf16.conf"], 2,
          "configuration error: cannot read config file utf16.conf: 'utf-8' codec"),
+        (["spectrum", "--set", "sweep.fs_steps=3", "--dim", "4", "--set", "circuit.e_l=1e-300",
+          "--fs-min", "0", "--fs-max", "0.51"], 4,
+         "convergence error: Hamiltonian at dim=8 mixes photon parity"),
+        (["trotter", "--set", "circuit.e_l=1e-200", "--set", "circuit.e_c=1e-200",
+          "--set", "circuit.f_s=0.0", "--t", "1e9"], 2,
+         "configuration error: circuit.e_c and circuit.e_l"),
+        (["coupling", "--set", "geometry.inductance=1.7e308"], 2,
+         "configuration error: spin-loop coupling is not finite and positive (0.0)"),
+        (["selftest", "--set", "circuit.e_j=1e-320"], 3,
+         "stability error: no squeezing interaction"),
     ],
     ids=["coupling", "amplify", "selftest-tiny", "selftest-huge", "spectrum", "selftest-tiny-e_c",
-         "trotter-1e300", "trotter-1e200", "config-not-utf-8"],
+         "trotter-1e300", "trotter-1e200", "config-not-utf-8", "spectrum-parity-mixing",
+         "trotter-omega0-underflow", "coupling-g-underflow", "selftest-eta1-underflow"],
 )
 def test_extreme_input_is_one_classified_line(tmp_path, argv, code, message):
     # a config file that starts with a UTF-16 byte order mark

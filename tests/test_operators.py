@@ -206,6 +206,15 @@ def test_hermitian_eig_keeps_reconstruction_guard(monkeypatch, dtype):
         hermitian_eig(h)
 
 
+def test_guard_helper_fails_closed_on_nan():
+    # every guard compares as `not residual <= bound`: a NaN residual fails
+    with pytest.raises(SimulationError, match=r"^probe residual nan exceeds bound 1\.000e-09$"):
+        operators.require_below(math.nan, 1e-9, SimulationError, "probe")
+    with pytest.raises(ParameterError, match="probe residual"):
+        operators.require_below(1.0, math.nan, ParameterError, "probe")
+    operators.require_below(1e-9, 1e-9, SimulationError, "probe")
+
+
 def test_propagator_zero_hamiltonian():
     u = propagator(*hermitian_eig(np.zeros((5, 5), dtype=complex)), 3.7)
     assert np.abs(u - np.eye(5)).max() < 1e-15

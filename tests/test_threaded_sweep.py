@@ -118,7 +118,7 @@ def test_lowest_failing_index_decides_the_exit_code(monkeypatch, capsys):
 
     monkeypatch.setattr(_parallel, "_cpus", lambda: 4)
     monkeypatch.setattr(circuit, "converged_spectrum", solver)
-    assert cli.main(["spectrum"]) == cli.EXIT_CONVERGENCE
+    assert cli.main(["spectrum"]) == ConvergenceError.exit_code
     err = capsys.readouterr().err
     assert err == "convergence error: lower point\n"
 
@@ -248,8 +248,8 @@ ARRAY_COMMANDS = {
 @pytest.mark.parametrize("command", list(ARRAY_COMMANDS))
 @pytest.mark.parametrize(
     "error, code",
-    [(None, cli.EXIT_OK), (ParameterError, cli.EXIT_CONFIG),
-     (StabilityError, cli.EXIT_STABILITY), (ConvergenceError, cli.EXIT_CONVERGENCE)],
+    [(None, cli.EXIT_OK), (ParameterError, ParameterError.exit_code),
+     (StabilityError, StabilityError.exit_code), (ConvergenceError, ConvergenceError.exit_code)],
     ids=["exit0", "exit2", "exit3", "exit4"],
 )
 def test_array_commands_run_on_one_blas_thread(
