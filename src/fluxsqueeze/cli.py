@@ -2,9 +2,12 @@
 
 One subcommand per entry of ``COMMANDS``; each option is a row of
 ``config.KNOWN_KEYS`` and parses as that key does in a config file.
-Each error class carries its exit code and stderr label (``errors``);
-a failing invariant battery exits 5.  Options must be spelled in full;
-prefixes are not accepted.
+``parse_argv`` reads argv in one pass over those two tables: the token
+after a flag is its value, whatever it starts with (``--t -1e-3``), as
+is the text after ``--flag=``.  Options must be spelled in full.  Each
+error class carries its exit code and stderr label (``errors``), so any
+argv error is one ``configuration error`` line with exit 2; a failing
+invariant battery exits 5.
 
 Output is deterministic: fixed row order, floats at 12 significant
 digits in scientific notation, and a leading comment line naming units
@@ -13,9 +16,7 @@ and the active phase convention.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
 import json
 import math
 import sys
@@ -98,18 +99,8 @@ def cmd_spectrum(cfg: RunConfig) -> str:
             + [fmt(anharmonicity(full)), fmt(anharmonicity(quartic)), "ok"]
         )
 
-    header = [
-        "f_s",
-        "e0_full_ghz",
-        "e1_full_ghz",
-        "e2_full_ghz",
-        "e0_quartic_ghz",
-        "e1_quartic_ghz",
-        "e2_quartic_ghz",
-        "alpha_full",
-        "alpha_quartic",
-        "status",
-    ]
+    header = ["f_s"] + [f"e{i}_{kind}_ghz" for kind in ("full", "quartic") for i in range(3)]
+    header += ["alpha_full", "alpha_quartic", "status"]
     rows = map_points(row, linspace(cfg.fs_min, cfg.fs_max, cfg.fs_steps))
     comment = (
         "circuit level sweep; energies in GHz, flux dimensionless; "
@@ -165,20 +156,9 @@ def cmd_amplify(cfg: RunConfig) -> str:
     header = ["ratio_el_over_ej", "f_s", "eta1_ghz", "eta2", "gain", "g_eff_ghz", "status"]
     rows = []
     for row in rows_data:
-        if row.status != "ok":
-            rows.append([fmt(row.ratio), fmt(row.f_s), "", "", "", "", row.status])
-        else:
-            rows.append(
-                [
-                    fmt(row.ratio),
-                    fmt(row.f_s),
-                    fmt(row.eta1),
-                    fmt(row.eta2),
-                    fmt(row.gain),
-                    fmt(row.g_eff),
-                    row.status,
-                ]
-            )
+        cells = (row.eta1, row.eta2, row.gain, row.g_eff)
+        cells = [fmt(v) for v in cells] if row.status == "ok" else [""] * 4
+        rows.append([fmt(row.ratio), fmt(row.f_s), *cells, row.status])
     comment = (
         "coupling amplification sweep; energies in GHz, times in ns, gain "
         f"dimensionless; phase convention {_convention_label(cfg.two_pi)}; "
@@ -246,82 +226,86 @@ def cmd_selftest(cfg: RunConfig) -> tuple[str, bool]:
     return json.dumps(report, indent=2, allow_nan=False) + "\n", passed
 
 
-# built once per process: parse_args keeps no state in the parser, and
-# the --set list default is copied by argparse before it is appended to
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fluxsqueeze",
-        description="Flux-tunable circuit squeezing and coupling-amplification sweeps",
-        allow_abbrev=False,
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (helptext, _) in COMMANDS.items():
-        cmd = sub.add_parser(name, help=helptext, allow_abbrev=False)
-        cmd.add_argument("--config", help="flat key-value config file")
-        # a flag's text is parsed later, by its key's parser
-        for key, (_, parse, flag, flag_help, _) in KNOWN_KEYS.items():
-            if flag:
-                switch = {"action": "store_const", "const": "true"} if parse is parse_bool else {}
-                cmd.add_argument(flag, dest=key, help=flag_help, **switch)
-        cmd.add_argument(
-            "--set",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override any config key (repeatable), e.g. --set circuit.f_s=0.85",
-        )
-    return parser
+# option -> the config key it sets (--config and --set name no single key)
+OPTIONS = {"--config": None, "--set": None, **{r[2]: k for k, r in KNOWN_KEYS.items() if r[2]}}
+HELP = ("-h", "--help")
 
 
-def _flag_overrides(args: argparse.Namespace) -> dict:
-    """The flags, then each ``--set`` item in order, parsed as their
-    config keys are in a file; a later setting wins."""
-    settings = [
-        (key, getattr(args, key), flag) for key, (_, _, flag, *_) in KNOWN_KEYS.items() if flag
-    ]
-    for item in args.set:
-        key, eq, text = item.partition("=")
-        if not eq:
-            raise ParameterError(f"--set expects KEY=VALUE, got {item!r}")
-        settings.append((key.strip(), text, "--set"))
-    return dict(parse_value(*setting) for setting in settings if setting[1] is not None)
+def usage(command: str | None = None) -> str:
+    """The help text: the commands, or every option of ``command``."""
+    if command is None:
+        head = "[-h | --version] COMMAND [OPTIONS]\n\ncommands:"
+        rows = [(name, text) for name, (text, _) in COMMANDS.items()]
+    else:
+        head = f"{command} [OPTIONS]\n\n{COMMANDS[command][0]}\n\noptions:"
+        rows = [("--config PATH", "flat key-value config file")] + [
+            (flag if parse is parse_bool else f"{flag} VALUE", f"{text} ({key})")
+            for key, (_, parse, flag, text, _) in KNOWN_KEYS.items()
+            if flag
+        ]
+        rows.append(("--set KEY=VALUE", "override any config key (repeatable), e.g. "
+                     "--set circuit.f_s=0.85"))
+    width = max(len(label) for label, _ in rows) + 2
+    lines = [f"usage: fluxsqueeze {head}"] + [f"  {label:<{width}}{text}" for label, text in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _attach_signed_values(argv: list[str]) -> list[str]:
-    """Join ``--t -1e-3`` into ``--t=-1e-3`` after every flag that takes a value.
+def parse_argv(argv: list[str]) -> tuple[str, str | None, dict] | str:
+    """The command, the ``--config`` path and the parsed overrides of
+    ``argv``, or the text that ``--help`` or ``--version`` prints.
 
-    argparse takes a separate token such as ``-1e-3`` (exponent notation)
-    for an option and refuses it as a value; the ``=`` form always parses.
+    A flag's value follows ``=`` or is the next token, whatever it starts
+    with; ``--two-pi`` takes none.  The overrides are the flags, then the
+    ``--set`` items, each in argv order and parsed as its config key is in
+    a file; a later setting wins.
     """
-    takes_value = {
-        flag for _, parse, flag, *_ in KNOWN_KEYS.values() if flag and parse is not parse_bool
-    }
-    out: list[str] = []
-    for token in argv:
-        if out and out[-1] in takes_value and token.startswith("-"):
-            try:
-                float(token)
-            except ValueError:
-                pass
-            else:
-                out[-1] = f"{out[-1]}={token}"
-                continue
-        out.append(token)
-    return out
+    command, *rest = argv or [None]
+    if command in HELP:
+        return usage()
+    if command == "--version":
+        return f"{__version__}\n"
+    if command not in COMMANDS:
+        got = f"unknown command {command!r}" if argv else "missing command"
+        raise ParameterError(f"{got}; expected one of: {', '.join(COMMANDS)}")
+    config_path, flags, items = None, [], []
+    tokens = iter(rest)
+    for token in tokens:
+        if token in HELP:
+            return usage(command)
+        name, eq, value = token.partition("=")
+        if name not in OPTIONS:
+            raise ParameterError(f"unrecognized argument {name!r}; options are spelled in full")
+        key = OPTIONS[name]
+        if key and KNOWN_KEYS[key][1] is parse_bool:
+            if eq:
+                raise ParameterError(f"{name} takes no value, got {token!r}")
+            value = "true"
+        elif not eq and (value := next(tokens, None)) is None:
+            raise ParameterError(f"{name} expects a value")
+        if key:
+            flags.append((key, value, name))
+        elif name == "--config":
+            config_path = value
+        else:
+            item_key, eq, text = value.partition("=")
+            if not eq:
+                raise ParameterError(f"--set expects KEY=VALUE, got {value!r}")
+            items.append((item_key.strip(), text, "--set"))
+    return command, config_path, dict(parse_value(*setting) for setting in flags + items)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        file_values = load_config(args.config) if args.config else {}
-        cfg = build_config(file_values, _flag_overrides(args))
-        _, pinned = COMMANDS[args.command]
+        parsed = parse_argv(sys.argv[1:] if argv is None else list(argv))
+        if isinstance(parsed, str):
+            sys.stdout.write(parsed)
+            return EXIT_OK
+        command, config_path, overrides = parsed
+        cfg = build_config(load_config(config_path) if config_path else {}, overrides)
+        _, pinned = COMMANDS[command]
         with _one_blas_thread() if pinned else contextlib.nullcontext():
             # looked up at call time, so that a wrapper set on this module runs
-            result = globals()[f"cmd_{args.command}"](cfg)
+            result = globals()[f"cmd_{command}"](cfg)
         text, passed = result if isinstance(result, tuple) else (result, True)
         if cfg.out_path:
             try:

@@ -19,18 +19,27 @@ from .operators import (
 from .physics import (  # noqa: F401 (re-exported)
     E_CHARGE, G_E, H_PLANCK, INTERACTION_FLUX, MU_0, MU_B, MU_B_GHZ_PER_T, PHI_0,
     ZERO_FIELD_SPLITTING_GHZ, AmplificationRow, CircuitParams, CouplingGeometry, EffectiveParams,
-    NVParams, _b0_terms, amplification_sweep, bare_coupling, bare_coupling_si, biot_savart_b0,
-    default_geometry, effective_josephson, effective_params, inductance_from_inductive_energy,
-    inductance_mismatch, inductive_energy_from_inductance, reduced_params,
+    NVParams, _b0_terms, _describe, amplification_sweep, bare_coupling, bare_coupling_si,
+    biot_savart_b0, default_geometry, effective_josephson, effective_params,
+    inductance_from_inductive_energy, inductance_mismatch, inductive_energy_from_inductance,
+    reduced_params,
 )
 
 
 def b0_profile(geom: CouplingGeometry, z: np.ndarray) -> np.ndarray:
-    """Vectorized field profile along the symmetry line (for diagnostics)."""
+    """Vectorized field profile along the symmetry line (for diagnostics);
+    a profile that is not finite and positive raises ``GeometryError``."""
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0) or np.any(z >= geom.edge_length):
         raise GeometryError("profile positions must lie strictly inside (0, l)")
-    return MU_0 / (4.0 * math.pi) * _b0_terms(z, geom.edge_length, np.sqrt, np.divide)
+    try:
+        with np.errstate(all="ignore"):
+            b0 = MU_0 / (4.0 * math.pi) * _b0_terms(z, geom.edge_length, np.sqrt, np.divide)
+    except OverflowError:
+        b0 = np.array(math.inf)
+    if not np.all((b0 > 0) & (b0 < math.inf)):
+        raise GeometryError(f"loop field profile is not finite and positive for {_describe(geom)}")
+    return b0
 
 
 def total_hamiltonian(

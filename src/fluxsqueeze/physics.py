@@ -216,8 +216,13 @@ def inductance_from_inductive_energy(e_l_ghz: float) -> float:
 
 
 def inductance_mismatch(e_l_ghz: float, inductance_h: float) -> float:
-    """Relative disagreement between a quoted E_L and a quoted L."""
-    return abs(inductive_energy_from_inductance(inductance_h) - e_l_ghz) / e_l_ghz
+    """Relative disagreement between a quoted E_L and a quoted L; one past
+    float range raises ``GeometryError`` (0, full agreement, is valid)."""
+    mismatch = abs(inductive_energy_from_inductance(inductance_h) - e_l_ghz) / e_l_ghz
+    if not mismatch < math.inf:
+        raise GeometryError(f"circuit.e_l = {e_l_ghz} GHz and geometry.inductance = "
+                            f"{inductance_h} H give a mismatch that is not finite")
+    return mismatch
 
 
 def default_geometry(

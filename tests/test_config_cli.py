@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fluxsqueeze.cli import main
+from fluxsqueeze.cli import COMMANDS, main
 from fluxsqueeze.config import (
     KNOWN_KEYS,
     MAX_GRID_POINTS,
@@ -275,10 +275,71 @@ def test_negative_exponent_value_parses_like_equals_form(tmp_path, option, value
 
 @pytest.mark.parametrize("argv", [["--fs-mi", "-1e-1"], ["--fs-mi=-1e-1"]], ids=["spaced", "joined"])
 def test_abbreviated_option_is_rejected(capsys, argv):
-    with pytest.raises(SystemExit) as info:
-        main(["amplify", *argv])
-    assert info.value.code == 2
-    assert "unrecognized arguments: --fs-mi" in capsys.readouterr().err
+    assert main(["amplify", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: unrecognized argument '--fs-mi'; options are spelled in full\n"
+
+
+# every argv error is one classified line, with nothing on stdout
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["spectrum", "--bogus"], "unrecognized argument '--bogus'"),
+        (["amplify", "--fs-mi", "-1e-1"], "unrecognized argument '--fs-mi'"),
+        (["amplify", "--fs-mi=-1e-1"], "unrecognized argument '--fs-mi'"),
+        (["trotter", "--k", "1"], "unrecognized argument '--k'"),
+        (["coupling", "--dim"], "--dim expects a value"),
+        (["coupling", "--set", "circuit.e_c"], "--set expects KEY=VALUE, got 'circuit.e_c'"),
+        (["amplify", "--two-pi=false"], "--two-pi takes no value"),
+        (["bogus"], "unknown command 'bogus'"),
+        ([], "missing command"),
+    ],
+    ids=["unknown", "prefix-spaced", "prefix-joined", "deleted-flag", "no-value", "set-no-equals",
+         "switch-value", "unknown-command", "no-command"],
+)
+def test_malformed_argv_is_one_classified_line(capsys, argv, names):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ") and names in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--help", "spectrum"]])
+def test_help_lists_every_command(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: fluxsqueeze") and captured.err == ""
+    listed = {line.split()[0] for line in captured.out.split("commands:\n")[1].splitlines()}
+    assert listed == set(COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+@pytest.mark.parametrize("switch", ["--help", "-h"])
+def test_command_help_lists_every_flag(capsys, command, switch):
+    # values are parsed after argv is read, so help wins over a bad one
+    assert main([command, "--dim", "x", switch]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"usage: fluxsqueeze {command}") and captured.err == ""
+    listed = {line.split()[0] for line in captured.out.split("options:\n")[1].splitlines()}
+    flags = {row[2] for row in KNOWN_KEYS.values() if row[2]}
+    assert listed == flags | {"--config", "--set"}
+    for key, row in KNOWN_KEYS.items():
+        assert (f"({key})" in captured.out) == bool(row[2])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--set", "run.t=5", "--t", "3"], ["--t", "3", "--set", "run.t=5"],
+     ["--t", "4", "--t", "1", "--set", "run.t=2", "--set", "run.t=5"]],
+    ids=["set-first", "flag-first", "repeated"],
+)
+def test_set_items_win_over_flags_in_any_order(tmp_path, argv):
+    conf = tmp_path / "run.conf"
+    conf.write_text("run.t = 7\n", encoding="utf-8")
+    out = tmp_path / "amp.csv"
+    assert main(["amplify", "--config", str(conf), *argv, "--out", str(out)]) == 0
+    assert "t=5.00000000000e+00 ns" in out.read_text(encoding="utf-8").splitlines()[0]
 
 
 def test_unstable_selftest_prints_one_short_line(capsys, tmp_path):
@@ -684,6 +745,22 @@ def test_cli_import_does_not_load_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_does_not_load_argparse(tmp_path):
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fluxsqueeze.cli\n"
+         "assert 'argparse' not in sys.modules\n"
+         f"assert fluxsqueeze.cli.main(['coupling', '--out', {str(out)!r}]) == 0\n"
+         "assert 'argparse' not in sys.modules"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.exists()
+
+
 @pytest.mark.parametrize("key", ["nv.zeeman", "nv.zero_field_splitting", "run.k"])
 def test_deleted_keys_are_unknown(capsys, tmp_path, key):
     out = tmp_path / "x.json"
@@ -697,10 +774,10 @@ def test_deleted_keys_are_unknown(capsys, tmp_path, key):
 
 
 def test_branch_flag_is_gone(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["trotter", "--k", "1"])
-    assert info.value.code == 2
-    assert "unrecognized arguments: --k" in capsys.readouterr().err
+    assert main(["trotter", "--k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: unrecognized argument '--k'")
+    assert err.count("\n") == 1
 
 
 def test_trotter_past_hyperbolic_cap_is_a_regime_error(capsys, tmp_path):
@@ -752,10 +829,21 @@ def test_failing_convergence_check_prints_the_value_it_judged(tmp_path):
          "configuration error: spin-loop coupling is not finite and positive (0.0)"),
         (["selftest", "--set", "circuit.e_j=1e-320"], 3,
          "stability error: no squeezing interaction"),
+        (["selftest", "--dim", "3", "--set", "geometry.edge_length=1.7e308"], 2,
+         "configuration error: loop field profile is not finite and positive"),
+        (["selftest", "--dim", "3", "--set", "geometry.edge_length=1e-200",
+          "--set", "geometry.z_nv=1e-320"], 2,
+         "configuration error: loop field profile is not finite and positive"),
+        (["selftest", "--dim", "3", "--set", "geometry.edge_length=1e150"], 2,
+         "configuration error: loop field profile is not finite and positive"),
+        (["coupling", "--set", "geometry.inductance=1e-200", "--set", "circuit.e_j=1e200",
+          "--set", "circuit.e_l=1e-300"], 2,
+         "configuration error: circuit.e_l = 1e-300 GHz and geometry.inductance = 1e-200 H"),
     ],
     ids=["coupling", "amplify", "selftest-tiny", "selftest-huge", "spectrum", "selftest-tiny-e_c",
          "trotter-1e300", "trotter-1e200", "config-not-utf-8", "spectrum-parity-mixing",
-         "trotter-omega0-underflow", "coupling-g-underflow", "selftest-eta1-underflow"],
+         "trotter-omega0-underflow", "coupling-g-underflow", "selftest-eta1-underflow",
+         "profile-overflow", "profile-divide", "profile-huge-edge", "coupling-mismatch-overflow"],
 )
 def test_extreme_input_is_one_classified_line(tmp_path, argv, code, message):
     # a config file that starts with a UTF-16 byte order mark

@@ -86,14 +86,7 @@ print("numpy" in sys.modules)
 
 
 def _cli(argv: list, code: int) -> str:
-    return (
-        "from fluxsqueeze import cli\n"
-        "try:\n"
-        f"    code = cli.main({argv!r})\n"
-        "except SystemExit as exc:\n"
-        "    code = exc.code\n"
-        f"assert code == {code}, code"
-    )
+    return f"from fluxsqueeze import cli\ncode = cli.main({argv!r})\nassert code == {code}, code"
 
 
 @pytest.mark.parametrize(
@@ -108,11 +101,12 @@ def _cli(argv: list, code: int) -> str:
         _cli(["coupling", "--out", "OUT"], 0),
         _cli(["--version"], 0),
         _cli(["--help"], 0),
+        _cli(["spectrum", "--help"], 0),
         _cli(["spectrum", "--fs-steps", "1"], 2),
     ],
     ids=[
         "package", "cli", "scalar-exports", "gain-exports", "amplify", "amplify-two-pi",
-        "coupling", "version", "help", "config-error",
+        "coupling", "version", "help", "command-help", "config-error",
     ],
 )
 def test_starts_without_numpy(tmp_path, statement):

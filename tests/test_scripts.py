@@ -51,8 +51,7 @@ def test_reproduce_figures_writes_the_reference_artifacts(tmp_path, capsys):
 
 
 def test_cli_main_keeps_no_state_between_calls(tmp_path):
-    # the parser is built once per process: an override in one call must
-    # not reach the next one
+    # an override in one call must not reach the next one in the process
     first = tmp_path / "fs07.csv"
     assert main(["trotter", "--set", "circuit.f_s=0.7", "--out", str(first)]) == 0
     second = tmp_path / "default.csv"
