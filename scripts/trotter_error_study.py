@@ -8,8 +8,8 @@ splitting should halve the error per doubling).
 
 import argparse
 
-from fluxsqueeze.circuit import CircuitParams
 from fluxsqueeze.gates import analytic_us, gate_distance, trotter_squeeze
+from fluxsqueeze.physics import CircuitParams
 
 
 def run(t: float, f_s: float) -> None:

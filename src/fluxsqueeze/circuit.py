@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._parallel import _one_blas_thread
-from .config import MAX_MATRIX_BYTES, matrix_bytes
+from .config import CONVERGENCE_TOL, DEFAULT_DIM, MAX_MATRIX_BYTES, matrix_bytes
 from .errors import (
     ConvergenceError,
     DegenerateSpectrumError,
@@ -43,21 +43,9 @@ from .operators import (
     phase_charge_operators,
     require_below,
 )
-from .physics import (  # noqa: F401 (re-exported)
-    CircuitParams, ReducedParams, StabilityResult, _require_stable, cos_pi, effective_josephson,
-    reduced_params, stability,
-)
+from .physics import CircuitParams, _require_stable  # perfbench/worker.py reads CircuitParams
 
-# Default truncation; the convergence protocol doubles from here.
-DEFAULT_DIM = 60
-# Doubling the truncation must move the lowest levels by less than this (GHz).
-CONVERGENCE_TOL = 1e-6
 MAX_DOUBLINGS = 6
-
-
-def circuit_operators(p: CircuitParams, space: FockSpace):
-    """Quadrature pair (phi, n) in the fixed omega0 basis."""
-    return phase_charge_operators(space, p.mass, p.omega0)
 
 
 class FluxFreeTerms(NamedTuple):
@@ -139,7 +127,7 @@ def quartic_hamiltonian(p: CircuitParams, space: FockSpace) -> np.ndarray:
     t = _terms(p, space.dim)
     mat = (
         p.e_c * t.nn
-        + 0.5 * (2.0 * p.e_l + p.ej_flux) * t.pp
+        + 0.5 * p.stiffness * t.pp
         - (p.ej_flux / 24.0) * t.phi4
     )
     return 0.5 * (mat + mat.T)

@@ -20,13 +20,14 @@ import contextlib
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from ._parallel import _one_blas_thread
 from .config import KNOWN_KEYS, RunConfig, build_config, load_config, parse_bool, parse_value
 from .errors import ParameterError, SimulationError
 from .physics import (
-    MU_0, amplification_sweep, bare_coupling, bare_coupling_si, biot_savart_b0,
+    INTERACTION_FLUX, MU_0, amplification_sweep, bare_coupling, bare_coupling_si, biot_savart_b0,
     inductance_mismatch, inductive_energy_from_inductance, reduced_params, stability,
 )
 
@@ -169,7 +170,7 @@ def cmd_amplify(cfg: RunConfig) -> str:
 
 def cmd_coupling(cfg: RunConfig) -> str:
     geom = cfg.geometry()
-    p = cfg.circuit(0.5)
+    p = cfg.circuit(INTERACTION_FLUX)
     b0 = biot_savart_b0(geom)
     g_internal = bare_coupling(p, geom)
     g_si = bare_coupling_si(p, geom)
@@ -180,7 +181,7 @@ def cmd_coupling(cfg: RunConfig) -> str:
             "e_c_ghz": cfg.e_c,
             "e_j_ghz": cfg.e_j,
             "e_l_ghz": cfg.e_l,
-            "interaction_flux": 0.5,
+            "interaction_flux": INTERACTION_FLUX,
             "edge_length_m": geom.edge_length,
             "z_nv_m": geom.z_nv,
             "inductance_h": geom.inductance,
@@ -221,7 +222,7 @@ def cmd_selftest(cfg: RunConfig) -> tuple[str, bool]:
         "tool": {"name": "fluxsqueeze", "version": __version__},
         "dim": cfg.dim,
         "passed": passed,
-        "checks": [c.as_dict() for c in checks],
+        "checks": [asdict(c) for c in checks],
     }
     return json.dumps(report, indent=2, allow_nan=False) + "\n", passed
 

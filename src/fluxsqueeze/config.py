@@ -94,6 +94,9 @@ KNOWN_KEYS = {
 }
 
 
+DEFAULT_DIM = 60  # Fock truncation; the convergence ladder doubles from here
+CONVERGENCE_TOL = 1e-6  # GHz; a doubling must move the lowest levels by less than this
+
 # Most points a run's grid may hold, checked before any work: sweep.fs_steps
 # times the number of sweep.ratios (amplify keeps one row per flux point and
 # ratio), and run.t_steps.  At peak, measured with tracemalloc on CPython
@@ -135,10 +138,10 @@ class RunConfig:
     t: float | None = None
     t_steps: int = 151
     m_steps: int = 100
-    dim: int = 60
+    dim: int = DEFAULT_DIM
     two_pi: bool = False
     convention: str = "matched"
-    convergence_tol: float = 1e-6
+    convergence_tol: float = CONVERGENCE_TOL
     trotter_threshold: float = 0.02
     out_path: str | None = None
 

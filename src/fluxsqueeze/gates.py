@@ -50,7 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitParams, ReducedParams, _require_stable, reduced_params
 from .errors import ParameterError, WrongRegimeError
 from .operators import (
     FockSpace,
@@ -62,6 +61,7 @@ from .operators import (
     su11_generators_2x2,
     warn_on_truncation_leak,
 )
+from .physics import CircuitParams, ReducedParams, _require_stable, reduced_params
 
 CONVENTIONS = ("matched", "swapped")
 REPS = ("2x2", "fock")
@@ -86,7 +86,8 @@ class GateSchedule:
 def make_schedule(
     p: CircuitParams, t: float, m: int, k: int = 0, convention: str = "matched"
 ) -> GateSchedule:
-    """Derive t' and t'' from the circuit parameters under one convention."""
+    """Derive t' and t'' from the circuit parameters under one convention;
+    a time past the float range is a ``ParameterError``."""
     if m < 1:
         raise ParameterError(f"step count must be >= 1, got {m}")
     if k < 0:
@@ -95,15 +96,14 @@ def make_schedule(
         raise ParameterError(f"unknown convention {convention!r}; pick from {CONVENTIONS}")
     r = reduced_params(p)
     quarter = (4 * k + 1) * math.pi / 4.0
-    if convention == "matched":
-        t_prime = r.omega1 * t / r.omega0
-        t_dprime = quarter / r.omega0
-    else:
-        t_prime = r.omega0 * t / r.omega1
-        t_dprime = quarter / r.omega1
-    return GateSchedule(
-        t=t, m=m, k=k, t_prime=t_prime, t_dprime=t_dprime, convention=convention
-    )
+    fast, slow = (r.omega1, r.omega0) if convention == "matched" else (r.omega0, r.omega1)
+    with np.errstate(over="ignore"):
+        t_prime = fast * t / slow
+    t_dprime = quarter / slow
+    if not (np.isfinite(t_prime).all() and math.isfinite(t_dprime)):
+        raise ParameterError(f"circuit keys: gate times t' = {fast:.6g} t / {slow:.6g} and t'' = "
+                             f"{t_dprime:.6g} ns must be finite at t = {np.max(t):.6g} ns")
+    return GateSchedule(t=t, m=m, k=k, t_prime=t_prime, t_dprime=t_dprime, convention=convention)
 
 
 class Compact:

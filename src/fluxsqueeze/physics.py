@@ -4,8 +4,7 @@ coupling-gain table g_eff/g = exp(2 eta2) over flux.
 No numpy at import: this module imports only the standard library and
 ``errors``.  ``amplify``, ``coupling``, ``--help``, ``--version`` and
 configuration errors need nothing more, and loading numpy would be most
-of their run time.  ``circuit`` and ``coupling`` re-export the names
-they need from here.
+of their run time.  The rest of the package imports these names from here.
 
 Units: energies in GHz (E/h / 1e9), geometry in SI (meters, henries,
 tesla/ampere); "2 pi x ... kHz" is a CLI display concern, never an
@@ -62,6 +61,14 @@ def effective_josephson(e_j: float, f_s: float) -> float:
     return 2.0 * e_j * cos_pi(f_s)
 
 
+def _circuit_value(value: float, what: str, keys: str, positive: bool = False) -> float:
+    """``value`` if finite (and positive, if asked), else a ParameterError naming ``keys``."""
+    if not (abs(value) < math.inf and (value > 0 or not positive)):
+        need = "finite and positive" if positive else "finite"
+        raise ParameterError(f"{keys}: {what} = {value:.6g} is not {need}")
+    return value
+
+
 @dataclass(frozen=True)
 class CircuitParams:
     """Energy scales (GHz) and applied normalized flux of the circuit."""
@@ -78,15 +85,19 @@ class CircuitParams:
                 raise ParameterError(f"{name} must be finite and positive, got {value}")
         if not math.isfinite(self.f_s):
             raise ParameterError(f"f_s must be finite, got {self.f_s}")
-        if not (0 < self.omega0 < math.inf and 0 < self.mass < math.inf):
-            raise ParameterError(
-                f"circuit.e_c and circuit.e_l give a basis oscillator of omega0={self.omega0} "
-                f"and mass={self.mass}; both must be finite and positive"
-            )
+        for what, value in (("basis-oscillator omega0", self.omega0), ("mass", self.mass)):
+            _circuit_value(value, what, "circuit.e_c and circuit.e_l", positive=True)
 
     @functools.cached_property
     def ej_flux(self) -> float:
-        return effective_josephson(self.e_j, self.f_s)
+        return _circuit_value(effective_josephson(self.e_j, self.f_s), "E_J(f_s)", "circuit.e_j")
+
+    @functools.cached_property
+    def stiffness(self) -> float:
+        """2 E_L + E_J(f_s), the phi^2 coefficient of the quartic reduction (GHz)."""
+        return _circuit_value(
+            2.0 * self.e_l + self.ej_flux, "2 E_L + E_J(f_s)", "circuit.e_j and circuit.e_l"
+        )
 
     @property
     def omega0(self) -> float:
@@ -139,16 +150,16 @@ def reduced_params(p: CircuitParams) -> ReducedParams:
         eta1  = beta E_J(f_s) / 4
         omega1 = sqrt(2 E_c (2 E_L + E_J(f_s))) - eta1
     """
-    ejf = p.ej_flux
-    stiffness = 2.0 * p.e_l + ejf
+    stiffness = p.stiffness
     if not stiffness > 0:
         raise StabilityError(
             f"2 E_L + E_J(f_s) = {stiffness:.6g} GHz <= 0 at f_s={p.f_s}; "
             "the quadratic reduction does not exist"
         )
-    beta = p.e_c / (2.0 * stiffness)
-    eta1 = 0.25 * beta * ejf
-    omega1 = math.sqrt(2.0 * p.e_c * stiffness) - eta1
+    keys = "circuit.e_c, circuit.e_j, circuit.e_l and circuit.f_s"
+    beta = _circuit_value(p.e_c / (2.0 * stiffness), "beta", keys)
+    eta1 = _circuit_value(0.25 * beta * p.ej_flux, "eta1", keys)
+    omega1 = _circuit_value(math.sqrt(2.0 * p.e_c * stiffness) - eta1, "omega1", keys)
     return ReducedParams(omega0=p.omega0, omega1=omega1, eta1=eta1, beta=beta)
 
 
@@ -210,9 +221,7 @@ def inductance_from_inductive_energy(e_l_ghz: float) -> float:
     """Inverse of the E_L(L) relation, returned in henries."""
     den = 8.0 * math.pi**2 * e_l_ghz * 1e9 * H_PLANCK
     inductance = PHI_0**2 / den if den > 0 else math.inf
-    if not 0 < inductance < math.inf:
-        raise ParameterError(f"circuit.e_l = {e_l_ghz} GHz gives no finite positive inductance")
-    return inductance
+    return _circuit_value(inductance, "loop inductance", "circuit.e_l", positive=True)
 
 
 def inductance_mismatch(e_l_ghz: float, inductance_h: float) -> float:

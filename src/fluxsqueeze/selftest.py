@@ -7,11 +7,11 @@ is auditable; any failure flips the process exit status.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import circuit, coupling, gates, operators
+from . import circuit, coupling, gates, operators, physics
 from .config import RunConfig
 from .errors import ParameterError, WrongRegimeError
 
@@ -25,9 +25,6 @@ class CheckResult:
     value: float
     threshold: float
     passed: bool
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _check(name: str, value: float, threshold: float) -> CheckResult:
@@ -85,15 +82,15 @@ def _closed_forms_2x2() -> CheckResult:
     return _check("closed_form_2x2_exponentials", worst, 1e-12)
 
 
-def _phase_charge(dim: int, p: circuit.CircuitParams) -> CheckResult:
+def _phase_charge(dim: int, p: physics.CircuitParams) -> CheckResult:
     space = operators.make_fock_space(dim)
-    phi, n = circuit.circuit_operators(p, space)
+    phi, n = operators.phase_charge_operators(space, p.mass, p.omega0)
     comm = operators.commutator(phi, n)
     res = np.abs(operators.interior(comm - 1j * np.eye(dim), dim - 2)).max()
     return _check("phase_charge_commutator_interior", res, 1e-12)
 
 
-def _unitarity(p: circuit.CircuitParams, w: np.ndarray, v: np.ndarray) -> CheckResult:
+def _unitarity(p: physics.CircuitParams, w: np.ndarray, v: np.ndarray) -> CheckResult:
     """U = exp(-iH) of the full Hamiltonian from its eigenpairs, and U1."""
     dim = len(w)
     u_full = operators.propagator(w, v, 1.0)
@@ -107,35 +104,39 @@ def _eigen_reconstruction(h: np.ndarray, w: np.ndarray, v: np.ndarray) -> CheckR
     return _check("eigen_reconstruction", res, operators.RECONSTRUCTION_RTOL)
 
 
-def _hyperbolic_identity(p: circuit.CircuitParams) -> list[CheckResult]:
+def _hyperbolic_identity(p: physics.CircuitParams) -> list[CheckResult]:
     w0 = p.omega0
     strict = 0.0
     scaled = 0.0
-    for eta2 in np.linspace(-3.0, 3.0, 121):
-        eff = coupling.effective_params(p, g=1.0, eta2=float(eta2))
-        err = abs(eff.omega_eff**2 - 4.0 * eff.chi**2 - w0**2)
-        scaled = max(scaled, err / max(w0**2, eff.omega_eff**2))
-        if abs(eta2) <= 1.5:
-            strict = max(strict, err / w0**2)
+    try:
+        for eta2 in np.linspace(-3.0, 3.0, 121):
+            eff = physics.effective_params(p, g=1.0, eta2=float(eta2))
+            err = abs(eff.omega_eff**2 - 4.0 * eff.chi**2 - w0**2)
+            scaled = max(scaled, err / max(w0**2, eff.omega_eff**2))
+            if abs(eta2) <= 1.5:
+                strict = max(strict, err / w0**2)
+    except OverflowError:
+        msg = f"circuit.e_c and circuit.e_l: omega0 = {w0:.6g} GHz overflows omega_eff^2"
+        raise ParameterError(msg) from None
     return [
         _check("hyperbolic_identity_moderate", strict, 1e-10),
         _check("hyperbolic_identity_scaled", scaled, 1e-10),
     ]
 
 
-def _conjugation_equivalence(p: circuit.CircuitParams) -> CheckResult:
+def _conjugation_equivalence(p: physics.CircuitParams) -> CheckResult:
     dim = 96
     eta2 = 0.2
     space = operators.make_fock_space(dim)
-    geom = coupling.default_geometry(p)
-    g = coupling.bare_coupling(p, geom)
+    geom = physics.default_geometry(p)
+    g = physics.bare_coupling(p, geom)
     # Zeeman shift chosen to put the spin on resonance with the oscillator
-    nv = coupling.NVParams(zeeman=coupling.ZERO_FIELD_SPLITTING_GHZ - p.omega0)
+    nv = physics.NVParams(zeeman=physics.ZERO_FIELD_SPLITTING_GHZ - p.omega0)
     h_tot = coupling.total_hamiltonian(p, nv, g, space)
     s = coupling.squeeze_on_product(space, eta2)
     h_eff = coupling.conjugate_hamiltonian(s, h_tot)
     coeffs = coupling.project_coupling_coefficients(h_eff, space, n_interior=dim // 3)
-    eff = coupling.effective_params(p, g, eta2)
+    eff = physics.effective_params(p, g, eta2)
     rel = max(
         abs(coeffs["number"] - eff.omega_eff) / eff.omega_eff,
         abs(coeffs["pair"] - eff.chi) / eff.chi,
@@ -144,7 +145,7 @@ def _conjugation_equivalence(p: circuit.CircuitParams) -> CheckResult:
     return _check("conjugation_equivalence", rel, 1e-6)
 
 
-def _biot_savart_symmetry(geom: coupling.CouplingGeometry) -> CheckResult:
+def _biot_savart_symmetry(geom: physics.CouplingGeometry) -> CheckResult:
     z = np.linspace(geom.edge_length * 1e-4, geom.edge_length * (1 - 1e-4), 1000)
     left = coupling.b0_profile(geom, z)
     right = coupling.b0_profile(geom, geom.edge_length - z)
@@ -152,7 +153,7 @@ def _biot_savart_symmetry(geom: coupling.CouplingGeometry) -> CheckResult:
     return _check("biot_savart_symmetry", res, 1e-12)
 
 
-def _truncation_convergence(p: circuit.CircuitParams, w: np.ndarray, tol: float) -> CheckResult:
+def _truncation_convergence(p: physics.CircuitParams, w: np.ndarray, tol: float) -> CheckResult:
     """Movement of the lowest three levels from the shared full solve ``w``
     to 2*dim, solved the same way (the sweep's sector solve of the upper
     rung rounds this value differently)."""
@@ -161,13 +162,14 @@ def _truncation_convergence(p: circuit.CircuitParams, w: np.ndarray, tol: float)
     return CheckResult("truncation_convergence", move, tol, passed=move < tol)
 
 
-def _squeeze_closure(p: circuit.CircuitParams) -> list[CheckResult]:
+def _squeeze_closure(p: physics.CircuitParams) -> list[CheckResult]:
     # the closure property needs the squeezing regime; fall back to the
     # canonical detuned flux when the configured point is harmonic
-    if circuit.reduced_params(p).eta1 >= 0.0:
+    if physics.reduced_params(p).eta1 >= 0.0:
         p = replace(p, f_s=0.9)
-    r = circuit.reduced_params(p)
-    if not r.eta1 < 0.0:
+    r = physics.reduced_params(p)
+    # the squeeze times t = eta2 / -eta1 below, eta2 up to 1, must be finite
+    if not (r.eta1 < 0.0 and 1.0 / -r.eta1 < math.inf):
         raise WrongRegimeError(f"no squeezing interaction: eta1 = {r.eta1} GHz at f_s={p.f_s}")
     worst = 0.0
     for eta2 in (0.1, 0.24, 1.0):
@@ -188,7 +190,7 @@ def _squeeze_closure(p: circuit.CircuitParams) -> list[CheckResult]:
     ]
 
 
-def _harmonic_point(p: circuit.CircuitParams, dim: int) -> list[CheckResult]:
+def _harmonic_point(p: physics.CircuitParams, dim: int) -> list[CheckResult]:
     half = replace(p, f_s=0.5)
     space = operators.make_fock_space(dim)
     h_full = circuit.full_hamiltonian(half, space)

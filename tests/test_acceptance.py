@@ -21,29 +21,31 @@ import numpy as np
 import pytest
 
 from fluxsqueeze.circuit import (
-    CircuitParams,
     anharmonicity,
     full_hamiltonian,
     harmonic_hamiltonian,
     quartic_hamiltonian,
-    reduced_params,
     spectrum,
 )
 from fluxsqueeze.config import RunConfig
 from fluxsqueeze.coupling import (
-    CouplingGeometry,
-    NVParams,
-    amplification_sweep,
-    bare_coupling,
-    bare_coupling_si,
     conjugate_hamiltonian,
-    effective_params,
     project_coupling_coefficients,
     squeeze_on_product,
     total_hamiltonian,
 )
 from fluxsqueeze.gates import analytic_us, gate_distance, squeeze_operator, trotter_squeeze
 from fluxsqueeze.operators import make_fock_space
+from fluxsqueeze.physics import (
+    CircuitParams,
+    CouplingGeometry,
+    NVParams,
+    amplification_sweep,
+    bare_coupling,
+    bare_coupling_si,
+    effective_params,
+    reduced_params,
+)
 from fluxsqueeze.selftest import run_selftest
 
 E_C, E_J, E_L = 0.12, 58.0, 58.6

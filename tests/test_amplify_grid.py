@@ -20,17 +20,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fluxsqueeze.circuit import CircuitParams, cos_pi, reduced_params, stability
 from fluxsqueeze.cli import linspace
 from fluxsqueeze.config import MAX_GRID_POINTS
-from fluxsqueeze.coupling import (
+from fluxsqueeze.errors import ParameterError, StabilityError
+from fluxsqueeze.physics import (
     INTERACTION_FLUX,
     AmplificationRow,
+    CircuitParams,
     amplification_sweep,
     bare_coupling,
+    cos_pi,
     default_geometry,
+    reduced_params,
+    stability,
 )
-from fluxsqueeze.errors import ParameterError, StabilityError
 
 E_C, E_L = 0.12, 58.6
 DEFAULT_GRID = np.linspace(0.5, 1.0, 101)

@@ -10,19 +10,8 @@ import numpy as np
 import pytest
 
 from fluxsqueeze import gates
-from fluxsqueeze.circuit import (
-    CircuitParams,
-    circuit_operators,
-    full_hamiltonian,
-    harmonic_hamiltonian,
-    quartic_hamiltonian,
-)
-from fluxsqueeze.coupling import (
-    NVParams,
-    conjugate_hamiltonian,
-    squeeze_on_product,
-    total_hamiltonian,
-)
+from fluxsqueeze.circuit import full_hamiltonian, harmonic_hamiltonian, quartic_hamiltonian
+from fluxsqueeze.coupling import conjugate_hamiltonian, squeeze_on_product, total_hamiltonian
 from fluxsqueeze.errors import ParameterError
 from fluxsqueeze.operators import (
     annihilation,
@@ -30,6 +19,7 @@ from fluxsqueeze.operators import (
     phase_charge_operators,
     su11_generators,
 )
+from fluxsqueeze.physics import CircuitParams, NVParams
 
 P = CircuitParams(e_c=0.12, e_j=58.0, e_l=58.6, f_s=0.9)
 NV = NVParams(zeeman=2.87 - P.omega0)
@@ -38,7 +28,7 @@ BUILDERS = (harmonic_hamiltonian, full_hamiltonian, quartic_hamiltonian)
 
 def _hermitian_matrices(dim):
     space = make_fock_space(dim)
-    phi, n = circuit_operators(P, space)
+    phi, n = phase_charge_operators(space, P.mass, P.omega0)
     h_tot = total_hamiltonian(P, NV, 1.4e-5, space)
     yield from (("phi", phi), ("n", n))
     yield from zip(("G1", "G2", "G3"), su11_generators(space))

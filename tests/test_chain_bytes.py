@@ -17,21 +17,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fluxsqueeze.circuit import CircuitParams
 from fluxsqueeze.coupling import (
     UNITARY_TOL,
     _gram_residual,
-    ZERO_FIELD_SPLITTING_GHZ,
-    NVParams,
-    bare_coupling,
     conjugate_hamiltonian,
-    default_geometry,
     project_coupling_coefficients,
     squeeze_on_product,
     total_hamiltonian,
 )
 from fluxsqueeze.errors import ParameterError, TruncationLeakError
 from fluxsqueeze.operators import TAU_X, TAU_Z, annihilation, exp_normal, make_fock_space
+from fluxsqueeze.physics import (
+    ZERO_FIELD_SPLITTING_GHZ,
+    CircuitParams,
+    NVParams,
+    bare_coupling,
+    default_geometry,
+)
 
 # the selftest's chain: detuned flux, spin on resonance with the oscillator
 P = CircuitParams(e_c=0.12, e_j=58.0, e_l=58.6, f_s=0.9)

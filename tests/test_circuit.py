@@ -7,21 +7,14 @@ from hypothesis import strategies as st
 
 from fluxsqueeze import circuit, cli, physics
 from fluxsqueeze.circuit import (
-    CONVERGENCE_TOL,
     MAX_DOUBLINGS,
-    CircuitParams,
     Spectrum,
     anharmonicity,
-    circuit_operators,
     converged_spectrum,
-    cos_pi,
-    effective_josephson,
     full_hamiltonian,
     harmonic_hamiltonian,
     quartic_hamiltonian,
-    reduced_params,
     spectrum,
-    stability,
 )
 from fluxsqueeze.errors import (
     ConvergenceError,
@@ -30,12 +23,20 @@ from fluxsqueeze.errors import (
     SimulationError,
     StabilityError,
 )
-from fluxsqueeze.config import RunConfig
+from fluxsqueeze.config import CONVERGENCE_TOL, RunConfig
 from fluxsqueeze.selftest import run_selftest
 from fluxsqueeze.operators import (
     hermitian_eig,
     hermitian_matrix_function,
     make_fock_space,
+    phase_charge_operators,
+)
+from fluxsqueeze.physics import (
+    CircuitParams,
+    cos_pi,
+    effective_josephson,
+    reduced_params,
+    stability,
 )
 
 FIG2 = dict(e_c=0.12, e_j=58.0, e_l=58.6)
@@ -287,7 +288,7 @@ def test_converged_spectrum_gives_up():
 # cos(phi) afresh and solves both rungs of each doubling test, and the
 # accepted rung once more, in complex arithmetic.
 def _reference_full(p, space):
-    phi, n = circuit_operators(p, space)
+    phi, n = phase_charge_operators(space, p.mass, p.omega0)
     cos_phi = hermitian_matrix_function(phi, np.cos)
     mat = (
         p.e_c * (n @ n)
@@ -298,7 +299,7 @@ def _reference_full(p, space):
 
 
 def _reference_quartic(p, space):
-    phi, n = circuit_operators(p, space)
+    phi, n = phase_charge_operators(space, p.mass, p.omega0)
     phi2 = phi @ phi
     mat = (
         p.e_c * (n @ n)

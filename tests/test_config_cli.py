@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fluxsqueeze.cli import COMMANDS, main
 from fluxsqueeze.config import (
@@ -472,8 +477,9 @@ def _never_converging_builder(asked):
 def test_doubling_ladder_stops_before_the_matrix_budget():
     # estimates only: the ladder from dim 60 may build dim 1920 but not 3840
     assert matrix_bytes(960) <= MAX_MATRIX_BYTES < matrix_bytes(1920)
-    from fluxsqueeze.circuit import CircuitParams, converged_spectrum
+    from fluxsqueeze.circuit import converged_spectrum
     from fluxsqueeze.errors import ConvergenceError
+    from fluxsqueeze.physics import CircuitParams
 
     asked = []
     with pytest.raises(ConvergenceError) as exc:
@@ -839,11 +845,33 @@ def test_failing_convergence_check_prints_the_value_it_judged(tmp_path):
         (["coupling", "--set", "geometry.inductance=1e-200", "--set", "circuit.e_j=1e200",
           "--set", "circuit.e_l=1e-300"], 2,
          "configuration error: circuit.e_l = 1e-300 GHz and geometry.inductance = 1e-200 H"),
+        (["trotter", "--set", "circuit.e_l=1.7e308"], 2,
+         "configuration error: circuit.e_j and circuit.e_l: 2 E_L + E_J(f_s) = inf"),
+        (["selftest", "--dim", "3", "--set", "circuit.f_s=1e-320", "--set", "circuit.e_j=1e150",
+          "--set", "circuit.e_c=1e200"], 2,
+         "configuration error: circuit.e_c, circuit.e_j, circuit.e_l and circuit.f_s: omega1 = inf"),
+        (["spectrum", "--fs-steps", "3", "--dim", "4", "--set", "circuit.e_c=1e-10",
+          "--set", "circuit.e_j=0.001", "--set", "circuit.e_l=1.7e308"], 2,
+         "configuration error: circuit.e_j and circuit.e_l: 2 E_L + E_J(f_s) = inf"),
+        (["coupling", "--set", "circuit.e_j=1.7e308"], 2,
+         "configuration error: circuit.e_j: E_J(f_s) = nan"),
+        (["spectrum", "--fs-steps", "3", "--set", "circuit.e_j=1.7e308"], 2,
+         "configuration error: circuit.e_j: E_J(f_s) = nan"),
+        (["trotter", "--set", "circuit.e_j=1.7e308"], 2,
+         "configuration error: circuit.e_j: E_J(f_s) = -inf"),
+        (["selftest", "--dim", "3", "--set", "circuit.e_c=1e300"], 2,
+         "configuration error: circuit.e_c and circuit.e_l: omega0 = 1.53101e+151 GHz"),
+        (["selftest", "--dim", "3", "--set", "circuit.e_c=1e-10", "--set", "circuit.e_j=1e-300",
+          "--set", "circuit.e_l=1000", "--set", "circuit.f_s=1e10"], 3,
+         "stability error: no squeezing interaction: eta1 = -1.1888206454e-314 GHz"),
     ],
     ids=["coupling", "amplify", "selftest-tiny", "selftest-huge", "spectrum", "selftest-tiny-e_c",
          "trotter-1e300", "trotter-1e200", "config-not-utf-8", "spectrum-parity-mixing",
          "trotter-omega0-underflow", "coupling-g-underflow", "selftest-eta1-underflow",
-         "profile-overflow", "profile-divide", "profile-huge-edge", "coupling-mismatch-overflow"],
+         "profile-overflow", "profile-divide", "profile-huge-edge", "coupling-mismatch-overflow",
+         "trotter-omega1-overflow", "selftest-omega1-overflow", "spectrum-stiffness-overflow",
+         "coupling-ej-overflow", "spectrum-ej-overflow", "trotter-ej-overflow",
+         "selftest-hyperbolic-overflow", "selftest-eta1-subnormal"],
 )
 def test_extreme_input_is_one_classified_line(tmp_path, argv, code, message):
     # a config file that starts with a UTF-16 byte order mark
@@ -860,3 +888,61 @@ def test_extreme_input_is_one_classified_line(tmp_path, argv, code, message):
     assert proc.stderr.startswith(message), proc.stderr
     assert proc.stderr.count("\n") == 1
     assert not out.exists()
+
+
+# each command that reads the circuit keys, at grids small enough for many examples
+CIRCUIT_COMMANDS = {
+    "spectrum": ["--fs-steps", "3", "--dim", "4"],
+    "trotter": ["--set", "run.t_steps=3"],
+    "amplify": ["--fs-steps", "3"],
+    "coupling": [],
+    "selftest": ["--dim", "3"],
+}
+# None leaves a key at its default; the rest span subnormals to near overflow
+ENERGY = st.one_of(
+    st.none(),
+    st.floats(min_value=5e-324, max_value=1.7e308),
+    st.builds(lambda m, e: min(m * 10.0**e, 1.7e308), st.floats(1.0, 10.0), st.integers(-323, 308)),
+)
+FLUX = st.one_of(st.none(), st.floats(-2.0, 2.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _json_numbers(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [x for item in obj for x in _json_numbers(item)]
+    return [obj] if isinstance(obj, (int, float)) and not isinstance(obj, bool) else []
+
+
+def _csv_numbers(text: str) -> list:
+    numbers = []
+    for cell in ",".join(text.splitlines()[2:]).split(","):
+        with contextlib.suppress(ValueError):
+            numbers.append(float(cell))
+    return numbers
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(command=st.sampled_from(sorted(CIRCUIT_COMMANDS)), e_c=ENERGY, e_j=ENERGY, e_l=ENERGY,
+       f_s=FLUX)
+# the gate time t' = omega1 t / omega0 overflowed float and numpy warned
+@example(command="trotter", e_c=None, e_j=1e300, e_l=5.17886799e-315, f_s=-0.08826918721646715)
+def test_circuit_keys_give_an_artifact_or_one_classified_line(command, e_c, e_j, e_l, f_s):
+    argv = [command, *CIRCUIT_COMMANDS[command]]
+    for key, value in (("e_c", e_c), ("e_j", e_j), ("e_l", e_l), ("f_s", f_s)):
+        if value is not None:
+            argv += ["--set", f"circuit.{key}={value!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 2, 3, 4, 5), err.getvalue()
+    assert err.getvalue().count("\n") == (code in (2, 3, 4)), err.getvalue()
+    if code == 0:
+        text = out.getvalue()
+        json_out = command in ("coupling", "selftest")
+        numbers = _json_numbers(json.loads(text)) if json_out else _csv_numbers(text)
+        assert numbers and all(map(math.isfinite, numbers))

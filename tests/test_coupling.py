@@ -5,28 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxsqueeze.circuit import CircuitParams, reduced_params
 from fluxsqueeze.coupling import (
-    MU_0,
-    CouplingGeometry,
-    NVParams,
-    amplification_sweep,
     b0_profile,
-    bare_coupling,
-    bare_coupling_si,
-    biot_savart_b0,
     conjugate_hamiltonian,
-    default_geometry,
-    effective_params,
-    inductance_from_inductive_energy,
-    inductance_mismatch,
-    inductive_energy_from_inductance,
     project_coupling_coefficients,
     squeeze_on_product,
     total_hamiltonian,
 )
 from fluxsqueeze.errors import GeometryError, ParameterError, TruncationLeakError
 from fluxsqueeze.operators import make_fock_space
+from fluxsqueeze.physics import (
+    MU_0,
+    CircuitParams,
+    CouplingGeometry,
+    NVParams,
+    amplification_sweep,
+    bare_coupling,
+    bare_coupling_si,
+    biot_savart_b0,
+    default_geometry,
+    effective_params,
+    inductance_from_inductive_energy,
+    inductance_mismatch,
+    inductive_energy_from_inductance,
+    reduced_params,
+)
 
 P = CircuitParams(e_c=0.12, e_j=58.0, e_l=58.6, f_s=0.5)
 GEOM = CouplingGeometry(edge_length=10e-6, z_nv=0.01e-6, inductance=1.4e-9)

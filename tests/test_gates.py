@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from fluxsqueeze.circuit import CircuitParams, reduced_params
 from fluxsqueeze.errors import (
     ParameterError,
     SimulationError,
@@ -21,6 +20,7 @@ from fluxsqueeze.gates import (
     trotter_squeeze,
 )
 from fluxsqueeze.operators import make_fock_space, su11_generators_2x2
+from fluxsqueeze.physics import CircuitParams, reduced_params
 
 P09 = CircuitParams(e_c=0.12, e_j=58.0, e_l=58.6, f_s=0.9)
 P05 = CircuitParams(e_c=0.12, e_j=58.0, e_l=58.6, f_s=0.5)

@@ -13,7 +13,6 @@ import warnings
 import numpy as np
 import pytest
 
-from fluxsqueeze.circuit import CircuitParams
 from fluxsqueeze.cli import cmd_trotter, fmt
 from fluxsqueeze.config import build_config
 from fluxsqueeze.errors import ParameterError, WrongRegimeError
@@ -26,6 +25,7 @@ from fluxsqueeze.gates import (
     trotter_squeeze,
 )
 from fluxsqueeze.operators import FockSpace, exp_2x2, su11_generators_2x2
+from fluxsqueeze.physics import CircuitParams
 
 P09 = CircuitParams(e_c=0.12, e_j=58.0, e_l=58.6, f_s=0.9)
 G = su11_generators_2x2()

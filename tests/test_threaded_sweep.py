@@ -28,9 +28,10 @@ import pytest
 
 from fluxsqueeze import _parallel, circuit, cli, gates
 from fluxsqueeze import selftest as selftest_module
-from fluxsqueeze.circuit import CircuitParams, converged_spectrum
+from fluxsqueeze.circuit import converged_spectrum
 from fluxsqueeze.config import RunConfig
 from fluxsqueeze.errors import ConvergenceError, ParameterError, StabilityError
+from fluxsqueeze.physics import CircuitParams
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 SPECTRUM_DIGEST = "2da70ae751fe6c3e"
@@ -168,6 +169,23 @@ def test_cli_import_brings_no_thread_pool_module():
         "new = set(sys.modules) - before; "
         "assert {'threading', 'ctypes'} <= before, 'numpy no longer loads them'; "
         "assert 'concurrent.futures' not in new, sorted(new)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_gates_import_brings_no_circuit_or_config():
+    # gates reaches the closed forms through physics, so trotter loads
+    # neither the Hamiltonian builders nor the config tables with it
+    script = (
+        "import sys, fluxsqueeze.gates; "
+        "loaded = {'fluxsqueeze.circuit', 'fluxsqueeze.config'} & set(sys.modules); "
+        "assert not loaded, sorted(loaded)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
