@@ -104,33 +104,43 @@ def _terms(p: CircuitParams, dim: int) -> FluxFreeTerms:
         return _cached_terms(p.mass, p.omega0, dim)
 
 
-# Each builder returns a float64 matrix: combined from the terms as a real
-# matrix and made exactly symmetric by 0.5 (M + M^T).
+def _assemble(p: CircuitParams, space: FockSpace, *terms: tuple[float, str]) -> np.ndarray:
+    """The sum of coefficient x flux-free term in the order given, made
+    exactly symmetric by 0.5 (M + M^T).  A subtracted term comes with its
+    coefficient negated (a - b c and a + (-b) c round alike).  A sum past
+    the float range raises ``ParameterError``, not a numpy warning."""
+    t = _terms(p, space.dim)
+    (first, name), *rest = terms
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = first * getattr(t, name)
+        for coefficient, name in rest:
+            mat += coefficient * getattr(t, name)
+        mat = 0.5 * (mat + mat.T)
+    if not np.isfinite(mat).all():
+        raise ParameterError(
+            f"circuit.e_c, circuit.e_j and circuit.e_l give a non-finite Hamiltonian "
+            f"at f_s={p.f_s}, dim={space.dim}"
+        )
+    return mat
+
+
 def harmonic_hamiltonian(p: CircuitParams, space: FockSpace) -> np.ndarray:
     """E_c n^2 + E_L phi^2 (the f_s = 1/2 point and the basis oscillator)."""
-    t = _terms(p, space.dim)
-    mat = p.e_c * t.nn + p.e_l * t.pp
-    return 0.5 * (mat + mat.T)
+    return _assemble(p, space, (p.e_c, "nn"), (p.e_l, "pp"))
 
 
 def full_hamiltonian(p: CircuitParams, space: FockSpace) -> np.ndarray:
     """E_c n^2 - E_J(f_s) cos(phi) + E_L phi^2 with cos as a matrix function."""
     _require_stable(p)
-    t = _terms(p, space.dim)
-    mat = p.e_c * t.nn - p.ej_flux * t.cos_phi + p.e_l * t.pp
-    return 0.5 * (mat + mat.T)
+    return _assemble(p, space, (p.e_c, "nn"), (-p.ej_flux, "cos_phi"), (p.e_l, "pp"))
 
 
 def quartic_hamiltonian(p: CircuitParams, space: FockSpace) -> np.ndarray:
     """cos(phi) expanded through phi^4; same basis as the full Hamiltonian."""
     _require_stable(p)
-    t = _terms(p, space.dim)
-    mat = (
-        p.e_c * t.nn
-        + 0.5 * p.stiffness * t.pp
-        - (p.ej_flux / 24.0) * t.phi4
+    return _assemble(
+        p, space, (p.e_c, "nn"), (0.5 * p.stiffness, "pp"), (-(p.ej_flux / 24.0), "phi4")
     )
-    return 0.5 * (mat + mat.T)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Command-line driver: reproducible sweeps serialized as CSV/JSON.
 
-One subcommand per entry of ``COMMANDS``; each option is a row of
-``config.KNOWN_KEYS`` and parses as that key does in a config file.
-``parse_argv`` reads argv in one pass over those two tables: the token
-after a flag is its value, whatever it starts with (``--t -1e-3``), as
-is the text after ``--flag=``.  Options must be spelled in full.  Each
+One subcommand per entry of ``COMMANDS``; each option is the flag of a
+``config.RunConfig`` field and parses as that key does in a config file.
+``parse_argv`` reads argv in one pass over ``COMMANDS`` and the key
+index ``config.KNOWN_KEYS``: the token after a flag is its value,
+whatever it starts with (``--t -1e-3``), as is the text after ``--flag=``.  Options must be spelled in full.  Each
 error class carries its exit code and stderr label (``errors``), so any
 argv error is one ``configuration error`` line with exit 2; a failing
 invariant battery exits 5.

@@ -7,14 +7,16 @@ Grammar (one assignment per line):
     sweep.ratios = 1.005, 1.01, 1.05, 1.1
     numerics.two_pi = false
 
-Unknown keys are rejected (fail-closed), values are coerced to the
-declared type, and command-line flags override file values.
+Each key is declared once, as a ``RunConfig`` field, and ``KNOWN_KEYS``
+indexes those fields by key.  Unknown keys are rejected (fail-closed),
+values are coerced to the declared type, and command-line flags override
+file values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ParameterError
@@ -56,44 +58,6 @@ def _at_least(n: int) -> tuple:
 FINITE = (("finite", _all_finite),)
 POSITIVE = FINITE + (("positive", lambda x: x > 0),)
 
-# config key -> (RunConfig attribute, parser, CLI flag or None, flag help,
-# checks); a flag's value goes through the same parser as the key's file value
-KNOWN_KEYS = {
-    "circuit.e_c": ("e_c", float, None, None, POSITIVE),
-    "circuit.e_j": ("e_j", float, None, None, POSITIVE),
-    "circuit.e_l": ("e_l", float, None, None, POSITIVE),
-    "circuit.f_s": ("f_s", float, None, None, FINITE),
-    "geometry.edge_length": ("edge_length", float, None, None, POSITIVE),
-    "geometry.z_nv": ("z_nv", float, None, None, POSITIVE),
-    "geometry.inductance": ("inductance", _optional(float), None, None, FINITE),
-    "sweep.fs_min": ("fs_min", float, "--fs-min", "sweep start flux", FINITE),
-    "sweep.fs_max": ("fs_max", float, "--fs-max", "sweep end flux", FINITE),
-    "sweep.fs_steps": ("fs_steps", int, "--fs-steps", "sweep point count", _at_least(2)),
-    "sweep.ratios": ("ratios", _parse_floats, "--ratios", "comma list of E_L/E_J ratios", FINITE),
-    "run.t": (
-        "t", _optional(float), "--t", "evolution time in ns (trotter: sweep max)",
-        FINITE + (("non-negative", lambda t: t is None or t >= 0),),
-    ),
-    "run.t_steps": ("t_steps", int, None, None, _at_least(2)),
-    "run.m": ("m_steps", int, "--M", "interleaving step count", _at_least(1)),
-    "numerics.dim": ("dim", int, "--dim", "Fock truncation dimension", _at_least(2)),
-    "numerics.two_pi": (
-        "two_pi", parse_bool, "--two-pi",
-        "use the angular 2*pi*GHz*ns phase convention in the gain sweep", (),
-    ),
-    "numerics.convention": (
-        "convention", str, None, None,
-        (("'matched' or 'swapped'", lambda c: c in ("matched", "swapped")),),
-    ),
-    "numerics.convergence_tol": (
-        "convergence_tol", float, None, None,
-        (("finite and > 0", lambda x: math.isfinite(x) and x > 0),),
-    ),
-    "trotter.threshold": ("trotter_threshold", float, None, None, FINITE),
-    "output.path": ("out_path", _optional(str), "--out", "output path (default: stdout)", ()),
-}
-
-
 DEFAULT_DIM = 60  # Fock truncation; the convergence ladder doubles from here
 CONVERGENCE_TOL = 1e-6  # GHz; a doubling must move the lowest levels by less than this
 
@@ -120,30 +84,46 @@ def matrix_bytes(dim: int) -> int:
     return 9 * 16 * (dim**2 + (2 * dim) ** 2)
 
 
+def _key(key, default, parse, checks, flag=None, text=None):
+    """The RunConfig field of config key ``key``: its default, the parser of its
+    text (a flag's value too), its checks, and its CLI flag and help, if any."""
+    return field(default=default, metadata={"key": key, "row": (parse, flag, text, checks)})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated parameters for one CLI invocation."""
+    """Validated parameters for one CLI invocation.  Each field declares one
+    config key; the field order is the order of the flags in ``--help``."""
 
-    e_c: float = 0.12
-    e_j: float = 58.0
-    e_l: float = 58.6
-    f_s: float = 0.9
-    edge_length: float = 10e-6
-    z_nv: float = 0.01e-6
-    inductance: float | None = None
-    fs_min: float = 0.5
-    fs_max: float = 1.0
-    fs_steps: int = 101
-    ratios: tuple[float, ...] = (1.005, 1.01, 1.05, 1.1)
-    t: float | None = None
-    t_steps: int = 151
-    m_steps: int = 100
-    dim: int = DEFAULT_DIM
-    two_pi: bool = False
-    convention: str = "matched"
-    convergence_tol: float = CONVERGENCE_TOL
-    trotter_threshold: float = 0.02
-    out_path: str | None = None
+    e_c: float = _key("circuit.e_c", 0.12, float, POSITIVE)
+    e_j: float = _key("circuit.e_j", 58.0, float, POSITIVE)
+    e_l: float = _key("circuit.e_l", 58.6, float, POSITIVE)
+    f_s: float = _key("circuit.f_s", 0.9, float, FINITE)
+    edge_length: float = _key("geometry.edge_length", 10e-6, float, POSITIVE)
+    z_nv: float = _key("geometry.z_nv", 0.01e-6, float, POSITIVE)
+    inductance: float | None = _key("geometry.inductance", None, _optional(float), FINITE)
+    fs_min: float = _key("sweep.fs_min", 0.5, float, FINITE, "--fs-min", "sweep start flux")
+    fs_max: float = _key("sweep.fs_max", 1.0, float, FINITE, "--fs-max", "sweep end flux")
+    fs_steps: int = _key("sweep.fs_steps", 101, int, _at_least(2),
+                         "--fs-steps", "sweep point count")
+    ratios: tuple[float, ...] = _key("sweep.ratios", (1.005, 1.01, 1.05, 1.1), _parse_floats,
+                                     FINITE, "--ratios", "comma list of E_L/E_J ratios")
+    t: float | None = _key("run.t", None, _optional(float),
+                           FINITE + (("non-negative", lambda t: t is None or t >= 0),),
+                           "--t", "evolution time in ns (trotter: sweep max)")
+    t_steps: int = _key("run.t_steps", 151, int, _at_least(2))
+    m_steps: int = _key("run.m", 100, int, _at_least(1), "--M", "interleaving step count")
+    dim: int = _key("numerics.dim", DEFAULT_DIM, int, _at_least(2),
+                    "--dim", "Fock truncation dimension")
+    two_pi: bool = _key("numerics.two_pi", False, parse_bool, (), "--two-pi",
+                        "use the angular 2*pi*GHz*ns phase convention in the gain sweep")
+    convention: str = _key("numerics.convention", "matched", str,
+                           (("'matched' or 'swapped'", lambda c: c in ("matched", "swapped")),))
+    convergence_tol: float = _key("numerics.convergence_tol", CONVERGENCE_TOL, float,
+                                  (("finite and > 0", lambda x: math.isfinite(x) and x > 0),))
+    trotter_threshold: float = _key("trotter.threshold", 0.02, float, FINITE)
+    out_path: str | None = _key("output.path", None, _optional(str), (),
+                                "--out", "output path (default: stdout)")
 
     def __post_init__(self):
         for key, (attr, *_, checks) in KNOWN_KEYS.items():
@@ -178,6 +158,10 @@ class RunConfig:
     def geometry(self) -> CouplingGeometry:
         """The configured loop; its inductance is derived from E_L when unset."""
         return default_geometry(self.circuit(), self.edge_length, self.z_nv, self.inductance)
+
+
+# config key -> (RunConfig attribute, parser, CLI flag or None, flag help, checks)
+KNOWN_KEYS = {f.metadata["key"]: (f.name, *f.metadata["row"]) for f in fields(RunConfig)}
 
 
 def parse_value(key: str, text: str, source: str) -> tuple[str, object]:

@@ -30,7 +30,7 @@ def b0_profile(geom: CouplingGeometry, z: np.ndarray) -> np.ndarray:
         raise GeometryError("profile positions must lie strictly inside (0, l)")
     try:
         with np.errstate(all="ignore"):
-            b0 = MU_0 / (4.0 * math.pi) * _b0_terms(z, geom.edge_length, np.sqrt, np.divide)
+            b0 = MU_0 / (4.0 * math.pi) * _b0_terms(z, geom.edge_length, np.sqrt)
     except OverflowError:
         b0 = np.array(math.inf)
     if not np.all((b0 > 0) & (b0 < math.inf)):

@@ -257,21 +257,12 @@ def _describe(geom: CouplingGeometry) -> str:
     return f"edge_length={geom.edge_length}, z_nv={geom.z_nv}, inductance={geom.inductance}"
 
 
-def _divide(num: float, den: float) -> float:
-    """num / den, giving numpy's +-inf for x / 0 and nan for 0 / 0."""
-    try:
-        return num / den
-    except ZeroDivisionError:
-        return math.copysign(math.inf, num) if num else math.nan
-
-
-def _b0_terms(z, l, sqrt=math.sqrt, divide=_divide):
+def _b0_terms(z, l, sqrt=math.sqrt):
     """The two edge terms of the loop field at z; ``coupling.b0_profile``
-    passes an array of z with numpy's ``sqrt`` and ``divide``."""
-    near = divide(l**2 + 2.0 * z**2, l * z * sqrt((l / 2.0) ** 2 + z**2))
-    far = divide(
-        3.0 * l**2 - 4.0 * l * z + 2.0 * z**2,
-        l * (l - z) * sqrt((l - z) ** 2 + (l / 2.0) ** 2),
+    passes an array of z with numpy's ``sqrt``."""
+    near = (l**2 + 2.0 * z**2) / (l * z * sqrt((l / 2.0) ** 2 + z**2))
+    far = (3.0 * l**2 - 4.0 * l * z + 2.0 * z**2) / (
+        l * (l - z) * sqrt((l - z) ** 2 + (l / 2.0) ** 2)
     )
     return near + far
 
@@ -285,7 +276,7 @@ def biot_savart_b0(geom: CouplingGeometry) -> float:
     """
     try:
         b0 = MU_0 / (4.0 * math.pi) * _b0_terms(geom.z_nv, geom.edge_length)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         b0 = math.inf
     return _finite(b0, "loop field per unit current", _describe(geom))
 
@@ -399,14 +390,17 @@ def amplification_sweep(
     for ratio in ratios:
         if not ratio > 0:
             raise ParameterError(f"E_L/E_J ratio must be positive, got {ratio}")
-        p0 = CircuitParams(e_c=e_c, e_j=e_l / ratio, e_l=e_l, f_s=INTERACTION_FLUX)
+        # the factors that do not depend on f_s are formed once, as the
+        # first step of each product; a bad one names the keys amplify reads
+        e_j = e_l / ratio
+        two_e_j = _circuit_value(2.0 * e_j, f"2 E_J = 2 E_L / {ratio}",
+                                 "circuit.e_l and sweep.ratios", positive=True)
+        two_e_l = _circuit_value(2.0 * e_l, "2 E_L", "circuit.e_l")
+        p0 = CircuitParams(e_c=e_c, e_j=e_j, e_l=e_l, f_s=INTERACTION_FLUX)
         geom = geometry if geometry is not None else default_geometry(p0)
         g = bare_coupling(p0, geom)
         # the operations of stability() and reduced_params() in their
-        # order, on floats, without a CircuitParams per point; the factors
-        # that do not depend on f_s are formed once, as the first step of
-        # each product
-        two_e_j, two_e_l = 2.0 * p0.e_j, 2.0 * e_l
+        # order, on floats, without a CircuitParams per point
         for f_s, cosine in zip(f_s_values, cosines):
             if not math.isfinite(f_s):
                 raise ParameterError(f"f_s must be finite, got {f_s}")

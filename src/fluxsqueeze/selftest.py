@@ -31,34 +31,9 @@ def _check(name: str, value: float, threshold: float) -> CheckResult:
     return CheckResult(name=name, value=float(value), threshold=float(threshold), passed=bool(value <= threshold))
 
 
-def _ladder_commutator(dim: int) -> CheckResult:
-    space = operators.make_fock_space(dim)
-    a = operators.annihilation(space)
-    comm = operators.commutator(a, a.conj().T)
-    res = np.abs(operators.interior(comm - np.eye(dim), dim - 1)).max()
-    return _check("ladder_commutator_interior", res, 1e-12)
-
-
-def _su11_commutators(dim: int) -> CheckResult:
-    space = operators.make_fock_space(dim)
-    g1, g2, g3 = operators.su11_generators(space)
-    n_int = dim - 2
-    res = max(
-        np.abs(operators.interior(operators.commutator(g1, g2) + 2j * g3, n_int)).max(),
-        np.abs(operators.interior(operators.commutator(g2, g3) - 2j * g1, n_int)).max(),
-        np.abs(operators.interior(operators.commutator(g3, g1) - 2j * g2, n_int)).max(),
-    )
-    return _check("su11_commutators_interior", res, 1e-12)
-
-
-def _su11_2x2() -> CheckResult:
-    g = operators.su11_generators_2x2()
-    res = max(
-        np.abs(operators.commutator(g.gamma1, g.gamma2) + 2j * g.gamma3).max(),
-        np.abs(operators.commutator(g.gamma2, g.gamma3) - 2j * g.gamma1).max(),
-        np.abs(operators.commutator(g.gamma3, g.gamma1) - 2j * g.gamma2).max(),
-    )
-    return _check("su11_commutators_2x2", res, 1e-14)
+def _residual(name: str, bound: float, n_keep: int, *diffs: np.ndarray) -> CheckResult:
+    """The largest max|D| of the differences ``diffs`` on their lowest ``n_keep`` levels."""
+    return _check(name, max(np.abs(operators.interior(d, n_keep)).max() for d in diffs), bound)
 
 
 def _closed_forms_2x2() -> CheckResult:
@@ -80,14 +55,6 @@ def _closed_forms_2x2() -> CheckResult:
         want = c * eye - 1j * gen * s
         worst = max(worst, np.abs(got - want).max())
     return _check("closed_form_2x2_exponentials", worst, 1e-12)
-
-
-def _phase_charge(dim: int, p: physics.CircuitParams) -> CheckResult:
-    space = operators.make_fock_space(dim)
-    phi, n = operators.phase_charge_operators(space, p.mass, p.omega0)
-    comm = operators.commutator(phi, n)
-    res = np.abs(operators.interior(comm - 1j * np.eye(dim), dim - 2)).max()
-    return _check("phase_charge_commutator_interior", res, 1e-12)
 
 
 def _unitarity(p: physics.CircuitParams, w: np.ndarray, v: np.ndarray) -> CheckResult:
@@ -224,15 +191,25 @@ def run_selftest(cfg: RunConfig) -> tuple[list[CheckResult], bool]:
     # the geometry and the shared solve come first: an E_L or E_c out of
     # range is then a configuration error before any check computes with it
     p, geom = cfg.circuit(), cfg.geometry()
+    dim, comm = cfg.dim, operators.commutator
+    space = operators.make_fock_space(dim)
     # one solve of the full Hamiltonian serves three checks
-    h = circuit.full_hamiltonian(p, operators.make_fock_space(cfg.dim))
+    h = circuit.full_hamiltonian(p, space)
     w, v = circuit.solve(h)
+    a = operators.annihilation(space)
+    g1, g2, g3 = operators.su11_generators(space)
+    g = operators.su11_generators_2x2()
     checks = [
-        _ladder_commutator(cfg.dim),
-        _su11_commutators(cfg.dim),
-        _su11_2x2(),
+        _residual("ladder_commutator_interior", 1e-12, dim - 1, comm(a, a.conj().T) - np.eye(dim)),
+        _residual("su11_commutators_interior", 1e-12, dim - 2, comm(g1, g2) + 2j * g3,
+                  comm(g2, g3) - 2j * g1, comm(g3, g1) - 2j * g2),
+        _residual("su11_commutators_2x2", 1e-14, 2, comm(g.gamma1, g.gamma2) + 2j * g.gamma3,
+                  comm(g.gamma2, g.gamma3) - 2j * g.gamma1,
+                  comm(g.gamma3, g.gamma1) - 2j * g.gamma2),
         _closed_forms_2x2(),
-        _phase_charge(cfg.dim, p),
+        _residual("phase_charge_commutator_interior", 1e-12, dim - 2,
+                  comm(*operators.phase_charge_operators(space, p.mass, p.omega0))
+                  - 1j * np.eye(dim)),
         _unitarity(p, w, v),
         _eigen_reconstruction(h, w, v),
         *_hyperbolic_identity(p),

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -516,6 +517,14 @@ def test_amplify_gain_overflow_names_run_t(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_amplify_does_not_read_circuit_e_j(capsys):
+    # amplify forms E_J = E_L / ratio, so circuit.e_j changes no byte of its table
+    assert main(["amplify", "--fs-steps", "3", "--set", "circuit.e_j=1.7e308"]) == 0
+    extreme = capsys.readouterr()
+    assert main(["amplify", "--fs-steps", "3"]) == 0
+    assert extreme == capsys.readouterr() and extreme.err == ""
+
+
 def test_load_config_missing_file():
     with pytest.raises(ParameterError, match="cannot read"):
         load_config("/nonexistent/path.conf")
@@ -864,6 +873,21 @@ def test_failing_convergence_check_prints_the_value_it_judged(tmp_path):
         (["selftest", "--dim", "3", "--set", "circuit.e_c=1e-10", "--set", "circuit.e_j=1e-300",
           "--set", "circuit.e_l=1000", "--set", "circuit.f_s=1e10"], 3,
          "stability error: no squeezing interaction: eta1 = -1.1888206454e-314 GHz"),
+        (["spectrum", "--fs-steps", "3", "--dim", "4", "--fs-min", "0", "--fs-max", "0.4",
+          "--set", "circuit.e_j=8e307", "--set", "circuit.e_l=1"], 2,
+         "configuration error: circuit.e_c, circuit.e_j and circuit.e_l give a non-finite "
+         "Hamiltonian at f_s=0.0, dim=4"),
+        (["selftest", "--dim", "3", "--set", "circuit.f_s=0", "--set", "circuit.e_j=8e307",
+          "--set", "circuit.e_l=1"], 2,
+         "configuration error: circuit.e_c, circuit.e_j and circuit.e_l give a non-finite "
+         "Hamiltonian at f_s=0.0, dim=3"),
+        (["amplify", "--set", "geometry.inductance=1e-9", "--set", "circuit.e_l=1e308",
+          "--ratios", "1.005"], 2,
+         "configuration error: circuit.e_l and sweep.ratios: 2 E_J = 2 E_L / 1.005 = inf"),
+        (["amplify", "--set", "circuit.e_l=1e-300", "--ratios", "1e300"], 2,
+         "configuration error: circuit.e_l and sweep.ratios: 2 E_J = 2 E_L / 1e+300 = 0"),
+        (["amplify", "--set", "geometry.inductance=1e-9", "--set", "circuit.e_l=1.7e308",
+          "--ratios", "1e10"], 2, "configuration error: circuit.e_l: 2 E_L = inf"),
     ],
     ids=["coupling", "amplify", "selftest-tiny", "selftest-huge", "spectrum", "selftest-tiny-e_c",
          "trotter-1e300", "trotter-1e200", "config-not-utf-8", "spectrum-parity-mixing",
@@ -871,7 +895,9 @@ def test_failing_convergence_check_prints_the_value_it_judged(tmp_path):
          "profile-overflow", "profile-divide", "profile-huge-edge", "coupling-mismatch-overflow",
          "trotter-omega1-overflow", "selftest-omega1-overflow", "spectrum-stiffness-overflow",
          "coupling-ej-overflow", "spectrum-ej-overflow", "trotter-ej-overflow",
-         "selftest-hyperbolic-overflow", "selftest-eta1-subnormal"],
+         "selftest-hyperbolic-overflow", "selftest-eta1-subnormal", "spectrum-symmetrize-overflow",
+         "selftest-symmetrize-overflow", "amplify-ej-overflow", "amplify-ej-underflow",
+         "amplify-el-overflow"],
 )
 def test_extreme_input_is_one_classified_line(tmp_path, argv, code, message):
     # a config file that starts with a UTF-16 byte order mark
@@ -923,16 +949,8 @@ def _csv_numbers(text: str) -> list:
     return numbers
 
 
-@settings(max_examples=500, deadline=None, derandomize=True)
-@given(command=st.sampled_from(sorted(CIRCUIT_COMMANDS)), e_c=ENERGY, e_j=ENERGY, e_l=ENERGY,
-       f_s=FLUX)
-# the gate time t' = omega1 t / omega0 overflowed float and numpy warned
-@example(command="trotter", e_c=None, e_j=1e300, e_l=5.17886799e-315, f_s=-0.08826918721646715)
-def test_circuit_keys_give_an_artifact_or_one_classified_line(command, e_c, e_j, e_l, f_s):
-    argv = [command, *CIRCUIT_COMMANDS[command]]
-    for key, value in (("e_c", e_c), ("e_j", e_j), ("e_l", e_l), ("f_s", f_s)):
-        if value is not None:
-            argv += ["--set", f"circuit.{key}={value!r}"]
+def _artifact_or_one_classified_line(argv):
+    """Run ``argv`` in process: it writes a finite artifact or one classified line, and warns not."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -943,6 +961,68 @@ def test_circuit_keys_give_an_artifact_or_one_classified_line(command, e_c, e_j,
     assert err.getvalue().count("\n") == (code in (2, 3, 4)), err.getvalue()
     if code == 0:
         text = out.getvalue()
-        json_out = command in ("coupling", "selftest")
+        json_out = argv[0] in ("coupling", "selftest")
         numbers = _json_numbers(json.loads(text)) if json_out else _csv_numbers(text)
         assert numbers and all(map(math.isfinite, numbers))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(command=st.sampled_from(sorted(CIRCUIT_COMMANDS)), e_c=ENERGY, e_j=ENERGY, e_l=ENERGY,
+       f_s=FLUX)
+# the gate time t' = omega1 t / omega0 overflowed float and numpy warned
+@example(command="trotter", e_c=None, e_j=1e300, e_l=5.17886799e-315, f_s=-0.08826918721646715)
+def test_circuit_keys_give_an_artifact_or_one_classified_line(command, e_c, e_j, e_l, f_s):
+    argv = [command, *CIRCUIT_COMMANDS[command]]
+    for key, value in (("e_c", e_c), ("e_j", e_j), ("e_l", e_l), ("f_s", f_s)):
+        if value is not None:
+            argv += ["--set", f"circuit.{key}={value!r}"]
+    _artifact_or_one_classified_line(argv)
+
+
+# the text of a value of each field type of RunConfig: floats of either sign
+# from subnormals to near overflow, infinities and NaN among them
+FLOAT = st.one_of(
+    st.floats(),
+    st.builds(lambda sign, m, e: sign * min(m * 10.0**e, 1.7e308), st.sampled_from([1.0, -1.0]),
+              st.floats(1.0, 10.0), st.integers(-323, 308)),
+).map(repr)
+BY_TYPE = {
+    "float": FLOAT,
+    "float | None": st.one_of(FLOAT, st.just("none")),
+    "int": st.integers(-1, 10**9).map(str),
+    "bool": st.sampled_from(["true", "false"]),
+    "str": st.sampled_from(["matched", "swapped", "neither"]),
+    "tuple[float, ...]": st.lists(FLOAT, min_size=1, max_size=3).map(", ".join),
+}
+# the keys whose work grows with their value are drawn small
+BOUNDED = {
+    "numerics.dim": st.integers(2, 8).map(str),
+    "sweep.fs_steps": st.integers(2, 4).map(str),
+    "run.t_steps": st.integers(2, 4).map(str),
+    "numerics.convergence_tol": st.floats(1e-6, 1.7e308).map(repr),
+}
+
+
+def _admitted(f):
+    """The text of the values that the row of field ``f`` admits, or None (unset)."""
+    _, parse, *_, checks = KNOWN_KEYS[f.metadata["key"]]
+    draws = BOUNDED.get(f.metadata["key"], BY_TYPE[f.type])
+    return st.none() | draws.filter(lambda text: all(ok(parse(text)) for _, ok in checks))
+
+
+# every key but the circuit keys (drawn above) and output.path
+OTHER_KEYS = st.fixed_dictionaries({
+    f.metadata["key"]: _admitted(f)
+    for f in fields(RunConfig)
+    if not f.metadata["key"].startswith(("circuit.", "output."))
+})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(command=st.sampled_from(sorted(CIRCUIT_COMMANDS)), values=OTHER_KEYS)
+def test_other_keys_give_an_artifact_or_one_classified_line(command, values):
+    argv = [command, *CIRCUIT_COMMANDS[command]]
+    for key, text in values.items():
+        if text is not None:
+            argv += ["--set", f"{key}={text}"]
+    _artifact_or_one_classified_line(argv)

@@ -8,7 +8,7 @@ with it.  A change that raises the constant must say why in CHANGES.md.
 
 from pathlib import Path
 
-SRC_LINE_BUDGET = 2657
+SRC_LINE_BUDGET = 2622
 
 _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fluxsqueeze"
 
