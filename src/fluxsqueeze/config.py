@@ -10,17 +10,21 @@ Grammar (one assignment per line):
 Each key is declared once, as a ``RunConfig`` field, and ``KNOWN_KEYS``
 indexes those fields by key.  Unknown keys are rejected (fail-closed),
 values are coerced to the declared type, and command-line flags override
-file values.
+file values.  ``physics._check_fields`` runs each field's checks, work
+budgets included; ``RunConfig.__post_init__`` adds those that join keys.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ParameterError
-from .physics import CircuitParams, CouplingGeometry, default_geometry
+from .physics import (
+    FINITE, POSITIVE, CircuitParams, CouplingGeometry, _check_fields, _circuit_value, _field,
+    default_geometry,
+)
 
 
 def parse_bool(text: str) -> bool:
@@ -44,19 +48,8 @@ def _optional(parse):
     return lambda text: None if text.strip().lower() in ("", "none") else parse(text)
 
 
-def _all_finite(value) -> bool:
-    """``None`` means unset; a tuple (sweep.ratios) is tested element-wise."""
-    items = value if isinstance(value, tuple) else (value,)
-    return all(x is None or math.isfinite(x) for x in items)
-
-
 def _at_least(n: int) -> tuple:
     return ((f">= {n}", lambda x: x >= n),)
-
-
-# the checks of a key: (what its value must be, test) pairs, run in order
-FINITE = (("finite", _all_finite),)
-POSITIVE = FINITE + (("positive", lambda x: x > 0),)
 
 DEFAULT_DIM = 60  # Fock truncation; the convergence ladder doubles from here
 CONVERGENCE_TOL = 1e-6  # GHz; a doubling must move the lowest levels by less than this
@@ -87,7 +80,13 @@ def matrix_bytes(dim: int) -> int:
 def _key(key, default, parse, checks, flag=None, text=None):
     """The RunConfig field of config key ``key``: its default, the parser of its
     text (a flag's value too), its checks, and its CLI flag and help, if any."""
-    return field(default=default, metadata={"key": key, "row": (parse, flag, text, checks)})
+    return _field(key, checks, default, row=(parse, flag, text))
+
+
+_WITHIN_GRID = ((f"within the grid budget of {MAX_GRID_POINTS} points",
+                 lambda n: n <= MAX_GRID_POINTS),)
+_WITHIN_MATRICES = ((f"within the matrix budget of {MAX_MATRIX_BYTES} bytes",
+                     lambda dim: matrix_bytes(dim) <= MAX_MATRIX_BYTES),)
 
 
 @dataclass(frozen=True)
@@ -111,9 +110,9 @@ class RunConfig:
     t: float | None = _key("run.t", None, _optional(float),
                            FINITE + (("non-negative", lambda t: t is None or t >= 0),),
                            "--t", "evolution time in ns (trotter: sweep max)")
-    t_steps: int = _key("run.t_steps", 151, int, _at_least(2))
+    t_steps: int = _key("run.t_steps", 151, int, _at_least(2) + _WITHIN_GRID)
     m_steps: int = _key("run.m", 100, int, _at_least(1), "--M", "interleaving step count")
-    dim: int = _key("numerics.dim", DEFAULT_DIM, int, _at_least(2),
+    dim: int = _key("numerics.dim", DEFAULT_DIM, int, _at_least(2) + _WITHIN_MATRICES,
                     "--dim", "Fock truncation dimension")
     two_pi: bool = _key("numerics.two_pi", False, parse_bool, (), "--two-pi",
                         "use the angular 2*pi*GHz*ns phase convention in the gain sweep")
@@ -126,30 +125,15 @@ class RunConfig:
                                 "--out", "output path (default: stdout)")
 
     def __post_init__(self):
-        for key, (attr, *_, checks) in KNOWN_KEYS.items():
-            value = getattr(self, attr)
-            for what, ok in checks:
-                if not ok(value):
-                    raise ParameterError(f"{key} must be {what}, got {value!r}")
+        _check_fields(self)
         if self.fs_steps * len(self.ratios) > MAX_GRID_POINTS:
             raise ParameterError(
                 f"sweep.fs_steps = {self.fs_steps} at {len(self.ratios)} sweep.ratios "
                 f"exceeds the grid budget of {MAX_GRID_POINTS} points"
             )
-        if self.t_steps > MAX_GRID_POINTS:
-            raise ParameterError(
-                f"run.t_steps = {self.t_steps} exceeds the grid budget of "
-                f"{MAX_GRID_POINTS} points"
-            )
-        if not self.fs_min < self.fs_max:
-            raise ParameterError(
-                f"sweep range is empty: fs_min={self.fs_min} >= fs_max={self.fs_max}"
-            )
-        if matrix_bytes(self.dim) > MAX_MATRIX_BYTES:
-            raise ParameterError(
-                f"numerics.dim = {self.dim} exceeds the budget of {MAX_MATRIX_BYTES} bytes "
-                "for the dense matrices of its first two truncation rungs"
-            )
+        # for finite floats b - a > 0 exactly when a < b; an infinite width NaNs the grid
+        _circuit_value(self.fs_max - self.fs_min, "fs_max - fs_min",
+                       "sweep.fs_min and sweep.fs_max", positive=True)
 
     def circuit(self, f_s: float | None = None) -> CircuitParams:
         """The configured circuit, at flux ``f_s`` when one is given."""
@@ -161,7 +145,8 @@ class RunConfig:
 
 
 # config key -> (RunConfig attribute, parser, CLI flag or None, flag help, checks)
-KNOWN_KEYS = {f.metadata["key"]: (f.name, *f.metadata["row"]) for f in fields(RunConfig)}
+KNOWN_KEYS = {f.metadata["key"]: (f.name, *f.metadata["row"], f.metadata["checks"])
+              for f in fields(RunConfig)}
 
 
 def parse_value(key: str, text: str, source: str) -> tuple[str, object]:

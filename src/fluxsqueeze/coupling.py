@@ -16,7 +16,7 @@ from .operators import (
     UNITARY_TOL, FockSpace, TAU_X, TAU_Z, annihilation, exp_normal, require_below,
     unitarity_residual,
 )
-from .physics import MU_0, CircuitParams, CouplingGeometry, NVParams, _b0_terms, _describe
+from .physics import MU_0, CircuitParams, CouplingGeometry, NVParams, _b0_terms
 # read as coupling.* by perfbench/worker.py (fock_record) and perfbench/tracing.py (TIMED)
 from .physics import ZERO_FIELD_SPLITTING_GHZ, amplification_sweep, bare_coupling  # noqa: F401
 from .physics import default_geometry, effective_params  # noqa: F401
@@ -34,7 +34,8 @@ def b0_profile(geom: CouplingGeometry, z: np.ndarray) -> np.ndarray:
     except OverflowError:
         b0 = np.array(math.inf)
     if not np.all((b0 > 0) & (b0 < math.inf)):
-        raise GeometryError(f"loop field profile is not finite and positive for {_describe(geom)}")
+        raise GeometryError("loop field profile is not finite and positive for "
+                            f"edge_length={geom.edge_length}, z_nv={geom.z_nv}")
     return b0
 
 

@@ -87,7 +87,7 @@ def phase_charge_operators(
 
     Both come back Hermitian; [phi, n] = i holds on the interior subspace.
     """
-    if m <= 0 or omega <= 0:
+    if not (m > 0 and omega > 0):
         raise ParameterError(f"need m > 0 and omega > 0, got m={m}, omega={omega}")
     a = annihilation(space)
     ad = a.conj().T

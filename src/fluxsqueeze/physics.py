@@ -6,6 +6,10 @@ No numpy at import: this module imports only the standard library and
 configuration errors need nothing more, and loading numpy would be most
 of their run time.  The rest of the package imports these names from here.
 
+Each input field (here and in ``config.RunConfig``) declares its config key
+and checks, which ``_check_fields`` runs; derived values and rules that join
+two inputs go through ``_circuit_value``.  Both errors name the keys.
+
 Units: energies in GHz (E/h / 1e9), geometry in SI (meters, henries,
 tesla/ampere); "2 pi x ... kHz" is a CLI display concern, never an
 internal factor.
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Iterable, NamedTuple
 
 from .errors import GeometryError, ParameterError, StabilityError
@@ -61,30 +65,53 @@ def effective_josephson(e_j: float, f_s: float) -> float:
     return 2.0 * e_j * cos_pi(f_s)
 
 
-def _circuit_value(value: float, what: str, keys: str, positive: bool = False) -> float:
-    """``value`` if finite (and positive, if asked), else a ParameterError naming ``keys``."""
+def _circuit_value(value: float, what: str, keys: str, positive: bool = False,
+                   error: type = ParameterError) -> float:
+    """``value`` if finite (and positive, if asked), else an ``error`` naming ``keys``."""
     if not (abs(value) < math.inf and (value > 0 or not positive)):
         need = "finite and positive" if positive else "finite"
-        raise ParameterError(f"{keys}: {what} = {value:.6g} is not {need}")
+        raise error(f"{keys}: {what} = {value:.6g} is not {need}")
     return value
+
+
+def _all_finite(value) -> bool:
+    """``None`` means unset; a tuple (sweep.ratios) is tested element-wise."""
+    if isinstance(value, tuple):
+        return all(map(_all_finite, value))
+    return value is None or math.isfinite(value)
+
+
+# the checks of an input field: (what its value must be, test) pairs, run in order
+FINITE = (("finite", _all_finite),)
+POSITIVE = FINITE + (("positive", lambda x: x > 0),)
+
+
+def _field(key: str, checks: tuple, default=MISSING, **metadata):
+    """A dataclass field that declares its config key and its checks."""
+    return field(default=default, metadata={"key": key, "checks": checks, **metadata})
+
+
+def _check_fields(obj, error: type = ParameterError):
+    """Run the declared checks of each field of ``obj``, in field order; the
+    first that fails raises ``error`` naming the field's key."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        for what, ok in f.metadata["checks"]:
+            if not ok(value):
+                raise error(f"{f.metadata['key']} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class CircuitParams:
     """Energy scales (GHz) and applied normalized flux of the circuit."""
 
-    e_c: float
-    e_j: float
-    e_l: float
-    f_s: float
+    e_c: float = _field("circuit.e_c", POSITIVE)
+    e_j: float = _field("circuit.e_j", POSITIVE)
+    e_l: float = _field("circuit.e_l", POSITIVE)
+    f_s: float = _field("circuit.f_s", FINITE)
 
     def __post_init__(self):
-        for name in ("e_c", "e_j", "e_l"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ParameterError(f"{name} must be finite and positive, got {value}")
-        if not math.isfinite(self.f_s):
-            raise ParameterError(f"f_s must be finite, got {self.f_s}")
+        _check_fields(self)
         for what, value in (("basis-oscillator omega0", self.omega0), ("mass", self.mass)):
             _circuit_value(value, what, "circuit.e_c and circuit.e_l", positive=True)
 
@@ -167,13 +194,21 @@ def reduced_params(p: CircuitParams) -> ReducedParams:
 class NVParams:
     """Two-level defect spin: zero-field splitting and Zeeman shift, GHz."""
 
-    zeeman: float
-    d: float = ZERO_FIELD_SPLITTING_GHZ
+    zeeman: float = _field("zeeman", FINITE)
+    d: float = _field("d", FINITE, ZERO_FIELD_SPLITTING_GHZ)
+
+    def __post_init__(self):
+        _check_fields(self)
 
     @property
     def omega_nv(self) -> float:
         """Transition frequency of the spin's lowest two sublevels (GHz)."""
         return self.d - self.zeeman
+
+
+_EDGE_AND_Z = "geometry.edge_length and geometry.z_nv"
+_GEOMETRY_KEYS = "geometry.edge_length, geometry.z_nv and geometry.inductance"
+_geometry_value = functools.partial(_circuit_value, positive=True, error=GeometryError)
 
 
 @dataclass(frozen=True)
@@ -184,37 +219,21 @@ class CouplingGeometry:
     the field formula diverges at the edges, so 0 < z_nv < l strictly.
     """
 
-    edge_length: float
-    z_nv: float
-    inductance: float
+    edge_length: float = _field("geometry.edge_length", POSITIVE)
+    z_nv: float = _field("geometry.z_nv", POSITIVE)
+    inductance: float = _field("geometry.inductance", POSITIVE)
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.edge_length, self.z_nv, self.inductance))):
-            raise GeometryError(
-                f"geometry must be finite, got edge_length={self.edge_length}, "
-                f"z_nv={self.z_nv}, inductance={self.inductance}"
-            )
-        if not (0.0 < self.z_nv < self.edge_length):
-            raise GeometryError(
-                f"spin position z_nv={self.z_nv} must lie strictly inside "
-                f"(0, {self.edge_length})"
-            )
-        if not self.inductance > 0:
-            raise GeometryError(f"inductance must be positive, got {self.inductance}")
-
-
-def _finite(value: float, what: str, geom_desc: str) -> float:
-    if not 0 < value < math.inf:
-        raise GeometryError(f"{what} is not finite and positive ({value}) for {geom_desc}")
-    return value
+        _check_fields(self, GeometryError)
+        # for finite floats, l - z > 0 exactly when z < l
+        _geometry_value(self.edge_length - self.z_nv, "edge_length - z_nv", _EDGE_AND_Z)
 
 
 def inductive_energy_from_inductance(inductance_h: float) -> float:
     """E_L = Phi_0^2 / (8 pi^2 L), returned in GHz."""
-    if not inductance_h > 0:
-        raise GeometryError(f"inductance must be positive, got {inductance_h}")
+    _geometry_value(inductance_h, "loop inductance", "geometry.inductance")
     e_l_joule = PHI_0**2 / (8.0 * math.pi**2 * inductance_h)
-    return _finite(e_l_joule / H_PLANCK / 1e9, "E_L", f"inductance={inductance_h}")
+    return _geometry_value(e_l_joule / H_PLANCK / 1e9, "E_L", "geometry.inductance")
 
 
 def inductance_from_inductive_energy(e_l_ghz: float) -> float:
@@ -228,10 +247,8 @@ def inductance_mismatch(e_l_ghz: float, inductance_h: float) -> float:
     """Relative disagreement between a quoted E_L and a quoted L; one past
     float range raises ``GeometryError`` (0, full agreement, is valid)."""
     mismatch = abs(inductive_energy_from_inductance(inductance_h) - e_l_ghz) / e_l_ghz
-    if not mismatch < math.inf:
-        raise GeometryError(f"circuit.e_l = {e_l_ghz} GHz and geometry.inductance = "
-                            f"{inductance_h} H give a mismatch that is not finite")
-    return mismatch
+    return _circuit_value(mismatch, "relative E_L mismatch", "circuit.e_l and geometry.inductance",
+                          error=GeometryError)
 
 
 def default_geometry(
@@ -251,10 +268,6 @@ def default_geometry(
     if inductance is None:
         inductance = inductance_from_inductive_energy(p.e_l)
     return CouplingGeometry(edge_length=edge_length, z_nv=z_nv, inductance=inductance)
-
-
-def _describe(geom: CouplingGeometry) -> str:
-    return f"edge_length={geom.edge_length}, z_nv={geom.z_nv}, inductance={geom.inductance}"
 
 
 def _b0_terms(z, l, sqrt=math.sqrt):
@@ -278,7 +291,7 @@ def biot_savart_b0(geom: CouplingGeometry) -> float:
         b0 = MU_0 / (4.0 * math.pi) * _b0_terms(geom.z_nv, geom.edge_length)
     except (OverflowError, ZeroDivisionError):
         b0 = math.inf
-    return _finite(b0, "loop field per unit current", _describe(geom))
+    return _geometry_value(b0, "loop field per unit current", _EDGE_AND_Z)
 
 
 def _beta_quarter_at_working_point(p: CircuitParams) -> float:
@@ -305,7 +318,7 @@ def bare_coupling(p: CircuitParams, geom: CouplingGeometry) -> float:
         * beta_q
         / (2.0 * math.sqrt(2.0) * math.pi * geom.inductance)
     )
-    return _finite(g, "spin-loop coupling", _describe(geom))
+    return _geometry_value(g, "spin-loop coupling", _GEOMETRY_KEYS)
 
 
 def bare_coupling_si(p: CircuitParams, geom: CouplingGeometry) -> float:
@@ -320,7 +333,8 @@ def bare_coupling_si(p: CircuitParams, geom: CouplingGeometry) -> float:
     g_joule = (
         G_E * MU_B * PHI_0 * b0 * beta_q / (2.0 * math.sqrt(2.0) * math.pi * geom.inductance)
     )
-    return _finite(g_joule / H_PLANCK / 1e9, "spin-loop coupling (SI route)", _describe(geom))
+    g_si = g_joule / H_PLANCK / 1e9
+    return _geometry_value(g_si, "spin-loop coupling (SI route)", _GEOMETRY_KEYS)
 
 
 @dataclass(frozen=True)
@@ -403,24 +417,15 @@ def amplification_sweep(
         # order, on floats, without a CircuitParams per point
         for f_s, cosine in zip(f_s_values, cosines):
             if not math.isfinite(f_s):
-                raise ParameterError(f"f_s must be finite, got {f_s}")
+                replace(p0, f_s=f_s)  # raises the declared circuit.f_s check
             ejf = two_e_j * cosine
             margin = e_l + 0.5 * ejf
             stiffness = two_e_l + ejf
             # boundary points (margin exactly 0) have no quadratic reduction
             # either, so they land in the gap branch with the unstable ones
             if not (margin >= 0.0 and stiffness > 0):
-                rows.append(
-                    AmplificationRow(
-                        ratio=ratio,
-                        f_s=f_s,
-                        eta1=math.nan,
-                        eta2=math.nan,
-                        gain=math.nan,
-                        g_eff=math.nan,
-                        status="unstable",
-                    )
-                )
+                nan = math.nan
+                rows.append(AmplificationRow(ratio, f_s, nan, nan, nan, nan, "unstable"))
                 continue
             eta1 = 0.25 * (p0.e_c / (2.0 * stiffness)) * ejf
             # + 0.0 normalizes the negative zero at the sweet spot
@@ -435,15 +440,5 @@ def amplification_sweep(
                     f"f_s={f_s} (eta2={eta2:.6g}); shorten the evolution "
                     f"time run.t (t={t} ns)"
                 )
-            rows.append(
-                AmplificationRow(
-                    ratio=ratio,
-                    f_s=f_s,
-                    eta1=eta1,
-                    eta2=eta2,
-                    gain=gain,
-                    g_eff=g * gain,
-                    status="ok",
-                )
-            )
+            rows.append(AmplificationRow(ratio, f_s, eta1, eta2, gain, g * gain, "ok"))
     return rows

@@ -104,7 +104,7 @@ def array_amplification_sweep(e_c, ratios, t, fs_grid, e_l=58.6, geometry=None, 
         usable = (margin >= 0.0) & (stiffness > 0)
         for f_s, ok, eta1_i, eta2_i in zip(f_s_values, usable.tolist(), eta1.tolist(), eta2.tolist()):
             if not math.isfinite(f_s):
-                raise ParameterError(f"f_s must be finite, got {f_s}")
+                raise ParameterError(f"circuit.f_s must be finite, got {f_s!r}")
             if not ok:
                 nan = math.nan
                 rows.append(AmplificationRow(ratio, f_s, nan, nan, nan, nan, "unstable"))
@@ -179,7 +179,7 @@ def test_non_finite_flux_point_is_rejected_naming_f_s(bad):
     grid = [0.5, 0.7, bad, 0.9]
     with pytest.raises(ParameterError) as ref:
         loop_amplification_sweep(E_C, DEFAULT_RATIOS, 1.0, grid, E_L)
-    with pytest.raises(ParameterError, match="f_s must be finite") as got:
+    with pytest.raises(ParameterError, match="^circuit.f_s must be finite") as got:
         amplification_sweep(E_C, DEFAULT_RATIOS, 1.0, grid, e_l=E_L)
     assert str(got.value) == str(ref.value)
 

@@ -94,7 +94,7 @@ def test_params_reject_nonpositive_energies(field):
 def test_params_reject_non_finite_values(field, bad):
     values = dict(FIG2, f_s=0.5)
     values[field] = bad
-    with pytest.raises(ParameterError, match="finite"):
+    with pytest.raises(ParameterError, match=f"^circuit.{field} must be finite, got "):
         CircuitParams(**values)
 
 

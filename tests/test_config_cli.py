@@ -26,6 +26,7 @@ from fluxsqueeze.config import (
     parse_config_text,
 )
 from fluxsqueeze.errors import ParameterError
+from fluxsqueeze.physics import FINITE, POSITIVE, CircuitParams, CouplingGeometry
 
 GOOD_CONFIG = """
 # circuit at the detuned working point
@@ -132,6 +133,8 @@ def test_spectrum_rejects_bad_convergence_tol(capsys, value):
 FAILS_CHECK = {
     "finite": "nan", "positive": "-1", "non-negative": "-1", ">= 1": "0", ">= 2": "1",
     "'matched' or 'swapped'": "diagonal", "finite and > 0": "0",
+    f"within the grid budget of {MAX_GRID_POINTS} points": "1000000000000",
+    f"within the matrix budget of {MAX_MATRIX_BYTES} bytes": "100000",
 }
 
 
@@ -143,6 +146,20 @@ def test_each_key_check_fails_as_one_configuration_line(capsys, key, what):
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {key} must be {what}, got ")
     assert err.count("\n") == 1
+
+
+def test_circuit_and_geometry_fields_check_their_keys_as_the_config_does():
+    # a rule held by both layers is one check tuple, so the two cannot drift
+    # apart; geometry.inductance is optional in the config, required in the loop
+    for cls in (CircuitParams, CouplingGeometry):
+        for f in fields(cls):
+            key, checks = f.metadata["key"], f.metadata["checks"]
+            assert key in KNOWN_KEYS
+            config_checks = KNOWN_KEYS[key][4]
+            if key == "geometry.inductance":
+                assert (config_checks, checks) == (FINITE, POSITIVE)
+            else:
+                assert checks == config_checks, key
 
 
 FINITE_KEYS = [
@@ -417,8 +434,10 @@ def test_over_budget_grid_names_its_key(capsys, tmp_path, argv, key):
     out = tmp_path / "grid.csv"
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"configuration error: {key} = 1000000000000")
-    assert "grid budget" in err
+    # run.t_steps's budget is a check of its key; sweep.fs_steps's counts the ratios too
+    start = "must be within" if key == "run.t_steps" else "= 1000000000000"
+    assert err.startswith(f"configuration error: {key} {start}")
+    assert "grid budget" in err and "1000000000000" in err
     assert not out.exists()
 
 
@@ -446,8 +465,8 @@ def test_over_budget_dim_names_its_key(capsys, tmp_path, argv):
     out = tmp_path / "report.out"
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: numerics.dim = 100000 exceeds the budget")
-    assert err.count("\n") == 1
+    assert err == (f"configuration error: numerics.dim must be within the matrix budget of "
+                   f"{MAX_MATRIX_BYTES} bytes, got 100000\n")
     assert not out.exists()
 
 
@@ -480,7 +499,6 @@ def test_doubling_ladder_stops_before_the_matrix_budget():
     assert matrix_bytes(960) <= MAX_MATRIX_BYTES < matrix_bytes(1920)
     from fluxsqueeze.circuit import converged_spectrum
     from fluxsqueeze.errors import ConvergenceError
-    from fluxsqueeze.physics import CircuitParams
 
     asked = []
     with pytest.raises(ConvergenceError) as exc:
@@ -841,7 +859,8 @@ def test_failing_convergence_check_prints_the_value_it_judged(tmp_path):
           "--set", "circuit.f_s=0.0", "--t", "1e9"], 2,
          "configuration error: circuit.e_c and circuit.e_l"),
         (["coupling", "--set", "geometry.inductance=1.7e308"], 2,
-         "configuration error: spin-loop coupling is not finite and positive (0.0)"),
+         "configuration error: geometry.edge_length, geometry.z_nv and geometry.inductance: "
+         "spin-loop coupling = 0 is not finite and positive"),
         (["selftest", "--set", "circuit.e_j=1e-320"], 3,
          "stability error: no squeezing interaction"),
         (["selftest", "--dim", "3", "--set", "geometry.edge_length=1.7e308"], 2,
@@ -853,7 +872,8 @@ def test_failing_convergence_check_prints_the_value_it_judged(tmp_path):
          "configuration error: loop field profile is not finite and positive"),
         (["coupling", "--set", "geometry.inductance=1e-200", "--set", "circuit.e_j=1e200",
           "--set", "circuit.e_l=1e-300"], 2,
-         "configuration error: circuit.e_l = 1e-300 GHz and geometry.inductance = 1e-200 H"),
+         "configuration error: circuit.e_l and geometry.inductance: relative E_L mismatch = inf "
+         "is not finite"),
         (["trotter", "--set", "circuit.e_l=1.7e308"], 2,
          "configuration error: circuit.e_j and circuit.e_l: 2 E_L + E_J(f_s) = inf"),
         (["selftest", "--dim", "3", "--set", "circuit.f_s=1e-320", "--set", "circuit.e_j=1e150",
@@ -888,6 +908,18 @@ def test_failing_convergence_check_prints_the_value_it_judged(tmp_path):
          "configuration error: circuit.e_l and sweep.ratios: 2 E_J = 2 E_L / 1e+300 = 0"),
         (["amplify", "--set", "geometry.inductance=1e-9", "--set", "circuit.e_l=1.7e308",
           "--ratios", "1e10"], 2, "configuration error: circuit.e_l: 2 E_L = inf"),
+        (["amplify", "--fs-min", "-1.7e308", "--fs-max", "1.7e308", "--fs-steps", "3"], 2,
+         "configuration error: sweep.fs_min and sweep.fs_max: fs_max - fs_min = inf"),
+        (["spectrum", "--fs-min", "-1.7e308", "--fs-max", "1.7e308", "--fs-steps", "3"], 2,
+         "configuration error: sweep.fs_min and sweep.fs_max: fs_max - fs_min = inf"),
+        (["coupling", "--set", "geometry.inductance=-1e-9"], 2,
+         "configuration error: geometry.inductance must be positive, got -1e-09"),
+        (["coupling", "--set", "geometry.z_nv=2e-5"], 2,
+         "configuration error: geometry.edge_length and geometry.z_nv: edge_length - z_nv = "
+         "-1e-05 is not finite and positive"),
+        (["amplify", "--set", "geometry.z_nv=2e-5"], 2,
+         "configuration error: geometry.edge_length and geometry.z_nv: edge_length - z_nv = "
+         "-1e-05 is not finite and positive"),
     ],
     ids=["coupling", "amplify", "selftest-tiny", "selftest-huge", "spectrum", "selftest-tiny-e_c",
          "trotter-1e300", "trotter-1e200", "config-not-utf-8", "spectrum-parity-mixing",
@@ -897,14 +929,15 @@ def test_failing_convergence_check_prints_the_value_it_judged(tmp_path):
          "coupling-ej-overflow", "spectrum-ej-overflow", "trotter-ej-overflow",
          "selftest-hyperbolic-overflow", "selftest-eta1-subnormal", "spectrum-symmetrize-overflow",
          "selftest-symmetrize-overflow", "amplify-ej-overflow", "amplify-ej-underflow",
-         "amplify-el-overflow"],
+         "amplify-el-overflow", "amplify-range-overflow", "spectrum-range-overflow",
+         "coupling-negative-inductance", "coupling-z_nv-outside", "amplify-z_nv-outside"],
 )
 def test_extreme_input_is_one_classified_line(tmp_path, argv, code, message):
     # a config file that starts with a UTF-16 byte order mark
     (tmp_path / "utf16.conf").write_bytes("\ufeffcircuit.e_c = 0.12\n".encode("utf-16-le"))
     out = tmp_path / "artifact"
     proc = subprocess.run(
-        [sys.executable, "-m", "fluxsqueeze.cli", *argv, "--out", str(out)],
+        [sys.executable, "-W", "error", "-m", "fluxsqueeze.cli", *argv, "--out", str(out)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": SRC},

@@ -42,11 +42,21 @@ def test_nv_transition_frequency_working_points():
 
 
 @pytest.mark.parametrize(
+    "values, key", [({"zeeman": math.nan}, "zeeman"), ({"zeeman": 1.37, "d": math.inf}, "d")]
+)
+def test_nv_params_reject_non_finite_values(values, key):
+    # bad input is a ParameterError (exit 2), not a NaN Hamiltonian that the
+    # conjugation's hermiticity guard later reports as a truncation failure
+    with pytest.raises(ParameterError, match=f"^{key} must be finite, got "):
+        NVParams(**values)
+
+
+@pytest.mark.parametrize(
     "z_nv,inductance",
     [(0.0, 1.4e-9), (10e-6, 1.4e-9), (-1e-9, 1.4e-9), (1e-8, 0.0), (1e-8, -2e-9)],
 )
 def test_geometry_validation(z_nv, inductance):
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="^geometry.(z_nv|inductance|edge_length)"):
         CouplingGeometry(edge_length=10e-6, z_nv=z_nv, inductance=inductance)
 
 
@@ -55,7 +65,7 @@ def test_geometry_validation(z_nv, inductance):
     [(math.inf, 1e-8, 1.4e-9), (10e-6, math.nan, 1.4e-9), (10e-6, 1e-8, math.inf)],
 )
 def test_geometry_rejects_non_finite(edge_length, z_nv, inductance):
-    with pytest.raises(GeometryError, match="finite"):
+    with pytest.raises(GeometryError, match=r"^geometry\.\w+ must be finite"):
         CouplingGeometry(edge_length=edge_length, z_nv=z_nv, inductance=inductance)
 
 

@@ -86,6 +86,13 @@ def test_phase_charge_unit_mass_frequency():
     assert np.abs(n - 1j * (ad - a) / math.sqrt(2)).max() < 1e-15
 
 
+@pytest.mark.parametrize("m, omega", [(math.nan, 1.0), (1.0, math.nan), (0.0, 1.0), (1.0, -2.0)])
+def test_phase_charge_rejects_a_mass_or_frequency_that_is_not_positive(m, omega):
+    # a NaN fails every comparison, so it must fail the test too
+    with pytest.raises(ParameterError, match="need m > 0 and omega > 0"):
+        phase_charge_operators(make_fock_space(4), m, omega)
+
+
 def test_phase_zero_point_width_scalar_check():
     # independent scalar evaluation of the prefactor for the working basis
     space = make_fock_space(6)
