@@ -42,6 +42,7 @@ from .operators import (
     make_fock_space,
     phase_charge_operators,
     require_below,
+    split_sectors,
 )
 from .physics import CircuitParams, _require_stable  # perfbench/worker.py reads CircuitParams
 
@@ -64,8 +65,7 @@ def _cached_terms(mass: float, omega0: float, dim: int) -> FluxFreeTerms:
     (E_c, E_L, dim) and shared by every flux point and every command.
 
     Built under one OpenBLAS thread, as the sweep builds them, so that the
-    cache holds one set of bits whichever command fills it first (some
-    kernels, SandyBridge among them, round differently at two threads).
+    cache holds one set of bits whichever command fills it first.
     """
     # an extreme E_c or E_L overflows a product: rejected below, not warned
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
@@ -152,10 +152,14 @@ class Spectrum:
     e12: float
 
 
-def _lowest_levels(w: np.ndarray, k: int) -> Spectrum:
+def _three_or_more(k: int) -> int:
     if k < 3:
         raise ParameterError(f"need at least the lowest three levels, got k={k}")
-    if k > len(w):
+    return k
+
+
+def _lowest_levels(w: np.ndarray, k: int) -> Spectrum:
+    if _three_or_more(k) > len(w):
         raise ParameterError(f"k={k} exceeds the truncation dim={len(w)}")
     levels = tuple((i, float(w[i])) for i in range(k))
     return Spectrum(levels=levels, e01=float(w[1] - w[0]), e12=float(w[2] - w[1]))
@@ -193,13 +197,12 @@ def _sector_eigenvalues(H: np.ndarray) -> np.ndarray:
     them, raises ``ParameterError``.
     """
     scale = _finite_scale(H, "sector solve")
+    even, odd, mixed = split_sectors(H)
     require_below(
-        float(np.abs(H[0::2, 1::2]).max()), EIG_INPUT_RTOL * scale, ConvergenceError,
+        float(np.abs(mixed).max()), EIG_INPUT_RTOL * scale, ConvergenceError,
         f"Hamiltonian at dim={len(H)} mixes photon parity: max|H[even, odd]|",
     )
-    w = np.concatenate([hermitian_eig(H[s::2, s::2])[0] for s in (0, 1)])
-    w.sort()
-    return w
+    return np.sort(np.concatenate([hermitian_eig(block)[0] for block in (even, odd)]))
 
 
 def converged_spectrum(
@@ -227,7 +230,7 @@ def converged_spectrum(
     by ``config.matrix_bytes`` raises ``ConvergenceError`` before the
     upper rung is built.
     """
-    current = dim
+    current, k = dim, _three_or_more(k)
     lower = builder(p, make_fock_space(current))
     w_lower, _ = solve(lower)
     for _ in range(MAX_DOUBLINGS):

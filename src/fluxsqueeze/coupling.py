@@ -13,10 +13,13 @@ import numpy as np
 
 from .errors import GeometryError, ParameterError, TruncationLeakError
 from .operators import (
-    UNITARY_TOL, FockSpace, TAU_X, TAU_Z, annihilation, exp_normal, require_below,
-    unitarity_residual,
+    UNITARY_TOL, FockSpace, TAU_X, TAU_Z, annihilation, exp_normal, join_sectors, parity_sectors,
+    require_below, sector_tridiagonal, unitarity_residual,
 )
-from .physics import MU_0, CircuitParams, CouplingGeometry, NVParams, _b0_terms
+from .physics import (
+    _EDGE_AND_Z, MU_0, CircuitParams, CouplingGeometry, NVParams, _b0_terms, _geometry_value,
+    _or_inf,
+)
 # read as coupling.* by perfbench/worker.py (fock_record) and perfbench/tracing.py (TIMED)
 from .physics import ZERO_FIELD_SPLITTING_GHZ, amplification_sweep, bare_coupling  # noqa: F401
 from .physics import default_geometry, effective_params  # noqa: F401
@@ -28,14 +31,11 @@ def b0_profile(geom: CouplingGeometry, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0) or np.any(z >= geom.edge_length):
         raise GeometryError("profile positions must lie strictly inside (0, l)")
-    try:
-        with np.errstate(all="ignore"):
-            b0 = MU_0 / (4.0 * math.pi) * _b0_terms(z, geom.edge_length, np.sqrt)
-    except OverflowError:
-        b0 = np.array(math.inf)
-    if not np.all((b0 > 0) & (b0 < math.inf)):
-        raise GeometryError("loop field profile is not finite and positive for "
-                            f"edge_length={geom.edge_length}, z_nv={geom.z_nv}")
+    with np.errstate(all="ignore"):
+        b0 = MU_0 / (4.0 * math.pi) * _or_inf(_b0_terms, z, geom.edge_length, np.sqrt)
+    # a NaN fails both; an infinite value the largest, a zero the smallest
+    for value in (np.min(b0), np.max(b0)):
+        _geometry_value(float(value), "loop field profile", _EDGE_AND_Z)
     return b0
 
 
@@ -69,14 +69,9 @@ def total_hamiltonian(
 
 def squeeze_on_product(space: FockSpace, eta2: float) -> np.ndarray:
     """exp[eta2 (a^2 - a^dag^2)] acting on the oscillator factor only."""
-    # a^2 - a^dag^2 from its pair band <n|a^2|n+2> = sqrt(n+1) sqrt(n+2):
-    # each entry is the single nonzero term of the ladder products, so the
-    # generator is the same bits as eta2 (a @ a - a^dag @ a^dag)
-    n = np.arange(space.dim - 2)
-    band = np.sqrt(n + 1.0) * np.sqrt(n + 2.0)
-    pair = np.zeros((space.dim, space.dim), dtype=complex)
-    np.fill_diagonal(pair[:, 2:], band)
-    np.fill_diagonal(pair[2:, :], -band)
+    # a^2 - a^dag^2 from the pair band of each parity sector: each entry is the single
+    # nonzero term of the ladder products, the same bits as eta2 (a @ a - a^dag @ a^dag)
+    pair = join_sectors(space.dim, (sector_tridiagonal(b, -b) for _, b in parity_sectors(space.dim)))
     gen = eta2 * pair
     # kept off the cached operators.exp_generator route: its result differs
     # at roundoff, which moves the selftest's printed conjugation_equivalence
@@ -168,6 +163,5 @@ def project_coupling_coefficients(
         design[:, col] = np.kron(osc, spin).ravel()
     coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
     out = {name: float(c.real) for name, c in zip(factors, coeffs)}
-    residual = float(np.abs(design @ coeffs - target).max())
-    out["residual"] = residual
+    out["residual"] = float(np.abs(design @ coeffs - target).max())
     return out

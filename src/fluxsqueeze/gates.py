@@ -23,9 +23,7 @@ when the rotating-frame phases cancel:
     "swapped":  t' = omega0 t / omega1   and  omega1 t'' = (4k+1) pi/4
 
 "matched" is the default.  "swapped" exchanges the roles of the two
-frequencies (a form sometimes written down because the two gates are
-easy to mix up); it is kept selectable because the test suite documents
-that it neither telescopes nor closes the squeezing identity.
+frequencies; it neither telescopes nor closes the squeezing identity.
 
 Representations: "fock" uses the number operator a^dag a in the gate
 phases; "2x2" uses the compact generators (G3 = tau_z carries the extra
@@ -57,7 +55,10 @@ from .operators import (
     exp_generator,
     exp_sectors,
     hermitian_eig,
+    join_sectors,
     parity_sectors,
+    sector_tridiagonal,
+    split_sectors,
     su11_generators_2x2,
     warn_on_truncation_leak,
 )
@@ -84,17 +85,18 @@ class GateSchedule:
 
 
 def make_schedule(
-    p: CircuitParams, t: float, m: int, k: int = 0, convention: str = "matched"
+    p: CircuitParams, t: float, m: int, k: int = 0, convention: str = "matched",
+    reduced: ReducedParams | None = None,
 ) -> GateSchedule:
-    """Derive t' and t'' from the circuit parameters under one convention;
-    a time past the float range is a ``ParameterError``."""
+    """Derive t' and t'' from the circuit parameters, or from ``reduced`` = ``reduced_params(p)``,
+    under one convention; a time past the float range is a ``ParameterError``."""
     if m < 1:
         raise ParameterError(f"step count must be >= 1, got {m}")
     if k < 0:
         raise ParameterError(f"branch index must be >= 0, got {k}")
     if convention not in CONVENTIONS:
         raise ParameterError(f"unknown convention {convention!r}; pick from {CONVENTIONS}")
-    r = reduced_params(p)
+    r = reduced_params(p) if reduced is None else reduced
     quarter = (4 * k + 1) * math.pi / 4.0
     fast, slow = (r.omega1, r.omega0) if convention == "matched" else (r.omega0, r.omega1)
     with np.errstate(over="ignore"):
@@ -116,17 +118,12 @@ class Compact:
 
     g = su11_generators_2x2()
 
-    @staticmethod
-    def _times(t) -> np.ndarray:
-        # times broadcast against the trailing 2x2 axes
-        return np.asarray(t, dtype=float)[..., None, None]
-
     def u0(self, p: CircuitParams, t) -> np.ndarray:
-        return exp_2x2(-1j * p.omega0 * self._times(t) * self.g.gamma3)
+        return exp_2x2(-1j * p.omega0 * _times(t) * self.g.gamma3)
 
     def u0_dag_left(self, p: CircuitParams, t, mat: np.ndarray) -> np.ndarray:
         """U0^dag(t) @ mat."""
-        return exp_2x2(1j * p.omega0 * self._times(t) * self.g.gamma3) @ mat
+        return exp_2x2(1j * p.omega0 * _times(t) * self.g.gamma3) @ mat
 
     def u0_conjugate(self, p: CircuitParams, t: float, mat: np.ndarray) -> np.ndarray:
         """U0(t) @ mat @ U0^dag(t)."""
@@ -134,18 +131,16 @@ class Compact:
         return u0 @ mat @ u0.conj().swapaxes(-1, -2)
 
     def u1(self, r: ReducedParams, t) -> np.ndarray:
-        tt = self._times(t)
+        tt = _times(t)
         return exp_2x2(-1j * r.omega1 * tt * self.g.gamma3 + 2j * r.eta1 * tt * self.g.gamma1)
 
     def us(self, r: ReducedParams, t) -> np.ndarray:
         """exp(i 2 eta1 G1 t)."""
-        return exp_2x2(2j * r.eta1 * self._times(t) * self.g.gamma1)
+        return exp_2x2(2j * r.eta1 * _times(t) * self.g.gamma1)
 
     def target(self, eta2: float) -> np.ndarray:
         """exp(-2i eta2 G2) = cosh(2 eta2) - i sinh(2 eta2) G2."""
-        return math.cosh(2.0 * eta2) * np.eye(2, dtype=complex) - 1j * math.sinh(
-            2.0 * eta2
-        ) * self.g.gamma2
+        return math.cosh(2.0 * eta2) * np.eye(2, dtype=complex) - 1j * math.sinh(2.0 * eta2) * self.g.gamma2
 
     def power(self, mat: np.ndarray, m: int) -> np.ndarray:
         return np.linalg.matrix_power(mat, m)
@@ -154,11 +149,19 @@ class Compact:
         """The 2x2 form has no truncation edge."""
 
 
+def _times(t) -> np.ndarray:
+    """``t`` as float times against trailing 2x2 axes, checked finite before any product forms."""
+    times = np.asarray(t, dtype=float)
+    if not np.isfinite(times).all():
+        raise ParameterError(f"gate time t must be finite, got {t}")
+    return times[..., None, None]
+
+
 def _one_time(t, who: str = "the fock representation") -> float:
-    """``t`` as a float, for code built for one time per call."""
+    """``t`` as a finite float, for code built for one time per call."""
     if np.ndim(t) != 0:
         raise ParameterError(f"{who} takes one time per call, got an array of shape {np.shape(t)}")
-    return float(t)
+    return _times(t).item()
 
 
 @dataclass(frozen=True)
@@ -186,15 +189,11 @@ class Fock:
         return ph[:, None] * mat * ph.conj()[None, :]
 
     def u1(self, r: ReducedParams, t: float) -> np.ndarray:
-        # h1 = omega1 n - eta1 (a^2 + a^dag^2) is real symmetric and keeps
-        # photon parity: one real tridiagonal solve per sector, guarded by
-        # hermitian_eig (the generator moves with (omega1, eta1), so the
-        # solve is not cached)
+        # h1 = omega1 n - eta1 (a^2 + a^dag^2) keeps photon parity: one real solve per
+        # sector, not cached (h1 moves with omega1, eta1); 0.0 - x keeps a zero band +0
         theta = -_one_time(t)
-        eigs = [
-            hermitian_eig(np.diag(r.omega1 * n) - r.eta1 * (np.diag(band, 1) + np.diag(band, -1)))
-            for n, band in parity_sectors(self.space.dim)
-        ]
+        eigs = [hermitian_eig(sector_tridiagonal(0.0 - r.eta1 * band, diag=r.omega1 * n))
+                for n, band in parity_sectors(self.space.dim)]
         return exp_sectors(eigs, theta)
 
     def us(self, r: ReducedParams, t: float) -> np.ndarray:
@@ -206,10 +205,7 @@ class Fock:
         return exp_generator(self.space, "gamma2", -2.0 * eta2)
 
     def power(self, mat: np.ndarray, m: int) -> np.ndarray:
-        out = np.zeros_like(mat)
-        for s in (0, 1):
-            out[s::2, s::2] = np.linalg.matrix_power(mat[s::2, s::2], m)
-        return out
+        return join_sectors(len(mat), (np.linalg.matrix_power(b, m) for b in split_sectors(mat)[:2]))
 
     def check_leak(self, mat: np.ndarray, context: str):
         warn_on_truncation_leak(mat, self.space, context)
@@ -239,13 +235,22 @@ def gate_u1(p: CircuitParams, t: float | np.ndarray, rep: str = "2x2", space: Fo
     return representation(rep, space).u1(reduced_params(p), t)
 
 
+def _core(form: Compact | Fock, p: CircuitParams, r: ReducedParams, t,
+          sched: GateSchedule | None = None) -> np.ndarray:
+    """Us(t) evaluated directly, or with ``sched`` the interleaved product, leak-checked."""
+    if sched is None:
+        u, what = form.us(r, t), "analytic squeezing propagator"
+    else:
+        step = form.u0_dag_left(p, sched.t_prime / sched.m, form.u1(r, t / sched.m))
+        u, what = form.power(step, sched.m), "interleaved squeezing product"
+    form.check_leak(u, what)
+    return u
+
+
 def analytic_us(p: CircuitParams, t: float | np.ndarray, rep: str = "2x2", space: FockSpace | None = None) -> np.ndarray:
     """The squeezing propagator exp(i 2 eta1 G1 t) evaluated directly."""
     _require_stable(p)
-    form = representation(rep, space)
-    u = form.us(reduced_params(p), t)
-    form.check_leak(u, "analytic squeezing propagator")
-    return u
+    return _core(representation(rep, space), p, reduced_params(p), t)
 
 
 def trotter_squeeze(
@@ -258,19 +263,14 @@ def trotter_squeeze(
 ) -> np.ndarray:
     """The M-fold interleaved product [U0^dag(t'/M) U1(t/M)]^M."""
     _require_stable(p)
-    form = representation(rep, space)
-    sched = make_schedule(p, t, m, convention=convention)
-    step = form.u0_dag_left(p, sched.t_prime / m, form.u1(reduced_params(p), t / m))
-    product = form.power(step, m)
-    form.check_leak(product, "interleaved squeezing product")
-    return product
+    form, r = representation(rep, space), reduced_params(p)
+    return _core(form, p, r, t, make_schedule(p, t, m, convention=convention, reduced=r))
 
 
 def gate_distance(A: np.ndarray, B: np.ndarray) -> float | np.ndarray:
     """Largest element-wise deviation max_ij |A_ij - B_ij|: a float for two
     matrices, an array of per-matrix maxima for two stacks."""
-    A = np.asarray(A)
-    B = np.asarray(B)
+    A, B = np.asarray(A), np.asarray(B)
     if A.shape != B.shape:
         raise ParameterError(f"shape mismatch: {A.shape} vs {B.shape}")
     dev = np.abs(A - B).max(axis=(-2, -1))
@@ -315,11 +315,8 @@ def squeeze_operator(
             f"eta1 = {r.eta1:.4f} GHz >= 0 at f_s={p.f_s}; squeezing needs "
             "E_J(f_s) < 0 with the oscillator still stable"
         )
-    sched = make_schedule(p, t, m, k, convention)
-    if backend == "analytic":
-        core = analytic_us(p, t, rep, space)
-    else:
-        core = trotter_squeeze(p, t, m, rep, space, convention)
+    sched = make_schedule(p, t, m, k, convention, reduced=r)
+    core = _core(form, p, r, t, sched if backend == "trotter" else None)
     composed = form.u0_conjugate(p, sched.t_dprime, core)
     eta2 = -r.eta1 * t
     target = form.target(eta2)

@@ -1,12 +1,11 @@
 """Truncated Fock-space numerics: ladder operators, squeezing-algebra
 generators, Hermitian eigensolves, and matrix exponentials.
 
-Operators are plain dense ndarrays.  The ladder, quadrature and
-generator helpers return complex128 even where the entries are real, so
-every product built from them runs in complex arithmetic.  Operator
-algebra identities hold exactly only on an interior subspace; the
-truncation edge (top one or two levels) is excluded wherever an identity
-is asserted.
+The ladder, quadrature and generator helpers return complex128 even
+where the entries are real, so every product built from them runs in
+complex arithmetic.  Operator algebra identities hold exactly only on an
+interior subspace; the truncation edge (top one or two levels) is
+excluded wherever an identity is asserted.
 
 Units: energies in GHz, times in ns. The phase accumulated by ``propagator``
 is the plain product energy*time with no additional 2*pi factor.
@@ -113,12 +112,7 @@ class SU11Generators(NamedTuple):
 
 def su11_generators(space: FockSpace) -> SU11Generators:
     """Fock-representation generators G1=(a^2+ad^2)/2, G2=i(a^2-ad^2)/2, G3=n+1/2."""
-    a = annihilation(space)
-    ad = a.conj().T
-    a2 = a @ a
-    ad2 = ad @ ad
-    g1 = 0.5 * (a2 + ad2)
-    g2 = 0.5j * (a2 - ad2)
+    g1, g2 = (join_sectors(space.dim, _generator_blocks(space.dim, name)) for name in FIXED_GENERATORS)
     g3 = np.diag(np.arange(space.dim) + 0.5).astype(complex)
     return SU11Generators(g1, g2, g3)
 
@@ -252,8 +246,7 @@ def exp_normal(K) -> np.ndarray:
         "exp_normal needs an anti-Hermitian matrix: max|K + K^dag|",
     )
     # K = i H with H Hermitian
-    w, v = np.linalg.eigh(-1j * mat)
-    return _exp_i_eig(w, v)
+    return _exp_i_eig(*np.linalg.eigh(-1j * mat))
 
 
 def _exp_i_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -280,42 +273,55 @@ def parity_sectors(dim: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     tridiagonal matrix on each sector and zero between them.  Returns
     ``(levels, band)`` for s = 0 and s = 1.
     """
-    sectors = []
-    for s in (0, 1):
-        n = np.arange(s, dim, 2)
-        sectors.append((n, np.sqrt(n[:-1] + 1.0) * np.sqrt(n[:-1] + 2.0)))
-    return tuple(sectors)
+    return tuple((n, np.sqrt(n[:-1] + 1.0) * np.sqrt(n[:-1] + 2.0))
+                 for n in (np.arange(0, dim, 2), np.arange(1, dim, 2)))
+
+
+def sector_tridiagonal(upper: np.ndarray, lower: np.ndarray | None = None, diag=0.0) -> np.ndarray:
+    """One sector's block: ``diag``, and ``upper`` and ``lower`` (default ``upper``)
+    on the pair band above and below it, written (not summed) into exact zeros."""
+    lower = upper if lower is None else lower
+    k = len(upper) + 1
+    out = np.zeros((k, k), dtype=np.result_type(upper, lower, diag))
+    flat = out.reshape(-1)
+    flat[:: k + 1], flat[1 :: k + 1], flat[k :: k + 1] = diag, upper, lower
+    return out
+
+
+def split_sectors(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Views of the even block, the odd block and the even-odd block of ``mat``."""
+    return mat[0::2, 0::2], mat[1::2, 1::2], mat[0::2, 1::2]
+
+
+def join_sectors(dim: int, blocks) -> np.ndarray:
+    """Complex ``dim`` x ``dim`` matrix of the even and odd ``blocks`` as yielded, zeros between."""
+    out = np.zeros((dim, dim), dtype=complex)
+    for s, block in enumerate(blocks):
+        out[s::2, s::2] = block
+    return out
 
 
 def exp_sectors(eigs, theta: float) -> np.ndarray:
-    """exp(i theta H) of a parity-conserving H from its sector eigenpairs.
-
-    ``eigs`` holds (w, v) of H restricted to the even and then the odd
-    levels; each sector is exponentiated (and round-trip checked) on its
-    own and written into ``out[s::2, s::2]``, the entries between the
-    sectors staying exact zeros.
-    """
-    dim = sum(len(w) for w, _ in eigs)
-    out = np.zeros((dim, dim), dtype=complex)
-    for s, (w, v) in enumerate(eigs):
-        out[s::2, s::2] = _exp_i_eig(theta * w, v)
-    return out
+    """exp(i theta H) of a parity-conserving H from its (w, v) per sector, each round-trip checked."""
+    return join_sectors(sum(len(w) for w, _ in eigs), (_exp_i_eig(theta * w, v) for w, v in eigs))
 
 
 FIXED_GENERATORS = ("gamma1", "gamma2")
 
 
+def _generator_blocks(dim: int, name: str):
+    """The even and odd blocks of G1 ("gamma1", real) or G2 ("gamma2") from the pair band."""
+    for _, band in parity_sectors(dim):
+        half = 0.5 * band if name == "gamma1" else 0.5j * band
+        yield sector_tridiagonal(half, None if name == "gamma1" else -half)
+
+
 @functools.lru_cache(maxsize=8)
 def _generator_eig(dim: int, name: str) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     eigs = []
-    for _, band in parity_sectors(dim):
-        if name == "gamma1":
-            # G1 = (a^2 + a^dag^2)/2 is real: solved real symmetric
-            block = 0.5 * (np.diag(band, 1) + np.diag(band, -1))
-        else:
-            # G2 = i(a^2 - a^dag^2)/2, solved on its own rather than derived
-            # from G1 by the U0 rotation the squeezing closure is meant to test
-            block = 0.5j * (np.diag(band, 1) - np.diag(band, -1))
+    # G2 is solved on its own, not derived from G1 by the U0 rotation the
+    # squeezing closure is meant to test
+    for block in _generator_blocks(dim, name):
         w, v = hermitian_eig(block)
         w.setflags(write=False)
         v.setflags(write=False)
@@ -343,8 +349,7 @@ def commutator(A, B) -> np.ndarray:
 
 def interior(matrix, n_keep: int) -> np.ndarray:
     """Restriction to the lowest ``n_keep`` levels (identities hold here)."""
-    mat = np.asarray(matrix, dtype=complex)
-    return mat[:n_keep, :n_keep]
+    return np.asarray(matrix, dtype=complex)[:n_keep, :n_keep]
 
 
 def truncation_leak(matrix, space: FockSpace) -> float:

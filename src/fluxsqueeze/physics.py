@@ -4,7 +4,7 @@ coupling-gain table g_eff/g = exp(2 eta2) over flux.
 No numpy at import: this module imports only the standard library and
 ``errors``.  ``amplify``, ``coupling``, ``--help``, ``--version`` and
 configuration errors need nothing more, and loading numpy would be most
-of their run time.  The rest of the package imports these names from here.
+of their run time.
 
 Each input field (here and in ``config.RunConfig``) declares its config key
 and checks, which ``_check_fields`` runs; derived values and rules that join
@@ -63,6 +63,14 @@ def cos_pi(x: float) -> float:
 def effective_josephson(e_j: float, f_s: float) -> float:
     """Flux-dependent Josephson energy of the symmetric interferometer (GHz)."""
     return 2.0 * e_j * cos_pi(f_s)
+
+
+def _or_inf(fn, *args) -> float:
+    """``fn(*args)``, or inf where float arithmetic overflows or divides by zero instead."""
+    try:
+        return fn(*args)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
 def _circuit_value(value: float, what: str, keys: str, positive: bool = False,
@@ -287,16 +295,12 @@ def biot_savart_b0(geom: CouplingGeometry) -> float:
     distance z_nv from one edge; exactly symmetric under z -> l - z.
     A geometry whose field overflows float raises ``GeometryError``.
     """
-    try:
-        b0 = MU_0 / (4.0 * math.pi) * _b0_terms(geom.z_nv, geom.edge_length)
-    except (OverflowError, ZeroDivisionError):
-        b0 = math.inf
+    b0 = MU_0 / (4.0 * math.pi) * _or_inf(_b0_terms, geom.z_nv, geom.edge_length)
     return _geometry_value(b0, "loop field per unit current", _EDGE_AND_Z)
 
 
 def _beta_quarter_at_working_point(p: CircuitParams) -> float:
-    working = replace(p, f_s=INTERACTION_FLUX)
-    return reduced_params(working).beta ** 0.25
+    return reduced_params(replace(p, f_s=INTERACTION_FLUX)).beta ** 0.25
 
 
 def bare_coupling(p: CircuitParams, geom: CouplingGeometry) -> float:
@@ -354,13 +358,15 @@ def effective_params(p: CircuitParams, g: float, eta2: float) -> EffectiveParams
         chi       = omega0 sinh(4 eta2) / 2
         g_eff     = g exp(2 eta2)
 
-    satisfying omega_eff^2 - 4 chi^2 = omega0^2.
+    satisfying omega_eff^2 - 4 chi^2 = omega0^2.  An omega_eff or g_eff (and
+    so chi) that is not finite raises ``ParameterError`` naming its inputs.
     """
     w0 = p.omega0
     return EffectiveParams(
-        omega_eff=w0 * math.cosh(4.0 * eta2),
+        omega_eff=_circuit_value(w0 * _or_inf(math.cosh, 4.0 * eta2), "omega_eff",
+                                 "circuit.e_c, circuit.e_l and eta2"),
         chi=0.5 * w0 * math.sinh(4.0 * eta2),
-        g_eff=g * math.exp(2.0 * eta2),
+        g_eff=_circuit_value(g * _or_inf(math.exp, 2.0 * eta2), "g_eff", "g and eta2"),
         eta2=eta2,
     )
 
@@ -430,10 +436,7 @@ def amplification_sweep(
             eta1 = 0.25 * (p0.e_c / (2.0 * stiffness)) * ejf
             # + 0.0 normalizes the negative zero at the sweet spot
             eta2 = -eta1 * t * phase + 0.0
-            try:
-                gain = math.exp(2.0 * eta2)
-            except OverflowError:
-                gain = math.inf
+            gain = _or_inf(math.exp, 2.0 * eta2)
             if not (math.isfinite(eta2) and math.isfinite(g * gain)):
                 raise ParameterError(
                     f"coupling gain exp(2 eta2) overflows float at ratio={ratio}, "

@@ -284,6 +284,19 @@ def test_converged_spectrum_gives_up():
         converged_spectrum(params(0.9), 2, tol=1e-30)
 
 
+@pytest.mark.parametrize("k", [0, 2, -1])
+def test_converged_spectrum_rejects_fewer_than_three_levels_before_any_build(k):
+    built = []
+
+    def builder(p, space):
+        built.append(space.dim)
+        return full_hamiltonian(p, space)
+
+    with pytest.raises(ParameterError, match=f"need at least the lowest three levels, got k={k}"):
+        converged_spectrum(params(0.9), 8, builder=builder, k=k)
+    assert built == []
+
+
 # Reference per-point path: every flux point builds its operators and
 # cos(phi) afresh and solves both rungs of each doubling test, and the
 # accepted rung once more, in complex arithmetic.

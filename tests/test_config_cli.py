@@ -838,115 +838,141 @@ def test_failing_convergence_check_prints_the_value_it_judged(tmp_path):
 
 # extreme values that once ended in a ZeroDivisionError, named the wrong
 # key, or printed numpy RuntimeWarnings before the classified error line
-@pytest.mark.parametrize(
-    "argv, code, message",
-    [
-        (["coupling", "--set", "circuit.e_l=1e-320"], 2, "configuration error: circuit.e_l"),
-        (["amplify", "--set", "circuit.e_l=1e-320"], 2, "configuration error: circuit.e_l"),
-        (["selftest", "--set", "circuit.e_l=1e-320"], 2, "configuration error: circuit.e_l"),
-        (["selftest", "--set", "circuit.e_l=1e300"], 2, "configuration error: circuit.e_l"),
-        (["spectrum", "--set", "circuit.e_l=1e-320"], 2, "configuration error: circuit.e_c and circuit.e_l"),
-        (["selftest", "--set", "circuit.e_c=1e-320"], 2,
-         "configuration error: circuit.e_c and circuit.e_l"),
-        (["trotter", "--t", "1e300"], 3, "stability error: hyperbolic argument |inf|"),
-        (["trotter", "--t", "1e200"], 3, "stability error: hyperbolic argument |inf|"),
-        (["coupling", "--config", "utf16.conf"], 2,
-         "configuration error: cannot read config file utf16.conf: 'utf-8' codec"),
-        (["spectrum", "--set", "sweep.fs_steps=3", "--dim", "4", "--set", "circuit.e_l=1e-300",
-          "--fs-min", "0", "--fs-max", "0.51"], 4,
-         "convergence error: Hamiltonian at dim=8 mixes photon parity"),
-        (["trotter", "--set", "circuit.e_l=1e-200", "--set", "circuit.e_c=1e-200",
-          "--set", "circuit.f_s=0.0", "--t", "1e9"], 2,
-         "configuration error: circuit.e_c and circuit.e_l"),
-        (["coupling", "--set", "geometry.inductance=1.7e308"], 2,
-         "configuration error: geometry.edge_length, geometry.z_nv and geometry.inductance: "
-         "spin-loop coupling = 0 is not finite and positive"),
-        (["selftest", "--set", "circuit.e_j=1e-320"], 3,
-         "stability error: no squeezing interaction"),
-        (["selftest", "--dim", "3", "--set", "geometry.edge_length=1.7e308"], 2,
-         "configuration error: loop field profile is not finite and positive"),
-        (["selftest", "--dim", "3", "--set", "geometry.edge_length=1e-200",
-          "--set", "geometry.z_nv=1e-320"], 2,
-         "configuration error: loop field profile is not finite and positive"),
-        (["selftest", "--dim", "3", "--set", "geometry.edge_length=1e150"], 2,
-         "configuration error: loop field profile is not finite and positive"),
-        (["coupling", "--set", "geometry.inductance=1e-200", "--set", "circuit.e_j=1e200",
-          "--set", "circuit.e_l=1e-300"], 2,
-         "configuration error: circuit.e_l and geometry.inductance: relative E_L mismatch = inf "
-         "is not finite"),
-        (["trotter", "--set", "circuit.e_l=1.7e308"], 2,
-         "configuration error: circuit.e_j and circuit.e_l: 2 E_L + E_J(f_s) = inf"),
-        (["selftest", "--dim", "3", "--set", "circuit.f_s=1e-320", "--set", "circuit.e_j=1e150",
-          "--set", "circuit.e_c=1e200"], 2,
-         "configuration error: circuit.e_c, circuit.e_j, circuit.e_l and circuit.f_s: omega1 = inf"),
-        (["spectrum", "--fs-steps", "3", "--dim", "4", "--set", "circuit.e_c=1e-10",
-          "--set", "circuit.e_j=0.001", "--set", "circuit.e_l=1.7e308"], 2,
-         "configuration error: circuit.e_j and circuit.e_l: 2 E_L + E_J(f_s) = inf"),
-        (["coupling", "--set", "circuit.e_j=1.7e308"], 2,
-         "configuration error: circuit.e_j: E_J(f_s) = nan"),
-        (["spectrum", "--fs-steps", "3", "--set", "circuit.e_j=1.7e308"], 2,
-         "configuration error: circuit.e_j: E_J(f_s) = nan"),
-        (["trotter", "--set", "circuit.e_j=1.7e308"], 2,
-         "configuration error: circuit.e_j: E_J(f_s) = -inf"),
-        (["selftest", "--dim", "3", "--set", "circuit.e_c=1e300"], 2,
-         "configuration error: circuit.e_c and circuit.e_l: omega0 = 1.53101e+151 GHz"),
-        (["selftest", "--dim", "3", "--set", "circuit.e_c=1e-10", "--set", "circuit.e_j=1e-300",
-          "--set", "circuit.e_l=1000", "--set", "circuit.f_s=1e10"], 3,
-         "stability error: no squeezing interaction: eta1 = -1.1888206454e-314 GHz"),
-        (["spectrum", "--fs-steps", "3", "--dim", "4", "--fs-min", "0", "--fs-max", "0.4",
-          "--set", "circuit.e_j=8e307", "--set", "circuit.e_l=1"], 2,
-         "configuration error: circuit.e_c, circuit.e_j and circuit.e_l give a non-finite "
-         "Hamiltonian at f_s=0.0, dim=4"),
-        (["selftest", "--dim", "3", "--set", "circuit.f_s=0", "--set", "circuit.e_j=8e307",
-          "--set", "circuit.e_l=1"], 2,
-         "configuration error: circuit.e_c, circuit.e_j and circuit.e_l give a non-finite "
-         "Hamiltonian at f_s=0.0, dim=3"),
-        (["amplify", "--set", "geometry.inductance=1e-9", "--set", "circuit.e_l=1e308",
-          "--ratios", "1.005"], 2,
-         "configuration error: circuit.e_l and sweep.ratios: 2 E_J = 2 E_L / 1.005 = inf"),
-        (["amplify", "--set", "circuit.e_l=1e-300", "--ratios", "1e300"], 2,
-         "configuration error: circuit.e_l and sweep.ratios: 2 E_J = 2 E_L / 1e+300 = 0"),
-        (["amplify", "--set", "geometry.inductance=1e-9", "--set", "circuit.e_l=1.7e308",
-          "--ratios", "1e10"], 2, "configuration error: circuit.e_l: 2 E_L = inf"),
-        (["amplify", "--fs-min", "-1.7e308", "--fs-max", "1.7e308", "--fs-steps", "3"], 2,
-         "configuration error: sweep.fs_min and sweep.fs_max: fs_max - fs_min = inf"),
-        (["spectrum", "--fs-min", "-1.7e308", "--fs-max", "1.7e308", "--fs-steps", "3"], 2,
-         "configuration error: sweep.fs_min and sweep.fs_max: fs_max - fs_min = inf"),
-        (["coupling", "--set", "geometry.inductance=-1e-9"], 2,
-         "configuration error: geometry.inductance must be positive, got -1e-09"),
-        (["coupling", "--set", "geometry.z_nv=2e-5"], 2,
-         "configuration error: geometry.edge_length and geometry.z_nv: edge_length - z_nv = "
-         "-1e-05 is not finite and positive"),
-        (["amplify", "--set", "geometry.z_nv=2e-5"], 2,
-         "configuration error: geometry.edge_length and geometry.z_nv: edge_length - z_nv = "
-         "-1e-05 is not finite and positive"),
-    ],
-    ids=["coupling", "amplify", "selftest-tiny", "selftest-huge", "spectrum", "selftest-tiny-e_c",
-         "trotter-1e300", "trotter-1e200", "config-not-utf-8", "spectrum-parity-mixing",
-         "trotter-omega0-underflow", "coupling-g-underflow", "selftest-eta1-underflow",
-         "profile-overflow", "profile-divide", "profile-huge-edge", "coupling-mismatch-overflow",
-         "trotter-omega1-overflow", "selftest-omega1-overflow", "spectrum-stiffness-overflow",
-         "coupling-ej-overflow", "spectrum-ej-overflow", "trotter-ej-overflow",
-         "selftest-hyperbolic-overflow", "selftest-eta1-subnormal", "spectrum-symmetrize-overflow",
-         "selftest-symmetrize-overflow", "amplify-ej-overflow", "amplify-ej-underflow",
-         "amplify-el-overflow", "amplify-range-overflow", "spectrum-range-overflow",
-         "coupling-negative-inductance", "coupling-z_nv-outside", "amplify-z_nv-outside"],
-)
-def test_extreme_input_is_one_classified_line(tmp_path, argv, code, message):
+EXTREME_ROWS = [
+    (["coupling", "--set", "circuit.e_l=1e-320"], 2, "configuration error: circuit.e_l"),
+    (["amplify", "--set", "circuit.e_l=1e-320"], 2, "configuration error: circuit.e_l"),
+    (["selftest", "--set", "circuit.e_l=1e-320"], 2, "configuration error: circuit.e_l"),
+    (["selftest", "--set", "circuit.e_l=1e300"], 2, "configuration error: circuit.e_l"),
+    (["spectrum", "--set", "circuit.e_l=1e-320"], 2, "configuration error: circuit.e_c and circuit.e_l"),
+    (["selftest", "--set", "circuit.e_c=1e-320"], 2,
+     "configuration error: circuit.e_c and circuit.e_l"),
+    (["trotter", "--t", "1e300"], 3, "stability error: hyperbolic argument |inf|"),
+    (["trotter", "--t", "1e200"], 3, "stability error: hyperbolic argument |inf|"),
+    (["coupling", "--config", "utf16.conf"], 2,
+     "configuration error: cannot read config file utf16.conf: 'utf-8' codec"),
+    (["spectrum", "--set", "sweep.fs_steps=3", "--dim", "4", "--set", "circuit.e_l=1e-300",
+      "--fs-min", "0", "--fs-max", "0.51"], 4,
+     "convergence error: Hamiltonian at dim=8 mixes photon parity"),
+    (["trotter", "--set", "circuit.e_l=1e-200", "--set", "circuit.e_c=1e-200",
+      "--set", "circuit.f_s=0.0", "--t", "1e9"], 2,
+     "configuration error: circuit.e_c and circuit.e_l"),
+    (["coupling", "--set", "geometry.inductance=1.7e308"], 2,
+     "configuration error: geometry.edge_length, geometry.z_nv and geometry.inductance: "
+     "spin-loop coupling = 0 is not finite and positive"),
+    (["selftest", "--set", "circuit.e_j=1e-320"], 3,
+     "stability error: no squeezing interaction"),
+    (["selftest", "--dim", "3", "--set", "geometry.edge_length=1.7e308"], 2,
+     "configuration error: geometry.edge_length and geometry.z_nv: loop field profile = inf "
+     "is not finite and positive"),
+    (["selftest", "--dim", "3", "--set", "geometry.edge_length=1e-200",
+      "--set", "geometry.z_nv=1e-320"], 2,
+     "configuration error: geometry.edge_length and geometry.z_nv: loop field profile = nan "
+     "is not finite and positive"),
+    (["selftest", "--dim", "3", "--set", "geometry.edge_length=1e150"], 2,
+     "configuration error: geometry.edge_length and geometry.z_nv: loop field profile = 0 "
+     "is not finite and positive"),
+    (["coupling", "--set", "geometry.inductance=1e-200", "--set", "circuit.e_j=1e200",
+      "--set", "circuit.e_l=1e-300"], 2,
+     "configuration error: circuit.e_l and geometry.inductance: relative E_L mismatch = inf "
+     "is not finite"),
+    (["trotter", "--set", "circuit.e_l=1.7e308"], 2,
+     "configuration error: circuit.e_j and circuit.e_l: 2 E_L + E_J(f_s) = inf"),
+    (["selftest", "--dim", "3", "--set", "circuit.f_s=1e-320", "--set", "circuit.e_j=1e150",
+      "--set", "circuit.e_c=1e200"], 2,
+     "configuration error: circuit.e_c, circuit.e_j, circuit.e_l and circuit.f_s: omega1 = inf"),
+    (["spectrum", "--fs-steps", "3", "--dim", "4", "--set", "circuit.e_c=1e-10",
+      "--set", "circuit.e_j=0.001", "--set", "circuit.e_l=1.7e308"], 2,
+     "configuration error: circuit.e_j and circuit.e_l: 2 E_L + E_J(f_s) = inf"),
+    (["coupling", "--set", "circuit.e_j=1.7e308"], 2,
+     "configuration error: circuit.e_j: E_J(f_s) = nan"),
+    (["spectrum", "--fs-steps", "3", "--set", "circuit.e_j=1.7e308"], 2,
+     "configuration error: circuit.e_j: E_J(f_s) = nan"),
+    (["trotter", "--set", "circuit.e_j=1.7e308"], 2,
+     "configuration error: circuit.e_j: E_J(f_s) = -inf"),
+    (["selftest", "--dim", "3", "--set", "circuit.e_c=1e300"], 2,
+     "configuration error: circuit.e_c and circuit.e_l: omega0 = 1.53101e+151 GHz"),
+    (["selftest", "--dim", "3", "--set", "circuit.e_c=1e-10", "--set", "circuit.e_j=1e-300",
+      "--set", "circuit.e_l=1000", "--set", "circuit.f_s=1e10"], 3,
+     "stability error: no squeezing interaction: eta1 = -1.1888206454e-314 GHz"),
+    (["spectrum", "--fs-steps", "3", "--dim", "4", "--fs-min", "0", "--fs-max", "0.4",
+      "--set", "circuit.e_j=8e307", "--set", "circuit.e_l=1"], 2,
+     "configuration error: circuit.e_c, circuit.e_j and circuit.e_l give a non-finite "
+     "Hamiltonian at f_s=0.0, dim=4"),
+    (["selftest", "--dim", "3", "--set", "circuit.f_s=0", "--set", "circuit.e_j=8e307",
+      "--set", "circuit.e_l=1"], 2,
+     "configuration error: circuit.e_c, circuit.e_j and circuit.e_l give a non-finite "
+     "Hamiltonian at f_s=0.0, dim=3"),
+    (["amplify", "--set", "geometry.inductance=1e-9", "--set", "circuit.e_l=1e308",
+      "--ratios", "1.005"], 2,
+     "configuration error: circuit.e_l and sweep.ratios: 2 E_J = 2 E_L / 1.005 = inf"),
+    (["amplify", "--set", "circuit.e_l=1e-300", "--ratios", "1e300"], 2,
+     "configuration error: circuit.e_l and sweep.ratios: 2 E_J = 2 E_L / 1e+300 = 0"),
+    (["amplify", "--set", "geometry.inductance=1e-9", "--set", "circuit.e_l=1.7e308",
+      "--ratios", "1e10"], 2, "configuration error: circuit.e_l: 2 E_L = inf"),
+    (["amplify", "--fs-min", "-1.7e308", "--fs-max", "1.7e308", "--fs-steps", "3"], 2,
+     "configuration error: sweep.fs_min and sweep.fs_max: fs_max - fs_min = inf"),
+    (["spectrum", "--fs-min", "-1.7e308", "--fs-max", "1.7e308", "--fs-steps", "3"], 2,
+     "configuration error: sweep.fs_min and sweep.fs_max: fs_max - fs_min = inf"),
+    (["coupling", "--set", "geometry.inductance=-1e-9"], 2,
+     "configuration error: geometry.inductance must be positive, got -1e-09"),
+    (["coupling", "--set", "geometry.z_nv=2e-5"], 2,
+     "configuration error: geometry.edge_length and geometry.z_nv: edge_length - z_nv = "
+     "-1e-05 is not finite and positive"),
+    (["amplify", "--set", "geometry.z_nv=2e-5"], 2,
+     "configuration error: geometry.edge_length and geometry.z_nv: edge_length - z_nv = "
+     "-1e-05 is not finite and positive"),
+    (["amplify", "--ratios", "-1"], 2,
+     "configuration error: sweep.ratios must be positive, got (-1.0,)"),
+]
+EXTREME_IDS = [
+    "coupling", "amplify", "selftest-tiny", "selftest-huge", "spectrum", "selftest-tiny-e_c",
+    "trotter-1e300", "trotter-1e200", "config-not-utf-8", "spectrum-parity-mixing",
+    "trotter-omega0-underflow", "coupling-g-underflow", "selftest-eta1-underflow",
+    "profile-overflow", "profile-divide", "profile-huge-edge", "coupling-mismatch-overflow",
+    "trotter-omega1-overflow", "selftest-omega1-overflow", "spectrum-stiffness-overflow",
+    "coupling-ej-overflow", "spectrum-ej-overflow", "trotter-ej-overflow",
+    "selftest-hyperbolic-overflow", "selftest-eta1-subnormal", "spectrum-symmetrize-overflow",
+    "selftest-symmetrize-overflow", "amplify-ej-overflow", "amplify-ej-underflow",
+    "amplify-el-overflow", "amplify-range-overflow", "spectrum-range-overflow",
+    "coupling-negative-inductance", "coupling-z_nv-outside", "amplify-z_nv-outside",
+    "amplify-ratio-negative",
+]
+
+
+def _extreme_rows(ids=EXTREME_IDS):
+    return pytest.mark.parametrize("argv, code, message", [
+        pytest.param(*row, id=name) for row, name in zip(EXTREME_ROWS, EXTREME_IDS) if name in ids
+    ])
+
+
+def _is_one_classified_line(tmp_path, got, err, code, message):
+    assert got == code, err
+    assert err.startswith(message), err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "artifact").exists()
+
+
+@_extreme_rows()
+def test_extreme_input_is_one_classified_line(tmp_path, monkeypatch, argv, code, message):
     # a config file that starts with a UTF-16 byte order mark
     (tmp_path / "utf16.conf").write_bytes("\ufeffcircuit.e_c = 0.12\n".encode("utf-16-le"))
-    out = tmp_path / "artifact"
+    monkeypatch.chdir(tmp_path)
+    got, err = _artifact_or_one_classified_line([*argv, "--out", "artifact"], "error")
+    _is_one_classified_line(tmp_path, got, err, code, message)
+
+
+# a few rows run as ``python -W error`` processes too, through startup and import
+@_extreme_rows(ids=("config-not-utf-8", "trotter-1e300", "spectrum-parity-mixing"))
+def test_extreme_input_is_one_classified_line_in_a_fresh_process(tmp_path, argv, code, message):
+    (tmp_path / "utf16.conf").write_bytes("\ufeffcircuit.e_c = 0.12\n".encode("utf-16-le"))
     proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "fluxsqueeze.cli", *argv, "--out", str(out)],
+        [sys.executable, "-W", "error", "-m", "fluxsqueeze.cli", *argv, "--out", "artifact"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": SRC},
         cwd=tmp_path,
     )
-    assert proc.returncode == code
-    assert proc.stderr.startswith(message), proc.stderr
-    assert proc.stderr.count("\n") == 1
-    assert not out.exists()
+    _is_one_classified_line(tmp_path, proc.returncode, proc.stderr, code, message)
 
 
 # each command that reads the circuit keys, at grids small enough for many examples
@@ -982,12 +1008,13 @@ def _csv_numbers(text: str) -> list:
     return numbers
 
 
-def _artifact_or_one_classified_line(argv):
-    """Run ``argv`` in process: it writes a finite artifact or one classified line, and warns not."""
+def _artifact_or_one_classified_line(argv, action="always"):
+    """Run ``argv`` in process under warning filter ``action``: it writes a finite
+    artifact or one classified line, and warns not.  Returns the exit code and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
+        warnings.simplefilter(action)
         code = main(argv)
     assert [str(w.message) for w in caught] == []
     assert code in (0, 2, 3, 4, 5), err.getvalue()
@@ -997,6 +1024,7 @@ def _artifact_or_one_classified_line(argv):
         json_out = argv[0] in ("coupling", "selftest")
         numbers = _json_numbers(json.loads(text)) if json_out else _csv_numbers(text)
         assert numbers and all(map(math.isfinite, numbers))
+    return code, err.getvalue()
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from fluxsqueeze import gates
 from fluxsqueeze.errors import (
     ParameterError,
     SimulationError,
@@ -20,7 +22,7 @@ from fluxsqueeze.gates import (
     trotter_squeeze,
 )
 from fluxsqueeze.operators import make_fock_space, su11_generators_2x2
-from fluxsqueeze.physics import CircuitParams, reduced_params
+from fluxsqueeze.physics import CircuitParams, effective_params, reduced_params
 
 P09 = CircuitParams(e_c=0.12, e_j=58.0, e_l=58.6, f_s=0.9)
 P05 = CircuitParams(e_c=0.12, e_j=58.0, e_l=58.6, f_s=0.5)
@@ -345,3 +347,32 @@ def test_rep_validation():
         gate_u0(P09, 1.0, "3x3")
     with pytest.raises(ParameterError):
         squeeze_operator(P09, 1.0, backend="magic")
+
+
+@pytest.mark.parametrize("rep", ["2x2", "fock"])
+@pytest.mark.parametrize("backend", ["analytic", "trotter"])
+def test_squeeze_operator_resolves_its_inputs_once(monkeypatch, rep, backend):
+    calls = dict.fromkeys(["_require_stable", "reduced_params", "representation", "make_schedule"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(gates, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(gates, name, counted)
+    space = make_fock_space(12) if rep == "fock" else None
+    squeeze_operator(P09, 0.5, m=4, rep=rep, space=space, backend=backend)
+    assert calls == dict.fromkeys(calls, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: effective_params(P09, 1.0, 1e3), "circuit.e_c, circuit.e_l and eta2: omega_eff = inf"),
+    (lambda: effective_params(P09, math.nan, 0.1), "g and eta2: g_eff = nan"),
+    (lambda: gate_u0(P09, math.inf), "gate time t must be finite, got inf"),
+    (lambda: gate_u0(P09, math.nan, "fock", make_fock_space(4)), "gate time t must be finite"),
+], ids=["effective-params-overflow", "effective-params-nan-g", "u0-inf", "u0-fock-nan"])
+def test_library_input_out_of_range_is_one_classified_error_naming_it(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError) as caught:
+            call()
+    assert str(caught.value).startswith(message)
