@@ -65,7 +65,8 @@ def _cached_terms(mass: float, omega0: float, dim: int) -> FluxFreeTerms:
     (E_c, E_L, dim) and shared by every flux point and every command.
 
     Built under one OpenBLAS thread, as the sweep builds them, so that the
-    cache holds one set of bits whichever command fills it first.
+    cache holds one set of bits whichever command fills it first (some
+    kernels, SandyBridge among them, round differently at two threads).
     """
     # an extreme E_c or E_L overflows a product: rejected below, not warned
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):

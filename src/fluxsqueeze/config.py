@@ -106,8 +106,7 @@ class RunConfig:
     fs_steps: int = _key("sweep.fs_steps", 101, int, _at_least(2),
                          "--fs-steps", "sweep point count")
     ratios: tuple[float, ...] = _key("sweep.ratios", (1.005, 1.01, 1.05, 1.1), _parse_floats,
-                                     FINITE + (("positive", lambda r: all(x > 0 for x in r)),),
-                                     "--ratios", "comma list of E_L/E_J ratios")
+                                     POSITIVE, "--ratios", "comma list of E_L/E_J ratios")
     t: float | None = _key("run.t", None, _optional(float),
                            FINITE + (("non-negative", lambda t: t is None or t >= 0),),
                            "--t", "evolution time in ns (trotter: sweep max)")

@@ -33,9 +33,10 @@ def b0_profile(geom: CouplingGeometry, z: np.ndarray) -> np.ndarray:
         raise GeometryError("profile positions must lie strictly inside (0, l)")
     with np.errstate(all="ignore"):
         b0 = MU_0 / (4.0 * math.pi) * _or_inf(_b0_terms, z, geom.edge_length, np.sqrt)
-    # a NaN fails both; an infinite value the largest, a zero the smallest
-    for value in (np.min(b0), np.max(b0)):
-        _geometry_value(float(value), "loop field profile", _EDGE_AND_Z)
+    if not np.all((b0 > 0) & (b0 < math.inf)):
+        # a NaN fails both; an infinite value the largest, a zero the smallest
+        for value in (np.min(b0), np.max(b0)):
+            _geometry_value(float(value), "loop field profile", _EDGE_AND_Z)
     return b0
 
 
@@ -71,8 +72,8 @@ def squeeze_on_product(space: FockSpace, eta2: float) -> np.ndarray:
     """exp[eta2 (a^2 - a^dag^2)] acting on the oscillator factor only."""
     # a^2 - a^dag^2 from the pair band of each parity sector: each entry is the single
     # nonzero term of the ladder products, the same bits as eta2 (a @ a - a^dag @ a^dag)
-    pair = join_sectors(space.dim, (sector_tridiagonal(b, -b) for _, b in parity_sectors(space.dim)))
-    gen = eta2 * pair
+    blocks = (sector_tridiagonal(band, -band) for _, band in parity_sectors(space.dim))
+    gen = eta2 * join_sectors(space.dim, blocks)
     # kept off the cached operators.exp_generator route: its result differs
     # at roundoff, which moves the selftest's printed conjugation_equivalence
     osc = exp_normal(gen)
@@ -163,5 +164,6 @@ def project_coupling_coefficients(
         design[:, col] = np.kron(osc, spin).ravel()
     coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
     out = {name: float(c.real) for name, c in zip(factors, coeffs)}
-    out["residual"] = float(np.abs(design @ coeffs - target).max())
+    residual = float(np.abs(design @ coeffs - target).max())
+    out["residual"] = residual
     return out

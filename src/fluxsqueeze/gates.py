@@ -23,7 +23,9 @@ when the rotating-frame phases cancel:
     "swapped":  t' = omega0 t / omega1   and  omega1 t'' = (4k+1) pi/4
 
 "matched" is the default.  "swapped" exchanges the roles of the two
-frequencies; it neither telescopes nor closes the squeezing identity.
+frequencies (a form sometimes written down because the two gates are
+easy to mix up); it is kept selectable because the test suite documents
+that it neither telescopes nor closes the squeezing identity.
 
 Representations: "fock" uses the number operator a^dag a in the gate
 phases; "2x2" uses the compact generators (G3 = tau_z carries the extra
@@ -85,18 +87,20 @@ class GateSchedule:
 
 
 def make_schedule(
-    p: CircuitParams, t: float, m: int, k: int = 0, convention: str = "matched",
-    reduced: ReducedParams | None = None,
+    p: CircuitParams, t: float, m: int, k: int = 0, convention: str = "matched"
 ) -> GateSchedule:
-    """Derive t' and t'' from the circuit parameters, or from ``reduced`` = ``reduced_params(p)``,
-    under one convention; a time past the float range is a ``ParameterError``."""
+    """Derive t' and t'' from the circuit parameters under one convention;
+    a time past the float range is a ``ParameterError``."""
+    return _schedule(reduced_params(p), t, m, k, convention)
+
+
+def _schedule(r: ReducedParams, t: float, m: int, k: int, convention: str) -> GateSchedule:
     if m < 1:
         raise ParameterError(f"step count must be >= 1, got {m}")
     if k < 0:
         raise ParameterError(f"branch index must be >= 0, got {k}")
     if convention not in CONVENTIONS:
         raise ParameterError(f"unknown convention {convention!r}; pick from {CONVENTIONS}")
-    r = reduced_params(p) if reduced is None else reduced
     quarter = (4 * k + 1) * math.pi / 4.0
     fast, slow = (r.omega1, r.omega0) if convention == "matched" else (r.omega0, r.omega1)
     with np.errstate(over="ignore"):
@@ -140,7 +144,9 @@ class Compact:
 
     def target(self, eta2: float) -> np.ndarray:
         """exp(-2i eta2 G2) = cosh(2 eta2) - i sinh(2 eta2) G2."""
-        return math.cosh(2.0 * eta2) * np.eye(2, dtype=complex) - 1j * math.sinh(2.0 * eta2) * self.g.gamma2
+        return math.cosh(2.0 * eta2) * np.eye(2, dtype=complex) - 1j * math.sinh(
+            2.0 * eta2
+        ) * self.g.gamma2
 
     def power(self, mat: np.ndarray, m: int) -> np.ndarray:
         return np.linalg.matrix_power(mat, m)
@@ -205,7 +211,8 @@ class Fock:
         return exp_generator(self.space, "gamma2", -2.0 * eta2)
 
     def power(self, mat: np.ndarray, m: int) -> np.ndarray:
-        return join_sectors(len(mat), (np.linalg.matrix_power(b, m) for b in split_sectors(mat)[:2]))
+        even, odd, _ = split_sectors(mat)
+        return join_sectors(len(mat), (np.linalg.matrix_power(b, m) for b in (even, odd)))
 
     def check_leak(self, mat: np.ndarray, context: str):
         warn_on_truncation_leak(mat, self.space, context)
@@ -264,13 +271,14 @@ def trotter_squeeze(
     """The M-fold interleaved product [U0^dag(t'/M) U1(t/M)]^M."""
     _require_stable(p)
     form, r = representation(rep, space), reduced_params(p)
-    return _core(form, p, r, t, make_schedule(p, t, m, convention=convention, reduced=r))
+    return _core(form, p, r, t, _schedule(r, t, m, 0, convention))
 
 
 def gate_distance(A: np.ndarray, B: np.ndarray) -> float | np.ndarray:
     """Largest element-wise deviation max_ij |A_ij - B_ij|: a float for two
     matrices, an array of per-matrix maxima for two stacks."""
-    A, B = np.asarray(A), np.asarray(B)
+    A = np.asarray(A)
+    B = np.asarray(B)
     if A.shape != B.shape:
         raise ParameterError(f"shape mismatch: {A.shape} vs {B.shape}")
     dev = np.abs(A - B).max(axis=(-2, -1))
@@ -315,7 +323,7 @@ def squeeze_operator(
             f"eta1 = {r.eta1:.4f} GHz >= 0 at f_s={p.f_s}; squeezing needs "
             "E_J(f_s) < 0 with the oscillator still stable"
         )
-    sched = make_schedule(p, t, m, k, convention, reduced=r)
+    sched = _schedule(r, t, m, k, convention)
     core = _core(form, p, r, t, sched if backend == "trotter" else None)
     composed = form.u0_conjugate(p, sched.t_dprime, core)
     eta2 = -r.eta1 * t

@@ -1,11 +1,12 @@
 """Truncated Fock-space numerics: ladder operators, squeezing-algebra
 generators, Hermitian eigensolves, and matrix exponentials.
 
-The ladder, quadrature and generator helpers return complex128 even
-where the entries are real, so every product built from them runs in
-complex arithmetic.  Operator algebra identities hold exactly only on an
-interior subspace; the truncation edge (top one or two levels) is
-excluded wherever an identity is asserted.
+Operators are plain dense ndarrays.  The ladder, quadrature and
+generator helpers return complex128 even where the entries are real, so
+every product built from them runs in complex arithmetic.  Operator
+algebra identities hold exactly only on an interior subspace; the
+truncation edge (top one or two levels) is excluded wherever an identity
+is asserted.
 
 Units: energies in GHz, times in ns. The phase accumulated by ``propagator``
 is the plain product energy*time with no additional 2*pi factor.
@@ -112,7 +113,12 @@ class SU11Generators(NamedTuple):
 
 def su11_generators(space: FockSpace) -> SU11Generators:
     """Fock-representation generators G1=(a^2+ad^2)/2, G2=i(a^2-ad^2)/2, G3=n+1/2."""
-    g1, g2 = (join_sectors(space.dim, _generator_blocks(space.dim, name)) for name in FIXED_GENERATORS)
+    a = annihilation(space)
+    ad = a.conj().T
+    a2 = a @ a
+    ad2 = ad @ ad
+    g1 = 0.5 * (a2 + ad2)
+    g2 = 0.5j * (a2 - ad2)
     g3 = np.diag(np.arange(space.dim) + 0.5).astype(complex)
     return SU11Generators(g1, g2, g3)
 
@@ -246,7 +252,8 @@ def exp_normal(K) -> np.ndarray:
         "exp_normal needs an anti-Hermitian matrix: max|K + K^dag|",
     )
     # K = i H with H Hermitian
-    return _exp_i_eig(*np.linalg.eigh(-1j * mat))
+    w, v = np.linalg.eigh(-1j * mat)
+    return _exp_i_eig(w, v)
 
 
 def _exp_i_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -273,8 +280,11 @@ def parity_sectors(dim: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     tridiagonal matrix on each sector and zero between them.  Returns
     ``(levels, band)`` for s = 0 and s = 1.
     """
-    return tuple((n, np.sqrt(n[:-1] + 1.0) * np.sqrt(n[:-1] + 2.0))
-                 for n in (np.arange(0, dim, 2), np.arange(1, dim, 2)))
+    sectors = []
+    for s in (0, 1):
+        n = np.arange(s, dim, 2)
+        sectors.append((n, np.sqrt(n[:-1] + 1.0) * np.sqrt(n[:-1] + 2.0)))
+    return tuple(sectors)
 
 
 def sector_tridiagonal(upper: np.ndarray, lower: np.ndarray | None = None, diag=0.0) -> np.ndarray:
@@ -302,27 +312,21 @@ def join_sectors(dim: int, blocks) -> np.ndarray:
 
 
 def exp_sectors(eigs, theta: float) -> np.ndarray:
-    """exp(i theta H) of a parity-conserving H from its (w, v) per sector, each round-trip checked."""
+    """exp(i theta H) of a parity-keeping H from each sector's (w, v), round-trip checked."""
     return join_sectors(sum(len(w) for w, _ in eigs), (_exp_i_eig(theta * w, v) for w, v in eigs))
 
 
 FIXED_GENERATORS = ("gamma1", "gamma2")
 
 
-def _generator_blocks(dim: int, name: str):
-    """The even and odd blocks of G1 ("gamma1", real) or G2 ("gamma2") from the pair band."""
-    for _, band in parity_sectors(dim):
-        half = 0.5 * band if name == "gamma1" else 0.5j * band
-        yield sector_tridiagonal(half, None if name == "gamma1" else -half)
-
-
 @functools.lru_cache(maxsize=8)
 def _generator_eig(dim: int, name: str) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     eigs = []
-    # G2 is solved on its own, not derived from G1 by the U0 rotation the
-    # squeezing closure is meant to test
-    for block in _generator_blocks(dim, name):
-        w, v = hermitian_eig(block)
+    # G1 is real, so solved real symmetric; G2 is solved on its own, not derived
+    # from G1 by the U0 rotation the squeezing closure is meant to test
+    for _, band in parity_sectors(dim):
+        half = 0.5 * band if name == "gamma1" else 0.5j * band
+        w, v = hermitian_eig(sector_tridiagonal(half, None if name == "gamma1" else -half))
         w.setflags(write=False)
         v.setflags(write=False)
         eigs.append((w, v))
@@ -349,7 +353,8 @@ def commutator(A, B) -> np.ndarray:
 
 def interior(matrix, n_keep: int) -> np.ndarray:
     """Restriction to the lowest ``n_keep`` levels (identities hold here)."""
-    return np.asarray(matrix, dtype=complex)[:n_keep, :n_keep]
+    mat = np.asarray(matrix, dtype=complex)
+    return mat[:n_keep, :n_keep]
 
 
 def truncation_leak(matrix, space: FockSpace) -> float:

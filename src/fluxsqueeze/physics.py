@@ -4,7 +4,7 @@ coupling-gain table g_eff/g = exp(2 eta2) over flux.
 No numpy at import: this module imports only the standard library and
 ``errors``.  ``amplify``, ``coupling``, ``--help``, ``--version`` and
 configuration errors need nothing more, and loading numpy would be most
-of their run time.
+of their run time.  The rest of the package imports these names from here.
 
 Each input field (here and in ``config.RunConfig``) declares its config key
 and checks, which ``_check_fields`` runs; derived values and rules that join
@@ -82,16 +82,14 @@ def _circuit_value(value: float, what: str, keys: str, positive: bool = False,
     return value
 
 
-def _all_finite(value) -> bool:
-    """``None`` means unset; a tuple (sweep.ratios) is tested element-wise."""
-    if isinstance(value, tuple):
-        return all(map(_all_finite, value))
-    return value is None or math.isfinite(value)
+def _each(test):
+    """``test``, run on each element of a tuple (sweep.ratios); ``None`` means unset."""
+    return lambda v: all(map(test, v)) if isinstance(v, tuple) else v is None or test(v)
 
 
 # the checks of an input field: (what its value must be, test) pairs, run in order
-FINITE = (("finite", _all_finite),)
-POSITIVE = FINITE + (("positive", lambda x: x > 0),)
+FINITE = (("finite", _each(math.isfinite)),)
+POSITIVE = FINITE + (("positive", _each(lambda x: x > 0)),)
 
 
 def _field(key: str, checks: tuple, default=MISSING, **metadata):
@@ -300,7 +298,8 @@ def biot_savart_b0(geom: CouplingGeometry) -> float:
 
 
 def _beta_quarter_at_working_point(p: CircuitParams) -> float:
-    return reduced_params(replace(p, f_s=INTERACTION_FLUX)).beta ** 0.25
+    working = replace(p, f_s=INTERACTION_FLUX)
+    return reduced_params(working).beta ** 0.25
 
 
 def bare_coupling(p: CircuitParams, geom: CouplingGeometry) -> float:

@@ -144,10 +144,13 @@ def _squeeze_closure(p: physics.CircuitParams) -> list[CheckResult]:
         for k in (0, 1, 2):
             res = gates.squeeze_operator(p, t, k=k, rep="2x2", convention="matched")
             worst = max(worst, res.residual)
-    s0, *others = (
+    k_results = [
         gates.squeeze_operator(p, 1.0, k=k, rep="2x2", convention="matched").s for k in (0, 1, 2)
+    ]
+    spread = max(
+        float(np.abs(k_results[0] - k_results[1]).max()),
+        float(np.abs(k_results[0] - k_results[2]).max()),
     )
-    spread = max(gates.gate_distance(s0, s) for s in others)
     return [
         _check("squeeze_closure_2x2", worst, 1e-10),
         _check("squeeze_branch_independence", spread, 1e-10),
@@ -160,7 +163,10 @@ def _harmonic_point(p: physics.CircuitParams, dim: int) -> list[CheckResult]:
     h_full = circuit.full_hamiltonian(half, space)
     h_quartic = circuit.quartic_hamiltonian(half, space)
     h_harm = circuit.harmonic_hamiltonian(half, space)
-    collapse = max(float(np.abs(h - h_harm).max()) for h in (h_full, h_quartic))
+    collapse = max(
+        float(np.abs(h_full - h_harm).max()),
+        float(np.abs(h_quartic - h_harm).max()),
+    )
     levels = circuit.spectrum(h_full)
     alpha = abs(circuit.anharmonicity(levels))
     gap = abs(levels.e01 - half.omega0)

@@ -107,6 +107,8 @@ def test_b0_reflection_symmetry(frac):
 def test_b0_profile_domain():
     with pytest.raises(GeometryError):
         b0_profile(GEOM, np.array([0.0]))
+    # an empty grid passes the domain check and gives an empty profile
+    assert b0_profile(GEOM, np.array([])).shape == (0,)
 
 
 def test_bare_coupling_order_of_magnitude():
