@@ -27,22 +27,10 @@ import numpy as np
 
 from ._parallel import _one_blas_thread
 from .config import CONVERGENCE_TOL, DEFAULT_DIM, MAX_MATRIX_BYTES, matrix_bytes
-from .errors import (
-    ConvergenceError,
-    DegenerateSpectrumError,
-    ParameterError,
-    SimulationError,
-)
+from .errors import ConvergenceError, DegenerateSpectrumError, ParameterError, SimulationError
 from .operators import (
-    EIG_INPUT_RTOL,
-    FockSpace,
-    _finite_scale,
-    hermitian_eig,
-    hermitian_matrix_function,
-    make_fock_space,
-    phase_charge_operators,
-    require_below,
-    split_sectors,
+    EIG_INPUT_RTOL, FockSpace, _finite_scale, hermitian_eig, hermitian_matrix_function,
+    make_fock_space, phase_charge_operators, require_below, split_sectors,
 )
 from .physics import CircuitParams, _require_stable  # perfbench/worker.py reads CircuitParams
 
@@ -62,11 +50,8 @@ class FluxFreeTerms(NamedTuple):
 @functools.lru_cache(maxsize=MAX_DOUBLINGS + 1)
 def _cached_terms(mass: float, omega0: float, dim: int) -> FluxFreeTerms:
     """n^2, phi^2, cos(phi) and phi^4 of the omega0 basis, built once per
-    (E_c, E_L, dim) and shared by every flux point and every command.
-
-    Built under one OpenBLAS thread, as the sweep builds them, so that the
-    cache holds one set of bits whichever command fills it first (some
-    kernels, SandyBridge among them, round differently at two threads).
+    (E_c, E_L, dim) under one OpenBLAS thread, so that every flux point and
+    command shares one set of bits whichever command fills the cache first.
     """
     # an extreme E_c or E_L overflows a product: rejected below, not warned
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
@@ -94,9 +79,8 @@ def _cached_terms(mass: float, omega0: float, dim: int) -> FluxFreeTerms:
     return real
 
 
-# Flux points of one sweep run on several threads at once; the lock makes
-# the first of them build a missing basis while the others wait for it,
-# instead of each building its own copy.
+# Flux points of one sweep run on several threads: the first of them
+# builds a missing basis while the others wait for it.
 _TERMS_LOCK = threading.Lock()
 
 
@@ -105,43 +89,59 @@ def _terms(p: CircuitParams, dim: int) -> FluxFreeTerms:
         return _cached_terms(p.mass, p.omega0, dim)
 
 
-def _assemble(p: CircuitParams, space: FockSpace, *terms: tuple[float, str]) -> np.ndarray:
-    """The sum of coefficient x flux-free term in the order given, made
-    exactly symmetric by 0.5 (M + M^T).  A subtracted term comes with its
-    coefficient negated (a - b c and a + (-b) c round alike).  A sum past
-    the float range raises ``ParameterError``, not a numpy warning."""
-    t = _terms(p, space.dim)
-    (first, name), *rest = terms
+def _assemble(ps, dim: int, terms_of) -> np.ndarray:
+    """One matrix per point of ``ps`` (sharing a basis), in one output and
+    one temporary: the sum of coefficient x flux-free term in the order
+    ``terms_of(p)`` gives (a - b c as a + (-b) c), made exactly symmetric
+    by 0.5 (M + M^T).  A sum past the float range raises ``ParameterError``."""
+    rows = [terms_of(p) for p in ps]
+    t = _terms(ps[0], dim)
+    coefficients = np.array([[c for c, _ in row] for row in rows])[:, :, None, None]
+    out = np.empty((len(ps), dim, dim))
+    tmp = np.empty_like(out)
     with np.errstate(over="ignore", invalid="ignore"):
-        mat = first * getattr(t, name)
-        for coefficient, name in rest:
-            mat += coefficient * getattr(t, name)
-        mat = 0.5 * (mat + mat.T)
-    if not np.isfinite(mat).all():
+        for j, (_, name) in enumerate(rows[0]):
+            np.multiply(coefficients[:, j], getattr(t, name), out=tmp if j else out)
+            if j:
+                out += tmp
+        np.add(out, out.swapaxes(1, 2), out=tmp)
+        np.multiply(0.5, tmp, out=out)
+    finite = np.isfinite(out).all(axis=(1, 2))
+    if not finite.all():
         raise ParameterError(
             f"circuit.e_c, circuit.e_j and circuit.e_l give a non-finite Hamiltonian "
-            f"at f_s={p.f_s}, dim={space.dim}"
+            f"at f_s={ps[int(finite.argmin())].f_s}, dim={dim}"
         )
-    return mat
+    return out
+
+
+def _full_terms(p: CircuitParams):
+    _require_stable(p)
+    return (p.e_c, "nn"), (-p.ej_flux, "cos_phi"), (p.e_l, "pp")
+
+
+def _quartic_terms(p: CircuitParams):
+    _require_stable(p)
+    return (p.e_c, "nn"), (0.5 * p.stiffness, "pp"), (-(p.ej_flux / 24.0), "phi4")
 
 
 def harmonic_hamiltonian(p: CircuitParams, space: FockSpace) -> np.ndarray:
     """E_c n^2 + E_L phi^2 (the f_s = 1/2 point and the basis oscillator)."""
-    return _assemble(p, space, (p.e_c, "nn"), (p.e_l, "pp"))
+    return _assemble([p], space.dim, lambda p: ((p.e_c, "nn"), (p.e_l, "pp")))[0]
 
 
 def full_hamiltonian(p: CircuitParams, space: FockSpace) -> np.ndarray:
     """E_c n^2 - E_J(f_s) cos(phi) + E_L phi^2 with cos as a matrix function."""
-    _require_stable(p)
-    return _assemble(p, space, (p.e_c, "nn"), (-p.ej_flux, "cos_phi"), (p.e_l, "pp"))
+    return _assemble([p], space.dim, _full_terms)[0]
 
 
 def quartic_hamiltonian(p: CircuitParams, space: FockSpace) -> np.ndarray:
     """cos(phi) expanded through phi^4; same basis as the full Hamiltonian."""
-    _require_stable(p)
-    return _assemble(
-        p, space, (p.e_c, "nn"), (0.5 * p.stiffness, "pp"), (-(p.ej_flux / 24.0), "phi4")
-    )
+    return _assemble([p], space.dim, _quartic_terms)[0]
+
+
+# the builders whose rung ``converged_spectra`` assembles for a whole stack at once
+_TERMS_OF = {full_hamiltonian: _full_terms, quartic_hamiltonian: _quartic_terms}
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,8 @@ def _lowest_levels(w: np.ndarray, k: int) -> Spectrum:
 
 
 def solve(H) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a circuit Hamiltonian, solved on a complex copy: the
-    printed levels were fixed that way, and a real solve rounds differently."""
+    """Eigenpairs of a circuit Hamiltonian, or of each of a stack, solved
+    on a complex copy, the arithmetic of the printed levels."""
     return hermitian_eig(np.asarray(H, dtype=complex))
 
 
@@ -186,54 +186,66 @@ def anharmonicity(s: Spectrum) -> float:
 
 Builder = Callable[[CircuitParams, FockSpace], np.ndarray]
 
+# Upper-rung bytes one stack of flux points may hold, four points at the
+# default dim: peak RSS grows with the stack, and larger stacks saved no time.
+STACK_BYTES = 4 * 8 * (2 * DEFAULT_DIM) ** 2
+
+
+def stack_points(dim: int) -> int:
+    """Flux points per stack from ``dim``, within ``STACK_BYTES``; four at
+    most, as a stack started below the default dim may double past it."""
+    return max(1, min(4, STACK_BYTES // (8 * (2 * dim) ** 2)))
+
+
+def _build(ps, dim: int, builder: Builder) -> np.ndarray:
+    """The rung ``dim`` of every point, as one ``(len(ps), dim, dim)`` stack."""
+    terms_of = _TERMS_OF.get(builder)
+    if terms_of is None or len({(p.mass, p.omega0) for p in ps}) > 1:
+        return np.stack([builder(p, make_fock_space(dim)) for p in ps])
+    return _assemble(ps, dim, terms_of)
+
 
 def _sector_eigenvalues(H: np.ndarray) -> np.ndarray:
-    """Sorted eigenvalues of a real symmetric Hamiltonian that keeps photon
-    parity, solved on its even and on its odd levels.
-
-    The entries between the two sectors are dropped only after a check
-    that none exceeds ``EIG_INPUT_RTOL`` of the largest element, else
-    ``ConvergenceError``; each sector solve then runs the guards of
-    ``hermitian_eig``.  A NaN or infinite entry, in a sector or between
-    them, raises ``ParameterError``.
-    """
-    scale = _finite_scale(H, "sector solve")
+    """Sorted eigenvalues of a real symmetric Hamiltonian of even dim that
+    keeps photon parity, or of each of a stack, from one stacked solve of
+    the even and odd sectors.  The entries between the sectors are dropped
+    only after a check that none exceeds ``EIG_INPUT_RTOL`` of the matrix's
+    largest element, else ``ConvergenceError``; a NaN or infinite entry
+    anywhere raises ``ParameterError``."""
+    scale = _finite_scale(H, "sector solve", stacks=True)
     even, odd, mixed = split_sectors(H)
     require_below(
-        float(np.abs(mixed).max()), EIG_INPUT_RTOL * scale, ConvergenceError,
-        f"Hamiltonian at dim={len(H)} mixes photon parity: max|H[even, odd]|",
+        np.abs(mixed).max(axis=(-2, -1)), EIG_INPUT_RTOL * scale, ConvergenceError,
+        f"Hamiltonian at dim={H.shape[-1]} mixes photon parity: max|H[even, odd]|",
     )
-    return np.sort(np.concatenate([hermitian_eig(block)[0] for block in (even, odd)]))
+    blocks = np.stack([even, odd], axis=-3).reshape(-1, *even.shape[-2:])
+    shape = H.shape[:-2]
+    del H, even, odd, mixed  # a caller that passes its only reference frees the rung here
+    w, _ = hermitian_eig(blocks)
+    return np.sort(w.reshape(*shape, -1), axis=-1)
 
 
-def converged_spectrum(
-    p: CircuitParams,
-    dim: int = DEFAULT_DIM,
-    builder: Builder = full_hamiltonian,
-    k: int = 3,
-    tol: float = CONVERGENCE_TOL,
-) -> tuple[Spectrum, int]:
-    """Spectrum at the first truncation whose doubling test passes.
+def converged_spectra(ps, dim: int = DEFAULT_DIM, builder: Builder = full_hamiltonian,
+                      k: int = 3, tol: float = CONVERGENCE_TOL) -> list[tuple[Spectrum, int]]:
+    """``(Spectrum, dim)`` of each point of ``ps`` at the first truncation
+    whose doubling test passes: from ``dim``, doubling at most
+    ``MAX_DOUBLINGS`` times until the lowest ``k`` levels move by less than
+    ``tol`` GHz, the levels of the accepted (smaller) dimension.
 
-    Starts from ``dim`` and doubles, ``MAX_DOUBLINGS`` times at most, until
-    the lowest ``k`` levels move by less than ``tol`` GHz, then reports the
-    values at the accepted (smaller) dimension with that dimension.
-    ``builder`` is one of the circuit builders of this module.
-
-    Each rung of the ladder is built once, as the builder's real
-    symmetric matrix.  The lower rung, whose levels are reported, is
-    solved on a complex copy; the upper rung is only compared with
-    ``tol`` and is solved on its even and odd photon-parity sectors.  A
-    rung reached by doubling keeps its sector eigenvalues for the next
-    comparison and is solved in complex arithmetic only if accepted.
-
-    A doubling whose two rungs would exceed ``config.MAX_MATRIX_BYTES``
-    by ``config.matrix_bytes`` raises ``ConvergenceError`` before the
-    upper rung is built.
+    The points climb together.  The start rung is solved on complex copies
+    in one stacked call, each upper rung on the parity sectors of the
+    points still climbing in another; points that pass leave the stack,
+    and a rung reached by doubling is built again and solved complex for
+    them only.  Each point gets the bits it gets alone; an error is the
+    first met on the way up.  A doubling whose rungs would exceed
+    ``config.MAX_MATRIX_BYTES`` raises ``ConvergenceError`` before it builds.
     """
     current, k = dim, _three_or_more(k)
-    lower = builder(p, make_fock_space(current))
-    w_lower, _ = solve(lower)
+    if not ps:
+        return []
+    out: list = [None] * len(ps)
+    climbing = list(range(len(ps)))
+    w_lower, _ = solve(_build(ps, current, builder))
     for _ in range(MAX_DOUBLINGS):
         if matrix_bytes(current) > MAX_MATRIX_BYTES:
             raise ConvergenceError(
@@ -241,16 +253,29 @@ def converged_spectrum(
                 f"(started at {dim}); testing it needs dim={2 * current}, whose dense "
                 f"matrices would exceed the budget of {MAX_MATRIX_BYTES} bytes"
             )
-        upper = builder(p, make_fock_space(2 * current))
-        w_upper = _sector_eigenvalues(upper)
+        w_upper = _sector_eigenvalues(_build([ps[i] for i in climbing], 2 * current, builder))
         k_eff = min(k, current)
-        if np.abs(w_lower[:k_eff] - w_upper[:k_eff]).max() < tol:
+        passed = np.abs(w_lower[:, :k_eff] - w_upper[:, :k_eff]).max(axis=1) < tol
+        done = [i for i, ok in zip(climbing, passed) if ok]
+        if done:
+            w_done = w_lower[passed]
             if current != dim:
-                w_lower, _ = solve(lower)
-            return _lowest_levels(w_lower, k), current
+                w_done, _ = solve(_build([ps[i] for i in done], current, builder))
+            for i, w in zip(done, w_done):
+                out[i] = (_lowest_levels(w, k), current)
+        climbing = [i for i, ok in zip(climbing, passed) if not ok]
+        if not climbing:
+            return out
         current *= 2
-        lower, w_lower = upper, w_upper
+        w_lower = w_upper[~passed]
     raise ConvergenceError(
         f"no converged truncation found up to dim={current} "
         f"(started at {dim}, tolerance {tol:.1e} GHz)"
     )
+
+
+def converged_spectrum(p: CircuitParams, dim: int = DEFAULT_DIM,
+                       builder: Builder = full_hamiltonian, k: int = 3,
+                       tol: float = CONVERGENCE_TOL) -> tuple[Spectrum, int]:
+    """``converged_spectra`` of the one point ``p``."""
+    return converged_spectra([p], dim, builder, k, tol)[0]

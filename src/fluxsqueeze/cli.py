@@ -1,13 +1,10 @@
 """Command-line driver: reproducible sweeps serialized as CSV/JSON.
 
 One subcommand per entry of ``COMMANDS``; each option is the flag of a
-``config.RunConfig`` field and parses as that key does in a config file.
-``parse_argv`` reads argv in one pass over ``COMMANDS`` and the key
-index ``config.KNOWN_KEYS``: the token after a flag is its value,
-whatever it starts with (``--t -1e-3``), as is the text after ``--flag=``.  Options must be spelled in full.  Each
-error class carries its exit code and stderr label (``errors``), so any
-argv error is one ``configuration error`` line with exit 2; a failing
-invariant battery exits 5.
+``config.RunConfig`` field and parses as that key does in a config file
+(``parse_argv``).  Each error class carries its exit code and stderr label
+(``errors``), so any argv error is one ``configuration error`` line with
+exit 2; a failing invariant battery exits 5.
 
 Output is deterministic: fixed row order, floats at 12 significant
 digits in scientific notation, and a leading comment line naming units
@@ -82,17 +79,18 @@ def linspace(lo: float, hi: float, n: int) -> list[float]:
 
 
 def cmd_spectrum(cfg: RunConfig) -> str:
-    """The sweep's flux points are independent and run on every CPU
-    (``_parallel.map_points``); rows keep the grid order."""
+    """Contiguous chunks of flux points run on every CPU (``map_points``), a
+    chunk's stable points as one stack (``converged_spectra``), rows in grid
+    order; a chunk that raises is solved again point by point, in order."""
     from ._parallel import map_points
-    from .circuit import anharmonicity, converged_spectrum, full_hamiltonian, quartic_hamiltonian
+    from .circuit import (
+        anharmonicity, converged_spectra, full_hamiltonian, quartic_hamiltonian, stack_points,
+    )
 
-    def row(f_s: float) -> list[str]:
-        p = cfg.circuit(f_s)
-        if not stability(p).stable:
+    def row(f_s: float, solved) -> list[str]:
+        if solved is None:
             return [fmt(f_s)] + [""] * 8 + ["unstable"]
-        full, _ = converged_spectrum(p, cfg.dim, full_hamiltonian, tol=cfg.convergence_tol)
-        quartic, _ = converged_spectrum(p, cfg.dim, quartic_hamiltonian, tol=cfg.convergence_tol)
+        (full, _), (quartic, _) = solved
         return (
             [fmt(f_s)]
             + [fmt(e) for _, e in full.levels]
@@ -100,14 +98,34 @@ def cmd_spectrum(cfg: RunConfig) -> str:
             + [fmt(anharmonicity(full)), fmt(anharmonicity(quartic)), "ok"]
         )
 
+    def rows(chunk: list[float]) -> list[list[str]]:
+        ps = [cfg.circuit(f_s) for f_s in chunk]
+        stable = [p for p in ps if stability(p).stable]
+        solved = iter(zip(*(
+            converged_spectra(stable, cfg.dim, builder, tol=cfg.convergence_tol)
+            for builder in (full_hamiltonian, quartic_hamiltonian)
+        )))
+        return [row(f_s, next(solved) if stability(p).stable else None)
+                for f_s, p in zip(chunk, ps)]
+
+    def chunk_rows(chunk: list[float]) -> list[list[str]]:
+        try:
+            return rows(chunk)
+        except Exception:
+            if len(chunk) == 1:
+                raise
+            return [row for f_s in chunk for row in rows([f_s])]
+
+    grid = linspace(cfg.fs_min, cfg.fs_max, cfg.fs_steps)
+    size = stack_points(cfg.dim)
+    chunks = map_points(chunk_rows, [grid[i : i + size] for i in range(0, len(grid), size)])
     header = ["f_s"] + [f"e{i}_{kind}_ghz" for kind in ("full", "quartic") for i in range(3)]
     header += ["alpha_full", "alpha_quartic", "status"]
-    rows = map_points(row, linspace(cfg.fs_min, cfg.fs_max, cfg.fs_steps))
     comment = (
         "circuit level sweep; energies in GHz, flux dimensionless; "
         f"phase convention {_convention_label(cfg.two_pi)}; dim={cfg.dim}"
     )
-    return _csv(comment, header, rows)
+    return _csv(comment, header, [row for chunk in chunks for row in chunk])
 
 
 def cmd_trotter(cfg: RunConfig) -> str:

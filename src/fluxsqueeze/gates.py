@@ -23,18 +23,14 @@ when the rotating-frame phases cancel:
     "swapped":  t' = omega0 t / omega1   and  omega1 t'' = (4k+1) pi/4
 
 "matched" is the default.  "swapped" exchanges the roles of the two
-frequencies (a form sometimes written down because the two gates are
-easy to mix up); it is kept selectable because the test suite documents
-that it neither telescopes nor closes the squeezing identity.
+frequencies; it stays selectable to show that it neither telescopes nor
+closes the squeezing identity.
 
 Representations: "fock" uses the number operator a^dag a in the gate
-phases; "2x2" uses the compact generators (G3 = tau_z carries the extra
-half quantum, a pure global phase).  ``representation`` resolves the
-(rep, space) pair of a gate call once into a ``Compact`` or ``Fock``
-object, which owns everything that differs between the two: the U0
-action, U1, exp(i theta G1), the G2 target, the M-th power and the
-truncation-leak check.  Distances are only ever compared within one
-representation.
+phases; "2x2" uses the compact generators.  ``representation`` resolves
+the (rep, space) pair of a gate call into a ``Compact`` or ``Fock``
+object, which owns everything that differs between the two.  Distances
+are only ever compared within one representation.
 
 In the 2x2 form ``gate_u0``, ``gate_u1``, ``analytic_us`` and
 ``trotter_squeeze`` also take a 1-D array of times and return an
@@ -52,16 +48,8 @@ import numpy as np
 
 from .errors import ParameterError, WrongRegimeError
 from .operators import (
-    FockSpace,
-    exp_2x2,
-    exp_generator,
-    exp_sectors,
-    hermitian_eig,
-    join_sectors,
-    parity_sectors,
-    sector_tridiagonal,
-    split_sectors,
-    su11_generators_2x2,
+    FockSpace, _generator_eig, exp_2x2, exp_generator, exp_sectors, hermitian_eig, join_sectors,
+    parity_sectors, require_below, sector_tridiagonal, split_sectors, su11_generators_2x2,
     warn_on_truncation_leak,
 )
 from .physics import CircuitParams, ReducedParams, _require_stable, reduced_params
@@ -72,11 +60,8 @@ REPS = ("2x2", "fock")
 
 @dataclass(frozen=True)
 class GateSchedule:
-    """Evolution times of one squeezing construction.
-
-    t_prime is the U0 duration per telescoping step (times M), t_dprime
-    the quarter-period conjugation duration, both in ns.
-    """
+    """Evolution times of one squeezing construction, in ns: t_prime is the U0
+    duration per telescoping step (times M), t_dprime the quarter-period one."""
 
     t: float
     m: int
@@ -123,11 +108,11 @@ class Compact:
     g = su11_generators_2x2()
 
     def u0(self, p: CircuitParams, t) -> np.ndarray:
-        return exp_2x2(-1j * p.omega0 * _times(t) * self.g.gamma3)
+        return exp_2x2(-1j * p.omega0 * _times(t, p.omega0) * self.g.gamma3)
 
     def u0_dag_left(self, p: CircuitParams, t, mat: np.ndarray) -> np.ndarray:
         """U0^dag(t) @ mat."""
-        return exp_2x2(1j * p.omega0 * _times(t) * self.g.gamma3) @ mat
+        return exp_2x2(1j * p.omega0 * _times(t, p.omega0) * self.g.gamma3) @ mat
 
     def u0_conjugate(self, p: CircuitParams, t: float, mat: np.ndarray) -> np.ndarray:
         """U0(t) @ mat @ U0^dag(t)."""
@@ -140,7 +125,7 @@ class Compact:
 
     def us(self, r: ReducedParams, t) -> np.ndarray:
         """exp(i 2 eta1 G1 t)."""
-        return exp_2x2(2j * r.eta1 * _times(t) * self.g.gamma1)
+        return exp_2x2(2j * r.eta1 * _times(t, 2.0 * r.eta1) * self.g.gamma1)
 
     def target(self, eta2: float) -> np.ndarray:
         """exp(-2i eta2 G2) = cosh(2 eta2) - i sinh(2 eta2) G2."""
@@ -155,19 +140,24 @@ class Compact:
         """The 2x2 form has no truncation edge."""
 
 
-def _times(t) -> np.ndarray:
-    """``t`` as float times against trailing 2x2 axes, checked finite before any product forms."""
+def _times(t, rate: float = 1.0) -> np.ndarray:
+    """``t`` as float times against trailing 2x2 axes, checked finite before
+    any product forms, and finite times ``rate``, the largest frequency (GHz)
+    it is multiplied by (a float product overflows to inf, not a warning)."""
     times = np.asarray(t, dtype=float)
-    if not np.isfinite(times).all():
-        raise ParameterError(f"gate time t must be finite, got {t}")
+    phase = abs(rate) * float(np.abs(times).max(initial=0.0))
+    if not phase < math.inf:
+        raise ParameterError(
+            f"gate time t must be finite, got {t}; so must its phase |t| x {abs(rate):.6g} GHz"
+        )
     return times[..., None, None]
 
 
-def _one_time(t, who: str = "the fock representation") -> float:
+def _one_time(t, who: str = "the fock representation", rate: float = 1.0) -> float:
     """``t`` as a finite float, for code built for one time per call."""
     if np.ndim(t) != 0:
         raise ParameterError(f"{who} takes one time per call, got an array of shape {np.shape(t)}")
-    return _times(t).item()
+    return _times(t, rate).item()
 
 
 @dataclass(frozen=True)
@@ -180,7 +170,8 @@ class Fock:
 
     def _phases(self, p: CircuitParams, t: float) -> np.ndarray:
         # the diagonal of U0 in the number basis; no eigensolve needed
-        return np.exp(-1j * p.omega0 * np.arange(self.space.dim) * _one_time(t))
+        t = _one_time(t, rate=p.omega0 * (self.space.dim - 1))
+        return np.exp(-1j * p.omega0 * np.arange(self.space.dim) * t)
 
     def u0(self, p: CircuitParams, t: float) -> np.ndarray:
         return np.diag(self._phases(p, t))
@@ -197,14 +188,15 @@ class Fock:
     def u1(self, r: ReducedParams, t: float) -> np.ndarray:
         # h1 = omega1 n - eta1 (a^2 + a^dag^2) keeps photon parity: one real solve per
         # sector, not cached (h1 moves with omega1, eta1); 0.0 - x keeps a zero band +0
-        theta = -_one_time(t)
         eigs = [hermitian_eig(sector_tridiagonal(0.0 - r.eta1 * band, diag=r.omega1 * n))
                 for n, band in parity_sectors(self.space.dim)]
-        return exp_sectors(eigs, theta)
+        return exp_sectors(eigs, -_one_time(t, rate=max(float(np.abs(w).max()) for w, _ in eigs)))
 
     def us(self, r: ReducedParams, t: float) -> np.ndarray:
         """exp(i 2 eta1 G1 t)."""
-        return exp_generator(self.space, "gamma1", 2.0 * r.eta1 * _one_time(t))
+        top = max(float(np.abs(w).max()) for w, _ in _generator_eig(self.space.dim, "gamma1"))
+        t = _one_time(t, rate=2.0 * r.eta1 * top)
+        return exp_generator(self.space, "gamma1", 2.0 * r.eta1 * t)
 
     def target(self, eta2: float) -> np.ndarray:
         # eta2 (a^2 - a^dag^2) = i (-2 eta2) G2
@@ -282,6 +274,7 @@ def gate_distance(A: np.ndarray, B: np.ndarray) -> float | np.ndarray:
     if A.shape != B.shape:
         raise ParameterError(f"shape mismatch: {A.shape} vs {B.shape}")
     dev = np.abs(A - B).max(axis=(-2, -1))
+    require_below(dev, math.inf, ParameterError, "gate_distance max|A - B|")
     return float(dev) if dev.ndim == 0 else dev
 
 
@@ -308,9 +301,8 @@ def squeeze_operator(
 ) -> SqueezeResult:
     """Compose S = U0(t'') Us(t) U0^dag(t'') and compare to the direct target.
 
-    ``backend`` picks the analytic Us (default, isolates the conjugation
-    step) or the interleaved product U's (for product-formula fidelity
-    studies).  Requires eta1 < 0, the squeezing-producing regime.
+    ``backend`` picks the analytic Us (default) or the interleaved product
+    U's.  Requires eta1 < 0, the squeezing-producing regime.
     """
     _require_stable(p)
     t = _one_time(t, "squeeze_operator")

@@ -2,14 +2,10 @@
 generators, Hermitian eigensolves, and matrix exponentials.
 
 Operators are plain dense ndarrays.  The ladder, quadrature and
-generator helpers return complex128 even where the entries are real, so
-every product built from them runs in complex arithmetic.  Operator
-algebra identities hold exactly only on an interior subspace; the
-truncation edge (top one or two levels) is excluded wherever an identity
-is asserted.
-
-Units: energies in GHz, times in ns. The phase accumulated by ``propagator``
-is the plain product energy*time with no additional 2*pi factor.
+generator helpers return complex128 even where the entries are real.
+Operator algebra identities hold only on an interior subspace, away from
+the top one or two levels.  Energies in GHz, times in ns; a phase is the
+plain product energy*time, with no 2*pi factor.
 """
 
 from __future__ import annotations
@@ -23,12 +19,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    InvalidDimensionError,
-    ParameterError,
-    SimulationError,
-    TruncationLeakWarning,
+    InvalidDimensionError, ParameterError, SimulationError, TruncationLeakWarning,
     WrongRegimeError,
 )
+from .physics import _circuit_value, _or_inf
 
 # Hermiticity (eigensolve) and anti-Hermiticity (exponential) tolerance
 # for inputs, scaled by the largest matrix element.
@@ -37,9 +31,8 @@ EIG_INPUT_RTOL = 1e-10
 RECONSTRUCTION_RTOL = 1e-9
 # exp(K)exp(-K) round-trip (unitarity) residual bound.
 EXP_ROUNDTRIP_ATOL = 1e-9
-# Hyperbolic-argument cap for the closed-form 2x2 exponential.  Beyond
-# this the non-unitary representation grows without bound and results
-# stop being physically interpretable.
+# Hyperbolic-argument cap for the closed-form 2x2 exponential: past it the
+# non-unitary representation has grown by e^10.
 HYPERBOLIC_CAP = 10.0
 # A low-lying state may place at most this much weight in the top 10%
 # of Fock levels before a truncation-leak warning fires.
@@ -48,8 +41,15 @@ LEAK_TOL = 1e-6
 UNITARY_TOL = 1e-8
 
 
-def require_below(residual: float, bound: float, error: type[SimulationError], what: str) -> None:
-    """Raise ``error`` unless ``residual <= bound``, the test of every guard; a NaN fails it."""
+def require_below(residual, bound, error: type[SimulationError], what: str) -> None:
+    """Raise ``error`` unless ``residual <= bound``, the test of every guard;
+    a NaN fails it.  Arrays are tested entry by entry; the first failing one is named."""
+    if isinstance(residual, np.ndarray):
+        failed = np.flatnonzero(~(residual <= bound))
+        if not failed.size:
+            return
+        first = failed[0]
+        residual, bound = residual.flat[first], np.broadcast_to(bound, residual.shape).flat[first]
     if not residual <= bound:
         raise error(f"{what} residual {residual:.3e} exceeds bound {bound:.3e}")
 
@@ -89,10 +89,15 @@ def phase_charge_operators(
     """
     if not (m > 0 and omega > 0):
         raise ParameterError(f"need m > 0 and omega > 0, got m={m}, omega={omega}")
+    # an extreme m or omega gives a scale of 0 or inf, refused before any product
+    phi_scale = _circuit_value(_or_inf(lambda x: math.sqrt(1.0 / x), 2.0 * m * omega),
+                               "sqrt(1/(2 m omega))", "m and omega", positive=True)
+    n_scale = _circuit_value(math.sqrt(m * omega / 2.0), "sqrt(m omega / 2)", "m and omega",
+                             positive=True)
     a = annihilation(space)
     ad = a.conj().T
-    phi = np.sqrt(1.0 / (2.0 * m * omega)) * (a + ad)
-    n = 1j * np.sqrt(m * omega / 2.0) * (ad - a)
+    phi = phi_scale * (a + ad)
+    n = 1j * n_scale * (ad - a)
     return phi, n
 
 
@@ -133,38 +138,44 @@ def su11_generators_2x2() -> SU11Generators:
     return SU11Generators(1j * TAU_Y, -1j * TAU_X, TAU_Z.copy())
 
 
-def _finite_scale(mat: np.ndarray, what: str) -> float:
-    """max(1, max|M_ij|), the scale of the input guards; a matrix that is
-    not square, or has a NaN or infinite entry, raises ``ParameterError``."""
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+def _finite_scale(mat: np.ndarray, what: str, stacks: bool = False):
+    """max(1, max|M_ij|), the scale of the input guards, or one per matrix
+    of a ``(k, n, n)`` stack where ``stacks`` allows it; a matrix that is not
+    square, or has a NaN or infinite entry, raises ``ParameterError``."""
+    if mat.ndim not in ((2, 3) if stacks else (2,)) or mat.shape[-1] != mat.shape[-2]:
         raise ParameterError(f"expected a square matrix, got shape {mat.shape}")
-    peak = float(np.abs(mat).max())
-    if not math.isfinite(peak):
-        raise ParameterError(f"{what} needs finite matrix entries, got max|M| = {peak}")
-    return max(1.0, peak)
+    peak = np.abs(mat).max(axis=(-2, -1))
+    finite = np.isfinite(peak)
+    if not finite.all():
+        raise ParameterError(
+            f"{what} needs finite matrix entries, got max|M| = {float(peak[~finite][0])}"
+        )
+    return np.maximum(peak, 1.0)
 
 
-def reconstruction_residual(mat: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
-    """max|V diag(w) V^dag - M|, unscaled."""
-    return float(np.abs((v * w) @ v.conj().T - mat).max())
+def reconstruction_residual(mat: np.ndarray, w: np.ndarray, v: np.ndarray):
+    """max|V diag(w) V^dag - M|, unscaled: a float for a matrix, an array
+    of per-matrix maxima for a stack."""
+    res = np.abs((v * w[..., None, :]) @ v.conj().swapaxes(-1, -2) - mat).max(axis=(-2, -1))
+    return float(res) if res.ndim == 0 else res
 
 
 def hermitian_eig(op) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian operator.
+    """Sorted-ascending eigenvalues and unitary eigenvector columns of a
+    Hermitian matrix, or of each matrix of a ``(k, n, n)`` stack in one call.
 
-    Returns sorted-ascending eigenvalues and the unitary eigenvector
-    matrix (columns).  The input must be Hermitian within
-    ``EIG_INPUT_RTOL`` of its largest element; the reconstruction
-    V diag(E) V^dag is verified against the input.  A float64 array is
-    solved as a real symmetric matrix; other input is made complex.  A
-    matrix with a NaN or infinite entry is rejected before the solve.
+    Each matrix must be Hermitian within ``EIG_INPUT_RTOL`` of its largest
+    element and finite, checked before the solve, and its reconstruction
+    V diag(E) V^dag is verified against it.  float64 input is solved real
+    symmetric; other input is made complex.  A matrix in a stack gets the
+    bits it gets alone, and a failing guard names the first that fails it.
     """
     real = isinstance(op, np.ndarray) and op.dtype == np.float64
     mat = op if real else np.asarray(op, dtype=complex)
-    scale = _finite_scale(mat, "hermitian_eig")
+    scale = _finite_scale(mat, "hermitian_eig", stacks=True)
     require_below(
-        float(np.abs(mat - mat.conj().T).max()), EIG_INPUT_RTOL * scale, ParameterError,
-        "matrix is not Hermitian: max|M - M^dag|",
+        np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1)), EIG_INPUT_RTOL * scale,
+        ParameterError, "matrix is not Hermitian: max|M - M^dag|",
     )
     w, v = np.linalg.eigh(mat)
     res = reconstruction_residual(mat, w, v)
@@ -195,17 +206,13 @@ def exp_2x2(K: np.ndarray) -> np.ndarray:
     of a ``(..., 2, 2)`` stack.
 
     Cayley-Hamilton for the traceless part B: B^2 = -det(B) I, hence
-    exp(B) = cosh(mu) I + sinh(mu)/mu B with mu = sqrt(-det B).  This
-    reproduces the single-generator hyperbolic/trigonometric formulas
-    of the compact representation without any series truncation.  Every
-    step is elementwise over the stack, so a matrix gives the same bits
-    alone as inside a stack.
+    exp(B) = cosh(mu) I + sinh(mu)/mu B with mu = sqrt(-det B), with no
+    series truncation.  Every step is elementwise over the stack, so a
+    matrix gives the same bits alone as inside a stack.
 
-    Hyperbolic arguments are capped at ``HYPERBOLIC_CAP``; beyond it the
-    non-unitary representation has grown by e^10, and the squeeze is
-    refused as a regime limit (``WrongRegimeError``), naming the first
-    matrix in stack order that is over the cap or whose argument
-    overflowed.  A NaN or infinite entry is rejected with
+    A hyperbolic argument over ``HYPERBOLIC_CAP``, or one that overflowed,
+    is refused as a regime limit (``WrongRegimeError``) naming the first
+    such matrix in stack order.  A NaN or infinite entry is rejected with
     ``ParameterError`` before any work.
     """
     K = np.asarray(K, dtype=complex)
@@ -236,14 +243,10 @@ def exp_2x2(K: np.ndarray) -> np.ndarray:
 
 
 def exp_normal(K) -> np.ndarray:
-    """exp(K) for an anti-Hermitian matrix.
-
-    Every squeezing gate is the exponential of ``i`` times a Hermitian
-    generator, so the input must satisfy K^dag = -K within
-    ``EIG_INPUT_RTOL`` of its largest element; it then goes through the
-    eigendecomposition of the Hermitian matrix -iK.  Any other matrix,
-    normal or not, and any matrix with a NaN or infinite entry, is
-    rejected with ``ParameterError``.
+    """exp(K) for an anti-Hermitian matrix, through the eigendecomposition
+    of the Hermitian -iK.  Any matrix not anti-Hermitian within
+    ``EIG_INPUT_RTOL`` of its largest element, or with a NaN or infinite
+    entry, is rejected with ``ParameterError``.
     """
     mat = np.asarray(K, dtype=complex)
     scale = _finite_scale(mat, "exp_normal")
@@ -258,11 +261,8 @@ def exp_normal(K) -> np.ndarray:
 
 def _exp_i_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """exp(iH) from the eigenpairs (w, v) of a Hermitian H, checked by the
-    exp(K)exp(-K) round trip with K = iH.
-
-    exp(-iH) is taken as exp(iH)^dag, so the round trip is the unitarity
-    residual.  For a real symmetric H (real ``v``) the products stay real.
-    """
+    exp(K)exp(-K) round trip with K = iH, that is its unitarity residual.
+    For a real symmetric H (real ``v``) the products stay real."""
     if np.isrealobj(v):
         out = (v * np.cos(w)) @ v.T + 1j * ((v * np.sin(w)) @ v.T)
     else:
@@ -274,11 +274,9 @@ def _exp_i_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 def parity_sectors(dim: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The even (s = 0) and odd (s = 1) photon-number sectors of ``dim`` levels.
 
-    Sector s holds the levels n = s, s+2, ... and is linked only by the
-    pair band <n|a^2|n+2> = sqrt(n+1) sqrt(n+2) between consecutive
-    levels, so every generator built from n, a^2 and a^dag^2 is a
-    tridiagonal matrix on each sector and zero between them.  Returns
-    ``(levels, band)`` for s = 0 and s = 1.
+    Sector s holds the levels n = s, s+2, ..., linked by the pair band
+    <n|a^2|n+2> = sqrt(n+1) sqrt(n+2), so every generator built from n, a^2
+    and a^dag^2 is tridiagonal on each sector.  Returns ``(levels, band)``.
     """
     sectors = []
     for s in (0, 1):
@@ -299,8 +297,8 @@ def sector_tridiagonal(upper: np.ndarray, lower: np.ndarray | None = None, diag=
 
 
 def split_sectors(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Views of the even block, the odd block and the even-odd block of ``mat``."""
-    return mat[0::2, 0::2], mat[1::2, 1::2], mat[0::2, 1::2]
+    """Views of the even, odd and even-odd blocks of ``mat``, or of each matrix of a stack."""
+    return mat[..., 0::2, 0::2], mat[..., 1::2, 1::2], mat[..., 0::2, 1::2]
 
 
 def join_sectors(dim: int, blocks) -> np.ndarray:
@@ -336,10 +334,9 @@ def _generator_eig(dim: int, name: str) -> tuple[tuple[np.ndarray, np.ndarray], 
 def exp_generator(space: FockSpace, name: str, theta: float) -> np.ndarray:
     """exp(i theta G) for G = G1 ("gamma1") or G2 ("gamma2") of ``su11_generators``.
 
-    The generator's eigendecomposition is computed on each parity sector
-    (and its hermiticity and reconstruction verified) once per
-    (dim, generator) and cached as read-only arrays; every call still
-    runs the round-trip guard on each sector.
+    The generator's guarded eigendecomposition on each parity sector is
+    cached read-only per (dim, generator); every call still runs the
+    round-trip guard on each sector.
     """
     if name not in FIXED_GENERATORS:
         raise ParameterError(f"unknown generator {name!r}; pick from {FIXED_GENERATORS}")
@@ -358,12 +355,8 @@ def interior(matrix, n_keep: int) -> np.ndarray:
 
 
 def truncation_leak(matrix, space: FockSpace) -> float:
-    """Largest weight any low-lying state places in the top 10% of levels.
-
-    The columns for the lowest 10% of levels stand in for physically
-    occupied states; their amplitude in the top 10% of rows measures how
-    much the operation pushes population into the truncation edge.
-    """
+    """Largest weight any low-lying state places in the top 10% of levels:
+    the columns of the lowest 10% of levels stand in for occupied states."""
     mat = np.asarray(matrix, dtype=complex)
     dim = space.dim
     top_start = int(math.ceil(0.9 * dim))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fluxsqueeze.circuit import (
     MAX_DOUBLINGS,
     Spectrum,
     anharmonicity,
+    converged_spectra,
     converged_spectrum,
     full_hamiltonian,
     harmonic_hamiltonian,
@@ -333,6 +335,10 @@ def _reference_converged(p, dim, builder, tol=CONVERGENCE_TOL):
     raise ConvergenceError(f"reference ladder did not converge from dim={dim}")
 
 
+def _reference_spectra(ps, dim, builder, tol=CONVERGENCE_TOL):
+    return [_reference_converged(p, dim, builder, tol) for p in ps]
+
+
 @pytest.mark.parametrize("start_dim", [60, 8])
 @pytest.mark.parametrize("f_s", [0.5, 0.505, 0.75, 0.9, 1.0])
 @pytest.mark.parametrize(
@@ -355,30 +361,89 @@ def test_converged_spectrum_matches_reference_bitwise(builder, reference, f_s, s
 def test_cmd_spectrum_matches_reference_bitwise(monkeypatch, dim):
     cfg = RunConfig(fs_steps=6, dim=dim)
     got = cli.cmd_spectrum(cfg)
-    monkeypatch.setattr(circuit, "converged_spectrum", _reference_converged)
+    monkeypatch.setattr(circuit, "converged_spectra", _reference_spectra)
     monkeypatch.setattr(circuit, "full_hamiltonian", _reference_full)
     monkeypatch.setattr(circuit, "quartic_hamiltonian", _reference_quartic)
     assert got == cli.cmd_spectrum(cfg)
 
 
 def test_converged_spectrum_solves_each_rung_once(monkeypatch):
+    # one complex solve of the start rung and one real solve of both
+    # sectors of the upper rung, each a stacked call
     p = params(0.9)
     converged_spectrum(p, 60)  # warm the flux-free terms of both rungs
     solves = []
     eigh = np.linalg.eigh
 
     def counted(a, *args, **kwargs):
-        solves.append((a.dtype, a.shape[0]))
+        solves.append((a.dtype, a.shape))
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     _, dim_used = converged_spectrum(p, 60)
     assert dim_used == 60
-    assert solves == [
-        (np.dtype(complex), 60),
-        (np.dtype(np.float64), 60),
-        (np.dtype(np.float64), 60),
+    assert solves == [(np.dtype(complex), (1, 60, 60)), (np.dtype(np.float64), (2, 60, 60))]
+
+
+STACK_FLUXES = (0.5, 0.505, 0.75, 0.9, 1.0)
+
+
+@pytest.mark.parametrize("start_dim", [8, 24])
+@pytest.mark.parametrize(
+    "builder, reference",
+    [(full_hamiltonian, _reference_full), (quartic_hamiltonian, _reference_quartic)],
+)
+def test_stacked_ladder_matches_reference_bitwise(builder, reference, start_dim):
+    ps = [params(f_s) for f_s in STACK_FLUXES]
+    got = converged_spectra(ps, start_dim, builder)
+    want = _reference_spectra(ps, start_dim, reference)
+    assert len({dim for _, dim in want}) > 1  # the points accept at different rungs
+    assert [(s.levels, s.e01, s.e12, dim) for s, dim in got] == [
+        (s.levels, s.e01, s.e12, dim) for s, dim in want
     ]
+
+
+def test_stacked_ladder_takes_custom_builders_and_mixed_bases():
+    ps = [params(f_s) for f_s in STACK_FLUXES]
+    assert converged_spectra(ps, 24, _reference_full) == converged_spectra(ps, 24)
+    assert converged_spectra([], 24) == []
+    # points of other E_c and E_L share no flux-free terms
+    mixed = [ps[3], CircuitParams(f_s=0.9, e_c=0.2, e_j=40.0, e_l=45.0), ps[1]]
+    assert converged_spectra(mixed, 24) == [converged_spectrum(p, 24) for p in mixed]
+
+
+def test_spectrum_sweep_keeps_every_solve_and_stacks_them(monkeypatch):
+    # the work that perfbench counts, prod(shape[:-2]) n^3 per eigh call,
+    # is that of 606 solves at dim 60, in fewer calls
+    cfg = RunConfig()
+    cli.cmd_spectrum(cfg)  # warm the flux-free terms
+    calls, eigh = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(math.prod(a.shape[:-2]) * a.shape[-1] ** 3)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    cli.cmd_spectrum(cfg)
+    assert sum(calls) == 130_896_000 == 606 * 60**3
+    assert len(calls) < 606
+
+
+def test_parity_mixing_in_a_stack_raises_as_alone():
+    H = np.stack([full_hamiltonian(params(f_s), make_fock_space(8)) for f_s in (0.75, 0.9)])
+    H[1, 0, 1] = H[1, 1, 0] = 1e-3
+    with pytest.raises(SimulationError) as alone:
+        circuit._sector_eigenvalues(H[1])
+    with pytest.raises(type(alone.value), match=f"^{re.escape(str(alone.value))}$"):
+        circuit._sector_eigenvalues(H)
+    assert isinstance(alone.value, ConvergenceError)
+
+
+def test_stacked_sector_eigenvalues_match_each_matrix():
+    H = np.stack([quartic_hamiltonian(params(f_s), make_fock_space(24)) for f_s in STACK_FLUXES])
+    got = circuit._sector_eigenvalues(H)
+    for mat, w in zip(H, got):
+        assert np.array_equal(w, circuit._sector_eigenvalues(mat))
 
 
 def test_flux_free_terms_are_read_only():

@@ -377,7 +377,7 @@ def test_degenerate_spectrum_exits_4(capsys, monkeypatch):
     from fluxsqueeze.circuit import Spectrum
 
     flat = Spectrum(levels=((0, 1.0), (1, 1.0), (2, 1.0)), e01=0.0, e12=0.0)
-    monkeypatch.setattr(circuit, "converged_spectrum", lambda *args, **kwargs: (flat, 60))
+    monkeypatch.setattr(circuit, "converged_spectra", lambda ps, *args, **kwargs: [(flat, 60)] * len(ps))
     assert main(["spectrum", "--fs-steps", "2"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("degenerate spectrum:") and err.count("\n") == 1

@@ -21,8 +21,8 @@ from fluxsqueeze.gates import (
     squeeze_operator,
     trotter_squeeze,
 )
-from fluxsqueeze.operators import make_fock_space, su11_generators_2x2
-from fluxsqueeze.physics import CircuitParams, effective_params, reduced_params
+from fluxsqueeze.operators import make_fock_space, phase_charge_operators, su11_generators_2x2
+from fluxsqueeze.physics import CircuitParams, effective_josephson, effective_params, reduced_params
 
 P09 = CircuitParams(e_c=0.12, e_j=58.0, e_l=58.6, f_s=0.9)
 P05 = CircuitParams(e_c=0.12, e_j=58.0, e_l=58.6, f_s=0.5)
@@ -371,7 +371,21 @@ def test_squeeze_operator_resolves_its_inputs_once(monkeypatch, rep, backend):
     (lambda: effective_params(P09, math.nan, 0.1), "g and eta2: g_eff = nan"),
     (lambda: gate_u0(P09, math.inf), "gate time t must be finite, got inf"),
     (lambda: gate_u0(P09, math.nan, "fock", make_fock_space(4)), "gate time t must be finite"),
-], ids=["effective-params-overflow", "effective-params-nan-g", "u0-inf", "u0-fock-nan"])
+    # finite times whose phase overflows, and inputs that once gave NaN
+    (lambda: gate_u0(P09, 1e308), "gate time t must be finite, got 1e+308; so must its phase"),
+    (lambda: gate_u0(P09, 1e308, "fock", make_fock_space(4)), "gate time t must be finite, got 1e+308"),
+    (lambda: gate_u1(P09, 1e308, "fock", make_fock_space(4)), "gate time t must be finite, got 1e+308"),
+    (lambda: analytic_us(P09, 1e308, "fock", make_fock_space(12)), "gate time t must be finite, got 1e+308"),
+    (lambda: phase_charge_operators(make_fock_space(4), math.inf, 1.0),
+     "m and omega: sqrt(1/(2 m omega)) = 0 is not finite and positive"),
+    (lambda: phase_charge_operators(make_fock_space(4), 1e-320, 1e-10),
+     "m and omega: sqrt(1/(2 m omega)) = inf is not finite and positive"),
+    (lambda: gate_distance(np.eye(2), np.full((2, 2), math.nan)), "gate_distance max|A - B| residual nan"),
+    (lambda: gate_distance(np.eye(2)[None], np.full((1, 2, 2), math.nan)), "gate_distance max|A - B| residual nan"),
+    (lambda: effective_josephson(1.0, math.nan), "circuit.e_j: E_J(f_s) = nan is not finite"),
+], ids=["effective-params-overflow", "effective-params-nan-g", "u0-inf", "u0-fock-nan", "u0-phase",
+        "u0-fock-phase", "u1-fock-phase", "us-fock-phase", "phase-charge-inf-mass",
+        "phase-charge-tiny-mass", "distance-nan", "distance-stack-nan", "josephson-nan-flux"])
 def test_library_input_out_of_range_is_one_classified_error_naming_it(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

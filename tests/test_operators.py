@@ -27,6 +27,7 @@ from fluxsqueeze.operators import (
     make_fock_space,
     phase_charge_operators,
     propagator,
+    reconstruction_residual,
     su11_generators,
     su11_generators_2x2,
     truncation_leak,
@@ -367,6 +368,66 @@ def test_truncation_leak_warns_for_strong_squeeze():
 # A NaN residual fails every comparison, so each guard is written as
 # ``not res <= bound``, and the entry points reject non-finite input first.
 NON_FINITE = [math.nan, math.inf]
+
+
+def _hermitian_stack(dtype, k=5, dim=12):
+    """``k`` Hermitian matrices whose largest elements differ by powers of ten."""
+    rng = np.random.default_rng(11)
+    raw = rng.standard_normal((k, dim, dim))
+    if dtype is complex:
+        raw = raw + 1j * rng.standard_normal((k, dim, dim))
+    raw *= 10.0 ** np.arange(k)[:, None, None]
+    return raw + raw.conj().swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, complex])
+def test_stacked_hermitian_eig_matches_each_matrix_bitwise(dtype):
+    stack = _hermitian_stack(dtype)
+    w, v = hermitian_eig(stack)
+    residuals = reconstruction_residual(stack, w, v)
+    for mat, w_i, v_i, res_i in zip(stack, w, v, residuals):
+        alone = hermitian_eig(mat)
+        assert np.array_equal(w_i, alone[0]) and np.array_equal(v_i, alone[1])
+        assert res_i == reconstruction_residual(mat, *alone)
+
+
+def _spoil_eigenvalues_of(target, monkeypatch):
+    """Make ``np.linalg.eigh`` shift the eigenvalues of ``target``, alone or in a stack."""
+    eigh = np.linalg.eigh
+
+    def spoiled(a):
+        w, v = eigh(a)
+        for j in np.ndindex(a.shape[:-2]):
+            if np.array_equal(a[j], target):
+                w[j] += 1.0
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", spoiled)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, complex])
+@pytest.mark.parametrize("flaw", ["not hermitian", "not finite", "reconstruction"])
+def test_a_failing_matrix_in_a_stack_raises_as_alone(monkeypatch, dtype, flaw):
+    stack = _hermitian_stack(dtype)
+    bad = 2
+    if flaw == "not hermitian":
+        stack[bad, 0, 1] += 1.0
+    elif flaw == "not finite":
+        stack[bad, 1, 1] = np.nan
+    else:
+        _spoil_eigenvalues_of(stack[bad], monkeypatch)
+    with pytest.raises(SimulationError) as alone:
+        hermitian_eig(stack[bad])
+    with pytest.raises(type(alone.value)) as stacked:
+        hermitian_eig(stack)
+    assert str(stacked.value) == str(alone.value)
+    for i in (0, 1, 3, 4):
+        hermitian_eig(stack[i])
+
+
+def test_hermitian_eig_rejects_a_stack_of_stacks():
+    with pytest.raises(ParameterError, match="expected a square matrix"):
+        hermitian_eig(np.zeros((2, 2, 3, 3)))
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)

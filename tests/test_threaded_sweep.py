@@ -1,11 +1,14 @@
 """The spectrum sweep runs its flux points on every CPU.
 
-``cmd_spectrum`` hands its points to ``_parallel.map_points``: the
-calling thread plus one helper per further CPU, with OpenBLAS pinned to
-one thread for the whole sweep and its count restored afterwards.  A
-failing sweep raises what the serial loop raised, the error of the
-lowest failing grid index, and a machine where OpenBLAS cannot be
-pinned runs the same loop on one thread with the same bytes.  Importing
+``cmd_spectrum`` hands contiguous, ascending chunks of its grid to
+``_parallel.map_points``, and solves the stable points of each chunk as
+one stack (``circuit.converged_spectra``): the calling thread plus one
+helper per further CPU, with OpenBLAS pinned to one thread for the whole
+sweep and its count restored afterwards.  A failing sweep raises what the
+serial loop raised, the error of the lowest failing grid index and, within
+a point, of its full solve before its quartic one, because a chunk that
+raises is solved again one point at a time.  A machine where OpenBLAS
+cannot be pinned runs the same loop on one thread with the same bytes.  Importing
 the package before numpy shortens OpenBLAS's idle spin, so its worker does
 not hold a CPU once a call returns.
 
@@ -28,7 +31,7 @@ import pytest
 
 from fluxsqueeze import _parallel, circuit, cli, gates
 from fluxsqueeze import selftest as selftest_module
-from fluxsqueeze.circuit import converged_spectrum
+from fluxsqueeze.circuit import converged_spectra, converged_spectrum
 from fluxsqueeze.config import RunConfig
 from fluxsqueeze.errors import ConvergenceError, ParameterError, StabilityError
 from fluxsqueeze.physics import CircuitParams
@@ -63,15 +66,15 @@ def _digest(text: str) -> str:
 
 
 def _recording_solver(monkeypatch):
-    """Wrap ``converged_spectrum`` to record the thread and the OpenBLAS
+    """Wrap ``converged_spectra`` to record the thread and the OpenBLAS
     thread count of each call."""
     seen = []
 
     def solver(*args, **kwargs):
         seen.append((threading.get_ident(), _blas_threads()))
-        return converged_spectrum(*args, **kwargs)
+        return converged_spectra(*args, **kwargs)
 
-    monkeypatch.setattr(circuit, "converged_spectrum", solver)
+    monkeypatch.setattr(circuit, "converged_spectra", solver)
     return seen
 
 
@@ -109,19 +112,43 @@ def test_lowest_failing_index_decides_the_exit_code(monkeypatch, capsys):
     low, high = grid[20], grid[60]
     canned = converged_spectrum(CircuitParams(cfg.e_c, cfg.e_j, cfg.e_l, cfg.f_s))
 
-    def solver(p, *args, **kwargs):
-        if p.f_s == low:
+    def solver(ps, *args, **kwargs):
+        fluxes = {p.f_s for p in ps}
+        if low in fluxes:
             time.sleep(0.2)
             raise ConvergenceError("lower point")
-        if p.f_s == high:
+        if high in fluxes:
             raise StabilityError("higher point")
-        return canned
+        return [canned] * len(ps)
 
     monkeypatch.setattr(_parallel, "_cpus", lambda: 4)
-    monkeypatch.setattr(circuit, "converged_spectrum", solver)
+    monkeypatch.setattr(circuit, "converged_spectra", solver)
     assert cli.main(["spectrum"]) == ConvergenceError.exit_code
     err = capsys.readouterr().err
     assert err == "convergence error: lower point\n"
+
+
+def test_a_failing_chunk_raises_what_the_serial_loop_raises(monkeypatch, capsys):
+    # grid points 20 and 21 share a stack; the stacked full solve meets the
+    # failure of point 21 first, but the serial loop fails at point 20's
+    # quartic solve, and the chunk solved again point by point says so
+    cfg = RunConfig()
+    grid = cli.linspace(cfg.fs_min, cfg.fs_max, cfg.fs_steps)
+    size = circuit.stack_points(cfg.dim)
+    assert 20 // size == 21 // size
+    canned = converged_spectrum(CircuitParams(cfg.e_c, cfg.e_j, cfg.e_l, cfg.f_s))
+
+    def solver(ps, dim, builder, **kwargs):
+        fluxes = {p.f_s for p in ps}
+        if builder is circuit.full_hamiltonian and grid[21] in fluxes:
+            raise StabilityError("full at point 21")
+        if builder is circuit.quartic_hamiltonian and grid[20] in fluxes:
+            raise ConvergenceError("quartic at point 20")
+        return [canned] * len(ps)
+
+    monkeypatch.setattr(circuit, "converged_spectra", solver)
+    assert cli.main(["spectrum"]) == ConvergenceError.exit_code
+    assert capsys.readouterr().err == "convergence error: quartic at point 20\n"
 
 
 def test_threaded_sweep_builds_each_basis_once(monkeypatch):
@@ -144,7 +171,7 @@ def test_failing_sweep_restores_the_blas_count(monkeypatch, two_blas_threads):
     def solver(*args, **kwargs):
         raise ConvergenceError("no rung")
 
-    monkeypatch.setattr(circuit, "converged_spectrum", solver)
+    monkeypatch.setattr(circuit, "converged_spectra", solver)
     with pytest.raises(ConvergenceError):
         cli.cmd_spectrum(RunConfig())
     assert _blas_threads() == two_blas_threads
