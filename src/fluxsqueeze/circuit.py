@@ -27,10 +27,22 @@ import numpy as np
 
 from ._parallel import _one_blas_thread
 from .config import CONVERGENCE_TOL, DEFAULT_DIM, MAX_MATRIX_BYTES, matrix_bytes
-from .errors import ConvergenceError, DegenerateSpectrumError, ParameterError, SimulationError
+from .errors import (
+    ConvergenceError,
+    DegenerateSpectrumError,
+    ParameterError,
+    SimulationError,
+)
 from .operators import (
-    EIG_INPUT_RTOL, FockSpace, _finite_scale, hermitian_eig, hermitian_matrix_function,
-    make_fock_space, phase_charge_operators, require_below, split_sectors,
+    EIG_INPUT_RTOL,
+    FockSpace,
+    _finite_scale,
+    hermitian_eig,
+    hermitian_matrix_function,
+    make_fock_space,
+    phase_charge_operators,
+    require_below,
+    split_sectors,
 )
 from .physics import CircuitParams, _require_stable  # perfbench/worker.py reads CircuitParams
 
@@ -50,8 +62,11 @@ class FluxFreeTerms(NamedTuple):
 @functools.lru_cache(maxsize=MAX_DOUBLINGS + 1)
 def _cached_terms(mass: float, omega0: float, dim: int) -> FluxFreeTerms:
     """n^2, phi^2, cos(phi) and phi^4 of the omega0 basis, built once per
-    (E_c, E_L, dim) under one OpenBLAS thread, so that every flux point and
-    command shares one set of bits whichever command fills the cache first.
+    (E_c, E_L, dim) and shared by every flux point and every command.
+
+    Built under one OpenBLAS thread, as the sweep builds them, so that the
+    cache holds one set of bits whichever command fills it first (some
+    kernels, SandyBridge among them, round differently at two threads).
     """
     # an extreme E_c or E_L overflows a product: rejected below, not warned
     with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
@@ -79,8 +94,9 @@ def _cached_terms(mass: float, omega0: float, dim: int) -> FluxFreeTerms:
     return real
 
 
-# Flux points of one sweep run on several threads: the first of them
-# builds a missing basis while the others wait for it.
+# Flux points of one sweep run on several threads at once; the lock makes
+# the first of them build a missing basis while the others wait for it,
+# instead of each building its own copy.
 _TERMS_LOCK = threading.Lock()
 
 
@@ -89,59 +105,43 @@ def _terms(p: CircuitParams, dim: int) -> FluxFreeTerms:
         return _cached_terms(p.mass, p.omega0, dim)
 
 
-def _assemble(ps, dim: int, terms_of) -> np.ndarray:
-    """One matrix per point of ``ps`` (sharing a basis), in one output and
-    one temporary: the sum of coefficient x flux-free term in the order
-    ``terms_of(p)`` gives (a - b c as a + (-b) c), made exactly symmetric
-    by 0.5 (M + M^T).  A sum past the float range raises ``ParameterError``."""
-    rows = [terms_of(p) for p in ps]
-    t = _terms(ps[0], dim)
-    coefficients = np.array([[c for c, _ in row] for row in rows])[:, :, None, None]
-    out = np.empty((len(ps), dim, dim))
-    tmp = np.empty_like(out)
+def _assemble(p: CircuitParams, space: FockSpace, *terms: tuple[float, str]) -> np.ndarray:
+    """The sum of coefficient x flux-free term in the order given, made
+    exactly symmetric by 0.5 (M + M^T).  A subtracted term comes with its
+    coefficient negated (a - b c and a + (-b) c round alike).  A sum past
+    the float range raises ``ParameterError``, not a numpy warning."""
+    t = _terms(p, space.dim)
+    (first, name), *rest = terms
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, (_, name) in enumerate(rows[0]):
-            np.multiply(coefficients[:, j], getattr(t, name), out=tmp if j else out)
-            if j:
-                out += tmp
-        np.add(out, out.swapaxes(1, 2), out=tmp)
-        np.multiply(0.5, tmp, out=out)
-    finite = np.isfinite(out).all(axis=(1, 2))
-    if not finite.all():
+        mat = first * getattr(t, name)
+        for coefficient, name in rest:
+            mat += coefficient * getattr(t, name)
+        mat = 0.5 * (mat + mat.T)
+    if not np.isfinite(mat).all():
         raise ParameterError(
             f"circuit.e_c, circuit.e_j and circuit.e_l give a non-finite Hamiltonian "
-            f"at f_s={ps[int(finite.argmin())].f_s}, dim={dim}"
+            f"at f_s={p.f_s}, dim={space.dim}"
         )
-    return out
-
-
-def _full_terms(p: CircuitParams):
-    _require_stable(p)
-    return (p.e_c, "nn"), (-p.ej_flux, "cos_phi"), (p.e_l, "pp")
-
-
-def _quartic_terms(p: CircuitParams):
-    _require_stable(p)
-    return (p.e_c, "nn"), (0.5 * p.stiffness, "pp"), (-(p.ej_flux / 24.0), "phi4")
+    return mat
 
 
 def harmonic_hamiltonian(p: CircuitParams, space: FockSpace) -> np.ndarray:
     """E_c n^2 + E_L phi^2 (the f_s = 1/2 point and the basis oscillator)."""
-    return _assemble([p], space.dim, lambda p: ((p.e_c, "nn"), (p.e_l, "pp")))[0]
+    return _assemble(p, space, (p.e_c, "nn"), (p.e_l, "pp"))
 
 
 def full_hamiltonian(p: CircuitParams, space: FockSpace) -> np.ndarray:
     """E_c n^2 - E_J(f_s) cos(phi) + E_L phi^2 with cos as a matrix function."""
-    return _assemble([p], space.dim, _full_terms)[0]
+    _require_stable(p)
+    return _assemble(p, space, (p.e_c, "nn"), (-p.ej_flux, "cos_phi"), (p.e_l, "pp"))
 
 
 def quartic_hamiltonian(p: CircuitParams, space: FockSpace) -> np.ndarray:
     """cos(phi) expanded through phi^4; same basis as the full Hamiltonian."""
-    return _assemble([p], space.dim, _quartic_terms)[0]
-
-
-# the builders whose rung ``converged_spectra`` assembles for a whole stack at once
-_TERMS_OF = {full_hamiltonian: _full_terms, quartic_hamiltonian: _quartic_terms}
+    _require_stable(p)
+    return _assemble(
+        p, space, (p.e_c, "nn"), (0.5 * p.stiffness, "pp"), (-(p.ej_flux / 24.0), "phi4")
+    )
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,9 @@ def _lowest_levels(w: np.ndarray, k: int) -> Spectrum:
 
 
 def solve(H) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a circuit Hamiltonian, or of each of a stack, solved
-    on a complex copy, the arithmetic of the printed levels."""
+    """Eigenpairs of a circuit Hamiltonian, or of each of a stack, solved on
+    a complex copy: the printed levels were fixed that way, and a real
+    solve rounds differently."""
     return hermitian_eig(np.asarray(H, dtype=complex))
 
 
@@ -186,6 +187,7 @@ def anharmonicity(s: Spectrum) -> float:
 
 Builder = Callable[[CircuitParams, FockSpace], np.ndarray]
 
+
 # Upper-rung bytes one stack of flux points may hold, four points at the
 # default dim: peak RSS grows with the stack, and larger stacks saved no time.
 STACK_BYTES = 4 * 8 * (2 * DEFAULT_DIM) ** 2
@@ -198,20 +200,21 @@ def stack_points(dim: int) -> int:
 
 
 def _build(ps, dim: int, builder: Builder) -> np.ndarray:
-    """The rung ``dim`` of every point, as one ``(len(ps), dim, dim)`` stack."""
-    terms_of = _TERMS_OF.get(builder)
-    if terms_of is None or len({(p.mass, p.omega0) for p in ps}) > 1:
-        return np.stack([builder(p, make_fock_space(dim)) for p in ps])
-    return _assemble(ps, dim, terms_of)
+    """The rung ``dim`` of every point of ``ps``, as one ``(len(ps), dim, dim)`` stack."""
+    return np.stack([builder(p, make_fock_space(dim)) for p in ps])
 
 
 def _sector_eigenvalues(H: np.ndarray) -> np.ndarray:
-    """Sorted eigenvalues of a real symmetric Hamiltonian of even dim that
-    keeps photon parity, or of each of a stack, from one stacked solve of
-    the even and odd sectors.  The entries between the sectors are dropped
-    only after a check that none exceeds ``EIG_INPUT_RTOL`` of the matrix's
-    largest element, else ``ConvergenceError``; a NaN or infinite entry
-    anywhere raises ``ParameterError``."""
+    """Sorted eigenvalues of a real symmetric Hamiltonian that keeps photon
+    parity, or of each matrix of a stack, solved on the even and on the odd
+    levels of every matrix in one stacked call.
+
+    The entries between the two sectors are dropped only after a check
+    that none exceeds ``EIG_INPUT_RTOL`` of its matrix's largest element,
+    else ``ConvergenceError``; each sector solve then runs the guards of
+    ``hermitian_eig``.  A NaN or infinite entry, in a sector or between
+    them, raises ``ParameterError``.
+    """
     scale = _finite_scale(H, "sector solve", stacks=True)
     even, odd, mixed = split_sectors(H)
     require_below(
@@ -225,20 +228,37 @@ def _sector_eigenvalues(H: np.ndarray) -> np.ndarray:
     return np.sort(w.reshape(*shape, -1), axis=-1)
 
 
-def converged_spectra(ps, dim: int = DEFAULT_DIM, builder: Builder = full_hamiltonian,
-                      k: int = 3, tol: float = CONVERGENCE_TOL) -> list[tuple[Spectrum, int]]:
+def converged_spectra(
+    ps,
+    dim: int = DEFAULT_DIM,
+    builder: Builder = full_hamiltonian,
+    k: int = 3,
+    tol: float = CONVERGENCE_TOL,
+) -> list[tuple[Spectrum, int]]:
     """``(Spectrum, dim)`` of each point of ``ps`` at the first truncation
-    whose doubling test passes: from ``dim``, doubling at most
-    ``MAX_DOUBLINGS`` times until the lowest ``k`` levels move by less than
-    ``tol`` GHz, the levels of the accepted (smaller) dimension.
+    whose doubling test passes.
 
-    The points climb together.  The start rung is solved on complex copies
-    in one stacked call, each upper rung on the parity sectors of the
-    points still climbing in another; points that pass leave the stack,
-    and a rung reached by doubling is built again and solved complex for
-    them only.  Each point gets the bits it gets alone; an error is the
-    first met on the way up.  A doubling whose rungs would exceed
-    ``config.MAX_MATRIX_BYTES`` raises ``ConvergenceError`` before it builds.
+    Starts from ``dim`` and doubles, ``MAX_DOUBLINGS`` times at most, until
+    the lowest ``k`` levels move by less than ``tol`` GHz, then reports the
+    values at the accepted (smaller) dimension with that dimension.
+    ``builder`` is one of the circuit builders of this module, or any
+    function of the same signature.
+
+    The points climb the ladder together.  Each rung is the builder's real
+    symmetric matrix of every point still climbing, stacked.  The start
+    rung, whose levels are reported, is solved on complex copies in one
+    stacked call; the upper rung is only compared with ``tol`` and is
+    solved on its even and odd photon-parity sectors in another.  Points
+    that pass leave the stack and the rest double.  A rung reached by
+    doubling keeps its sector eigenvalues for the next comparison; it is
+    built again and solved in complex arithmetic for the points that
+    accept it, so that the upper rung is freed before its sector solve.
+    Each point gets the bits it gets alone; an error is the first met on
+    the way up.
+
+    A doubling whose two rungs would exceed ``config.MAX_MATRIX_BYTES``
+    by ``config.matrix_bytes`` raises ``ConvergenceError`` before the
+    upper rung is built.
     """
     current, k = dim, _three_or_more(k)
     if not ps:
@@ -274,8 +294,12 @@ def converged_spectra(ps, dim: int = DEFAULT_DIM, builder: Builder = full_hamilt
     )
 
 
-def converged_spectrum(p: CircuitParams, dim: int = DEFAULT_DIM,
-                       builder: Builder = full_hamiltonian, k: int = 3,
-                       tol: float = CONVERGENCE_TOL) -> tuple[Spectrum, int]:
+def converged_spectrum(
+    p: CircuitParams,
+    dim: int = DEFAULT_DIM,
+    builder: Builder = full_hamiltonian,
+    k: int = 3,
+    tol: float = CONVERGENCE_TOL,
+) -> tuple[Spectrum, int]:
     """``converged_spectra`` of the one point ``p``."""
     return converged_spectra([p], dim, builder, k, tol)[0]

@@ -1,10 +1,13 @@
 """Command-line driver: reproducible sweeps serialized as CSV/JSON.
 
 One subcommand per entry of ``COMMANDS``; each option is the flag of a
-``config.RunConfig`` field and parses as that key does in a config file
-(``parse_argv``).  Each error class carries its exit code and stderr label
-(``errors``), so any argv error is one ``configuration error`` line with
-exit 2; a failing invariant battery exits 5.
+``config.RunConfig`` field and parses as that key does in a config file.
+``parse_argv`` reads argv in one pass over ``COMMANDS`` and the key
+index ``config.KNOWN_KEYS``: the token after a flag is its value,
+whatever it starts with (``--t -1e-3``), as is the text after ``--flag=``.  Options must be spelled in full.  Each
+error class carries its exit code and stderr label (``errors``), so any
+argv error is one ``configuration error`` line with exit 2; a failing
+invariant battery exits 5.
 
 Output is deterministic: fixed row order, floats at 12 significant
 digits in scientific notation, and a leading comment line naming units

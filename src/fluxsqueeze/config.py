@@ -55,13 +55,20 @@ DEFAULT_DIM = 60  # Fock truncation; the convergence ladder doubles from here
 CONVERGENCE_TOL = 1e-6  # GHz; a doubling must move the lowest levels by less than this
 
 # Most points a run's grid may hold, checked before any work: sweep.fs_steps
-# times the number of sweep.ratios (one amplify row each), and run.t_steps.
-# At about 2.8 kB a point at most, such a grid stays under about 0.75 GB.
+# times the number of sweep.ratios (amplify keeps one row per flux point and
+# ratio), and run.t_steps.  At peak, measured with tracemalloc on CPython
+# 3.11 at 2^16 and 2^18 points, one amplify row costs about 1.16 kB (its
+# AmplificationRow, cell strings and CSV line, and its share of the float
+# grid list) and one trotter time about 2.8 kB (the numpy grids, the row's
+# cell strings and its CSV line), so a grid at this size stays under about
+# 0.75 GB.
 MAX_GRID_POINTS = 2**18
 
 # Most bytes the dense matrices of a run's first two truncation rungs, at
-# numerics.dim and twice it, may take; checked before any work.  The
-# estimate counts 9 complex matrices per rung and admits dims up to 1221.
+# numerics.dim and twice it, may take; checked before any work.  At peak,
+# measured with tracemalloc at dims 120 to 480, a spectrum or selftest run
+# holds about 42 complex dim x dim matrices (16 dim^2 bytes each), or 8.4
+# per rung; the estimate counts 9 per rung and admits dims up to 1221.
 MAX_MATRIX_BYTES = 2**30
 
 

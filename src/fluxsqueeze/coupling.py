@@ -45,9 +45,11 @@ def total_hamiltonian(
 ) -> np.ndarray:
     """Hybrid Hamiltonian omega0 n + (omega_nv/2) tau_z + g (a + a^dag) tau_x.
 
-    Built on oscillator (x) spin with the spin as the fast index, 2*dim
-    levels, at the interaction working point (so omega0), written into
-    one zeroed array, exactly Hermitian by construction.
+    Built on the product space oscillator (x) spin with the spin as the
+    fast index, total dimension 2*dim.  The flux is at the interaction
+    working point, so the oscillator term carries omega0.  The diagonal
+    and the two spin-flip bands are written into one zeroed array, which
+    is exactly Hermitian by construction.
     """
     dim = space.dim
     mat = np.zeros((2 * dim, 2 * dim), dtype=complex)
@@ -102,7 +104,9 @@ def conjugate_hamiltonian(S: np.ndarray, H: np.ndarray) -> np.ndarray:
     S must be unitary on the working subspace to ``operators.UNITARY_TOL``,
     and S H S^dag Hermitian to that bound scaled by its largest element;
     squeezing pushed past the truncation breaks both and is rejected
-    with ``TruncationLeakError``.
+    with ``TruncationLeakError``.  For ``squeeze_on_product``'s S = F (x) 1
+    the unitarity check runs on F.  The 2*dim products share one S^dag
+    copy and one work buffer.
     """
     S = np.asarray(S, dtype=complex)
     if S.shape != H.shape:
@@ -133,7 +137,8 @@ def project_coupling_coefficients(
     against the operator basis {1, n, a^2 + a^dag^2, tau_z/2, (a+a^dag) tau_x}.
 
     The interior keeps the lowest ``n_interior`` oscillator levels (both
-    spin branches), away from the truncation edge.
+    spin branches), away from the truncation edge where the conjugated
+    matrix elements are corrupted.
     """
     mat = np.asarray(H)
     dim = space.dim

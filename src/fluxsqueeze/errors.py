@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all modules.
 
 Each class carries the CLI's process exit code and the label that starts
-its one stderr line: configuration/validation problems, physical
-instability, truncation/convergence trouble.
+its one stderr line, so keep the classification stable:
+configuration/validation problems, physical instability,
+truncation/convergence trouble.
 """
 
 

@@ -23,14 +23,18 @@ when the rotating-frame phases cancel:
     "swapped":  t' = omega0 t / omega1   and  omega1 t'' = (4k+1) pi/4
 
 "matched" is the default.  "swapped" exchanges the roles of the two
-frequencies; it stays selectable to show that it neither telescopes nor
-closes the squeezing identity.
+frequencies (a form sometimes written down because the two gates are
+easy to mix up); it is kept selectable because the test suite documents
+that it neither telescopes nor closes the squeezing identity.
 
 Representations: "fock" uses the number operator a^dag a in the gate
-phases; "2x2" uses the compact generators.  ``representation`` resolves
-the (rep, space) pair of a gate call into a ``Compact`` or ``Fock``
-object, which owns everything that differs between the two.  Distances
-are only ever compared within one representation.
+phases; "2x2" uses the compact generators (G3 = tau_z carries the extra
+half quantum, a pure global phase).  ``representation`` resolves the
+(rep, space) pair of a gate call once into a ``Compact`` or ``Fock``
+object, which owns everything that differs between the two: the U0
+action, U1, exp(i theta G1), the G2 target, the M-th power and the
+truncation-leak check.  Distances are only ever compared within one
+representation.
 
 In the 2x2 form ``gate_u0``, ``gate_u1``, ``analytic_us`` and
 ``trotter_squeeze`` also take a 1-D array of times and return an
@@ -48,8 +52,17 @@ import numpy as np
 
 from .errors import ParameterError, WrongRegimeError
 from .operators import (
-    FockSpace, _generator_eig, exp_2x2, exp_generator, exp_sectors, hermitian_eig, join_sectors,
-    parity_sectors, require_below, sector_tridiagonal, split_sectors, su11_generators_2x2,
+    FockSpace,
+    exp_2x2,
+    exp_generator,
+    exp_sectors,
+    hermitian_eig,
+    join_sectors,
+    parity_sectors,
+    require_below,
+    sector_tridiagonal,
+    split_sectors,
+    su11_generators_2x2,
     warn_on_truncation_leak,
 )
 from .physics import CircuitParams, ReducedParams, _require_stable, reduced_params
@@ -60,8 +73,11 @@ REPS = ("2x2", "fock")
 
 @dataclass(frozen=True)
 class GateSchedule:
-    """Evolution times of one squeezing construction, in ns: t_prime is the U0
-    duration per telescoping step (times M), t_dprime the quarter-period one."""
+    """Evolution times of one squeezing construction.
+
+    t_prime is the U0 duration per telescoping step (times M), t_dprime
+    the quarter-period conjugation duration, both in ns.
+    """
 
     t: float
     m: int
@@ -142,8 +158,8 @@ class Compact:
 
 def _times(t, rate: float = 1.0) -> np.ndarray:
     """``t`` as float times against trailing 2x2 axes, checked finite before
-    any product forms, and finite times ``rate``, the largest frequency (GHz)
-    it is multiplied by (a float product overflows to inf, not a warning)."""
+    any product forms, and finite times ``rate``, the frequency (GHz) the
+    caller multiplies it by (a float product overflows to inf, not a warning)."""
     times = np.asarray(t, dtype=float)
     phase = abs(rate) * float(np.abs(times).max(initial=0.0))
     if not phase < math.inf:
@@ -188,15 +204,14 @@ class Fock:
     def u1(self, r: ReducedParams, t: float) -> np.ndarray:
         # h1 = omega1 n - eta1 (a^2 + a^dag^2) keeps photon parity: one real solve per
         # sector, not cached (h1 moves with omega1, eta1); 0.0 - x keeps a zero band +0
+        theta = -_one_time(t)
         eigs = [hermitian_eig(sector_tridiagonal(0.0 - r.eta1 * band, diag=r.omega1 * n))
                 for n, band in parity_sectors(self.space.dim)]
-        return exp_sectors(eigs, -_one_time(t, rate=max(float(np.abs(w).max()) for w, _ in eigs)))
+        return exp_sectors(eigs, theta)
 
     def us(self, r: ReducedParams, t: float) -> np.ndarray:
         """exp(i 2 eta1 G1 t)."""
-        top = max(float(np.abs(w).max()) for w, _ in _generator_eig(self.space.dim, "gamma1"))
-        t = _one_time(t, rate=2.0 * r.eta1 * top)
-        return exp_generator(self.space, "gamma1", 2.0 * r.eta1 * t)
+        return exp_generator(self.space, "gamma1", 2.0 * r.eta1 * _one_time(t))
 
     def target(self, eta2: float) -> np.ndarray:
         # eta2 (a^2 - a^dag^2) = i (-2 eta2) G2
@@ -301,8 +316,9 @@ def squeeze_operator(
 ) -> SqueezeResult:
     """Compose S = U0(t'') Us(t) U0^dag(t'') and compare to the direct target.
 
-    ``backend`` picks the analytic Us (default) or the interleaved product
-    U's.  Requires eta1 < 0, the squeezing-producing regime.
+    ``backend`` picks the analytic Us (default, isolates the conjugation
+    step) or the interleaved product U's (for product-formula fidelity
+    studies).  Requires eta1 < 0, the squeezing-producing regime.
     """
     _require_stable(p)
     t = _one_time(t, "squeeze_operator")

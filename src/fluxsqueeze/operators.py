@@ -2,10 +2,14 @@
 generators, Hermitian eigensolves, and matrix exponentials.
 
 Operators are plain dense ndarrays.  The ladder, quadrature and
-generator helpers return complex128 even where the entries are real.
-Operator algebra identities hold only on an interior subspace, away from
-the top one or two levels.  Energies in GHz, times in ns; a phase is the
-plain product energy*time, with no 2*pi factor.
+generator helpers return complex128 even where the entries are real, so
+every product built from them runs in complex arithmetic.  Operator
+algebra identities hold exactly only on an interior subspace; the
+truncation edge (top one or two levels) is excluded wherever an identity
+is asserted.
+
+Units: energies in GHz, times in ns. The phase accumulated by ``propagator``
+is the plain product energy*time with no additional 2*pi factor.
 """
 
 from __future__ import annotations
@@ -19,7 +23,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    InvalidDimensionError, ParameterError, SimulationError, TruncationLeakWarning,
+    InvalidDimensionError,
+    ParameterError,
+    SimulationError,
+    TruncationLeakWarning,
     WrongRegimeError,
 )
 from .physics import _circuit_value, _or_inf
@@ -31,8 +38,9 @@ EIG_INPUT_RTOL = 1e-10
 RECONSTRUCTION_RTOL = 1e-9
 # exp(K)exp(-K) round-trip (unitarity) residual bound.
 EXP_ROUNDTRIP_ATOL = 1e-9
-# Hyperbolic-argument cap for the closed-form 2x2 exponential: past it the
-# non-unitary representation has grown by e^10.
+# Hyperbolic-argument cap for the closed-form 2x2 exponential.  Beyond
+# this the non-unitary representation grows without bound and results
+# stop being physically interpretable.
 HYPERBOLIC_CAP = 10.0
 # A low-lying state may place at most this much weight in the top 10%
 # of Fock levels before a truncation-leak warning fires.
@@ -161,14 +169,17 @@ def reconstruction_residual(mat: np.ndarray, w: np.ndarray, v: np.ndarray):
 
 
 def hermitian_eig(op) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted-ascending eigenvalues and unitary eigenvector columns of a
-    Hermitian matrix, or of each matrix of a ``(k, n, n)`` stack in one call.
+    """Eigendecomposition of a Hermitian operator, or of each matrix of a
+    ``(k, n, n)`` stack in one call.
 
-    Each matrix must be Hermitian within ``EIG_INPUT_RTOL`` of its largest
-    element and finite, checked before the solve, and its reconstruction
-    V diag(E) V^dag is verified against it.  float64 input is solved real
-    symmetric; other input is made complex.  A matrix in a stack gets the
-    bits it gets alone, and a failing guard names the first that fails it.
+    Returns sorted-ascending eigenvalues and the unitary eigenvector
+    matrix (columns).  The input must be Hermitian within
+    ``EIG_INPUT_RTOL`` of its largest element; the reconstruction
+    V diag(E) V^dag is verified against the input.  A float64 array is
+    solved as a real symmetric matrix; other input is made complex.  A
+    matrix with a NaN or infinite entry is rejected before the solve.  In
+    a stack each matrix is checked against its own largest element, gets
+    the bits it gets alone, and the first that fails a guard is named.
     """
     real = isinstance(op, np.ndarray) and op.dtype == np.float64
     mat = op if real else np.asarray(op, dtype=complex)
@@ -191,7 +202,22 @@ def hermitian_matrix_function(op, fn) -> np.ndarray:
 
 def propagator(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) from the eigenpairs (w, v) of a Hermitian H, checked unitary."""
-    return _exp_i_eig(-t * w, v)
+    return _exp_i_eig(_finite_phases(-t, w), v)
+
+
+def _finite_phases(theta: float, w: np.ndarray) -> np.ndarray:
+    """theta * w, the phases of exp(i theta H) from the eigenvalues ``w`` of
+    H.  A product of finite eigenvalues with a theta that is not finite, or
+    past the float range, raises ``ParameterError``, not a numpy warning;
+    eigenvalues that are not finite are left to the round-trip guard."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = theta * w
+    if not np.isfinite(phases).all() and np.isfinite(w).all():
+        raise ParameterError(
+            f"phase theta x E must be finite, got theta = {theta:.6g} "
+            f"and max|E| = {float(np.abs(w).max()):.6g} GHz"
+        )
+    return phases
 
 
 def unitarity_residual(u: np.ndarray) -> float:
@@ -206,13 +232,17 @@ def exp_2x2(K: np.ndarray) -> np.ndarray:
     of a ``(..., 2, 2)`` stack.
 
     Cayley-Hamilton for the traceless part B: B^2 = -det(B) I, hence
-    exp(B) = cosh(mu) I + sinh(mu)/mu B with mu = sqrt(-det B), with no
-    series truncation.  Every step is elementwise over the stack, so a
-    matrix gives the same bits alone as inside a stack.
+    exp(B) = cosh(mu) I + sinh(mu)/mu B with mu = sqrt(-det B).  This
+    reproduces the single-generator hyperbolic/trigonometric formulas
+    of the compact representation without any series truncation.  Every
+    step is elementwise over the stack, so a matrix gives the same bits
+    alone as inside a stack.
 
-    A hyperbolic argument over ``HYPERBOLIC_CAP``, or one that overflowed,
-    is refused as a regime limit (``WrongRegimeError``) naming the first
-    such matrix in stack order.  A NaN or infinite entry is rejected with
+    Hyperbolic arguments are capped at ``HYPERBOLIC_CAP``; beyond it the
+    non-unitary representation has grown by e^10, and the squeeze is
+    refused as a regime limit (``WrongRegimeError``), naming the first
+    matrix in stack order that is over the cap or whose argument
+    overflowed.  A NaN or infinite entry is rejected with
     ``ParameterError`` before any work.
     """
     K = np.asarray(K, dtype=complex)
@@ -243,10 +273,14 @@ def exp_2x2(K: np.ndarray) -> np.ndarray:
 
 
 def exp_normal(K) -> np.ndarray:
-    """exp(K) for an anti-Hermitian matrix, through the eigendecomposition
-    of the Hermitian -iK.  Any matrix not anti-Hermitian within
-    ``EIG_INPUT_RTOL`` of its largest element, or with a NaN or infinite
-    entry, is rejected with ``ParameterError``.
+    """exp(K) for an anti-Hermitian matrix.
+
+    Every squeezing gate is the exponential of ``i`` times a Hermitian
+    generator, so the input must satisfy K^dag = -K within
+    ``EIG_INPUT_RTOL`` of its largest element; it then goes through the
+    eigendecomposition of the Hermitian matrix -iK.  Any other matrix,
+    normal or not, and any matrix with a NaN or infinite entry, is
+    rejected with ``ParameterError``.
     """
     mat = np.asarray(K, dtype=complex)
     scale = _finite_scale(mat, "exp_normal")
@@ -261,8 +295,11 @@ def exp_normal(K) -> np.ndarray:
 
 def _exp_i_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """exp(iH) from the eigenpairs (w, v) of a Hermitian H, checked by the
-    exp(K)exp(-K) round trip with K = iH, that is its unitarity residual.
-    For a real symmetric H (real ``v``) the products stay real."""
+    exp(K)exp(-K) round trip with K = iH.
+
+    exp(-iH) is taken as exp(iH)^dag, so the round trip is the unitarity
+    residual.  For a real symmetric H (real ``v``) the products stay real.
+    """
     if np.isrealobj(v):
         out = (v * np.cos(w)) @ v.T + 1j * ((v * np.sin(w)) @ v.T)
     else:
@@ -274,9 +311,11 @@ def _exp_i_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 def parity_sectors(dim: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The even (s = 0) and odd (s = 1) photon-number sectors of ``dim`` levels.
 
-    Sector s holds the levels n = s, s+2, ..., linked by the pair band
-    <n|a^2|n+2> = sqrt(n+1) sqrt(n+2), so every generator built from n, a^2
-    and a^dag^2 is tridiagonal on each sector.  Returns ``(levels, band)``.
+    Sector s holds the levels n = s, s+2, ... and is linked only by the
+    pair band <n|a^2|n+2> = sqrt(n+1) sqrt(n+2) between consecutive
+    levels, so every generator built from n, a^2 and a^dag^2 is a
+    tridiagonal matrix on each sector and zero between them.  Returns
+    ``(levels, band)`` for s = 0 and s = 1.
     """
     sectors = []
     for s in (0, 1):
@@ -297,7 +336,8 @@ def sector_tridiagonal(upper: np.ndarray, lower: np.ndarray | None = None, diag=
 
 
 def split_sectors(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Views of the even, odd and even-odd blocks of ``mat``, or of each matrix of a stack."""
+    """Views of the even block, the odd block and the even-odd block of
+    ``mat``, or of each matrix of a stack."""
     return mat[..., 0::2, 0::2], mat[..., 1::2, 1::2], mat[..., 0::2, 1::2]
 
 
@@ -311,7 +351,9 @@ def join_sectors(dim: int, blocks) -> np.ndarray:
 
 def exp_sectors(eigs, theta: float) -> np.ndarray:
     """exp(i theta H) of a parity-keeping H from each sector's (w, v), round-trip checked."""
-    return join_sectors(sum(len(w) for w, _ in eigs), (_exp_i_eig(theta * w, v) for w, v in eigs))
+    return join_sectors(
+        sum(len(w) for w, _ in eigs), (_exp_i_eig(_finite_phases(theta, w), v) for w, v in eigs)
+    )
 
 
 FIXED_GENERATORS = ("gamma1", "gamma2")
@@ -334,9 +376,10 @@ def _generator_eig(dim: int, name: str) -> tuple[tuple[np.ndarray, np.ndarray], 
 def exp_generator(space: FockSpace, name: str, theta: float) -> np.ndarray:
     """exp(i theta G) for G = G1 ("gamma1") or G2 ("gamma2") of ``su11_generators``.
 
-    The generator's guarded eigendecomposition on each parity sector is
-    cached read-only per (dim, generator); every call still runs the
-    round-trip guard on each sector.
+    The generator's eigendecomposition is computed on each parity sector
+    (and its hermiticity and reconstruction verified) once per
+    (dim, generator) and cached as read-only arrays; every call still
+    runs the round-trip guard on each sector.
     """
     if name not in FIXED_GENERATORS:
         raise ParameterError(f"unknown generator {name!r}; pick from {FIXED_GENERATORS}")
@@ -355,8 +398,12 @@ def interior(matrix, n_keep: int) -> np.ndarray:
 
 
 def truncation_leak(matrix, space: FockSpace) -> float:
-    """Largest weight any low-lying state places in the top 10% of levels:
-    the columns of the lowest 10% of levels stand in for occupied states."""
+    """Largest weight any low-lying state places in the top 10% of levels.
+
+    The columns for the lowest 10% of levels stand in for physically
+    occupied states; their amplitude in the top 10% of rows measures how
+    much the operation pushes population into the truncation edge.
+    """
     mat = np.asarray(matrix, dtype=complex)
     dim = space.dim
     top_start = int(math.ceil(0.9 * dim))

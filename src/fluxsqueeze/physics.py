@@ -1,9 +1,10 @@
 """Closed-form scalars of the circuit and the spin-loop coupling, and the
 coupling-gain table g_eff/g = exp(2 eta2) over flux.
 
-No numpy at import (only the standard library and ``errors``), so that
-``amplify``, ``coupling``, ``--help``, ``--version`` and configuration
-errors run without it.  The rest of the package imports these names from here.
+No numpy at import: this module imports only the standard library and
+``errors``.  ``amplify``, ``coupling``, ``--help``, ``--version`` and
+configuration errors need nothing more, and loading numpy would be most
+of their run time.  The rest of the package imports these names from here.
 
 Each input field (here and in ``config.RunConfig``) declares its config key
 and checks, which ``_check_fields`` runs; derived values and rules that join
@@ -42,9 +43,12 @@ _COS_HALF_TURNS = (1.0, 0.0, -1.0, 0.0)
 
 
 def cos_pi(x: float) -> float:
-    """cos(pi * x), exact at half-integer x, so that the sweet spot f_s = 1/2
-    gives E_J(f_s) = 0 and every downstream quantity its harmonic-point
-    value bit for bit.  ``math.cos`` rounds as numpy's ``cos`` does.
+    """cos(pi * x), exact at half-integer x.
+
+    The flux sweet spot f_s = 1/2 must give E_J(f_s) = 0 exactly so that
+    downstream quantities (eta1, the quartic coefficient, g_eff/g) collapse
+    to their harmonic-point values bit-for-bit.  ``math.cos`` rounds as
+    numpy's ``cos`` does.
     """
     x = float(x)
     if not math.isfinite(x):
@@ -261,9 +265,11 @@ def default_geometry(
 ) -> CouplingGeometry:
     """Geometry with the documented default loop size.
 
-    The 10 um edge is an assumption: with z_nv << l the near-edge field
-    term dominates, so the coupling barely depends on l.  A missing
-    inductance is derived from the circuit's E_L.
+    The 10 um edge is an assumption, not a measured value: with
+    z_nv << l the near-edge field term dominates and the coupling is
+    insensitive to l at the order-of-magnitude level.  When no
+    inductance is given it is derived from the circuit's E_L so the two
+    are consistent by construction.
     """
     if inductance is None:
         inductance = inductance_from_inductive_energy(p.e_l)
@@ -299,9 +305,11 @@ def _beta_quarter_at_working_point(p: CircuitParams) -> float:
 def bare_coupling(p: CircuitParams, geom: CouplingGeometry) -> float:
     """Spin-oscillator coupling g in GHz (internal-unit route).
 
-    g = g_e mu_B Phi_0 B0(z_nv) beta^(1/4) / (2 sqrt(2) pi L), with beta at
-    the interaction working point f_s = 1/2 whatever the flux in ``p``.  A
-    coupling that overflows float raises ``GeometryError``.
+    g = g_e mu_B Phi_0 B0(z_nv) beta^(1/4) / (2 sqrt(2) pi L), with beta
+    evaluated at the interaction working point f_s = 1/2 regardless of
+    the flux currently stored in ``p`` (the interferometer is parked
+    there whenever the spin matters).  A coupling that overflows float
+    raises ``GeometryError``.
     """
     b0 = biot_savart_b0(geom)
     beta_q = _beta_quarter_at_working_point(p)
@@ -319,8 +327,9 @@ def bare_coupling(p: CircuitParams, geom: CouplingGeometry) -> float:
 def bare_coupling_si(p: CircuitParams, geom: CouplingGeometry) -> float:
     """Same coupling computed end-to-end in SI (joules), converted last.
 
-    An independent route, so that a cross-check catches unit-chain and
-    2*pi defects: it agrees with ``bare_coupling`` to 1e-10 relative.
+    Kept as an independent route so a cross-check catches unit-chain and
+    2*pi bookkeeping defects; must agree with ``bare_coupling`` to
+    better than 1e-10 relative.
     """
     b0 = biot_savart_b0(geom)
     beta_q = _beta_quarter_at_working_point(p)
@@ -385,9 +394,11 @@ def amplification_sweep(
 ) -> list[AmplificationRow]:
     """Gain table g_eff/g over flux for several E_L/E_J ratios.
 
-    E_L is held fixed (the loop hardware) and E_J = E_L / ratio, so g is
-    one number for the whole table.  eta2 = -eta1 t, or -2 pi eta1 t with
-    ``two_pi``.  Unstable points become flagged gap rows, not failures.
+    E_L is held fixed (the loop hardware) and E_J = E_L / ratio, so the
+    bare coupling g is one number for the whole table.  eta2 = -eta1 * t
+    with the plain GHz*ns phase; ``two_pi`` switches in the alternative
+    angular convention eta2 = -2 pi eta1 t for sensitivity studies.
+    Unstable points become flagged gap rows instead of failures.
     """
     phase = 2.0 * math.pi if two_pi else 1.0
     f_s_values = [float(f_s) for f_s in fs_grid]

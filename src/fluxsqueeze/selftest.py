@@ -122,7 +122,8 @@ def _biot_savart_symmetry(geom: physics.CouplingGeometry) -> CheckResult:
 
 def _truncation_convergence(p: physics.CircuitParams, w: np.ndarray, tol: float) -> CheckResult:
     """Movement of the lowest three levels from the shared full solve ``w``
-    to 2*dim, solved the same way, not on the sweep's parity sectors."""
+    to 2*dim, solved the same way (the sweep's sector solve of the upper
+    rung rounds this value differently)."""
     upper, _ = circuit.solve(circuit.full_hamiltonian(p, operators.make_fock_space(2 * len(w))))
     move = float(np.abs(w[:3] - upper[:3]).max())
     return CheckResult("truncation_convergence", move, tol, passed=move < tol)

@@ -403,13 +403,10 @@ def test_stacked_ladder_matches_reference_bitwise(builder, reference, start_dim)
     ]
 
 
-def test_stacked_ladder_takes_custom_builders_and_mixed_bases():
+def test_stacked_ladder_takes_custom_builders():
     ps = [params(f_s) for f_s in STACK_FLUXES]
     assert converged_spectra(ps, 24, _reference_full) == converged_spectra(ps, 24)
     assert converged_spectra([], 24) == []
-    # points of other E_c and E_L share no flux-free terms
-    mixed = [ps[3], CircuitParams(f_s=0.9, e_c=0.2, e_j=40.0, e_l=45.0), ps[1]]
-    assert converged_spectra(mixed, 24) == [converged_spectrum(p, 24) for p in mixed]
 
 
 def test_spectrum_sweep_keeps_every_solve_and_stacks_them(monkeypatch):

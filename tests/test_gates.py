@@ -21,7 +21,13 @@ from fluxsqueeze.gates import (
     squeeze_operator,
     trotter_squeeze,
 )
-from fluxsqueeze.operators import make_fock_space, phase_charge_operators, su11_generators_2x2
+from fluxsqueeze.operators import (
+    exp_generator,
+    make_fock_space,
+    phase_charge_operators,
+    propagator,
+    su11_generators_2x2,
+)
 from fluxsqueeze.physics import CircuitParams, effective_josephson, effective_params, reduced_params
 
 P09 = CircuitParams(e_c=0.12, e_j=58.0, e_l=58.6, f_s=0.9)
@@ -374,8 +380,12 @@ def test_squeeze_operator_resolves_its_inputs_once(monkeypatch, rep, backend):
     # finite times whose phase overflows, and inputs that once gave NaN
     (lambda: gate_u0(P09, 1e308), "gate time t must be finite, got 1e+308; so must its phase"),
     (lambda: gate_u0(P09, 1e308, "fock", make_fock_space(4)), "gate time t must be finite, got 1e+308"),
-    (lambda: gate_u1(P09, 1e308, "fock", make_fock_space(4)), "gate time t must be finite, got 1e+308"),
-    (lambda: analytic_us(P09, 1e308, "fock", make_fock_space(12)), "gate time t must be finite, got 1e+308"),
+    (lambda: gate_u1(P09, 1e308, "fock", make_fock_space(4)), "phase theta x E must be finite"),
+    (lambda: analytic_us(P09, 1e308, "fock", make_fock_space(12)), "phase theta x E must be finite"),
+    (lambda: analytic_us(P09, math.inf, "fock", make_fock_space(2)), "gate time t must be finite"),
+    (lambda: exp_generator(make_fock_space(2), "gamma1", math.inf), "phase theta x E must be finite"),
+    (lambda: exp_generator(make_fock_space(6), "gamma1", 1e308), "phase theta x E must be finite"),
+    (lambda: propagator(np.array([0.0, 2.0]), np.eye(2), 1e308), "phase theta x E must be finite"),
     (lambda: phase_charge_operators(make_fock_space(4), math.inf, 1.0),
      "m and omega: sqrt(1/(2 m omega)) = 0 is not finite and positive"),
     (lambda: phase_charge_operators(make_fock_space(4), 1e-320, 1e-10),
@@ -384,7 +394,8 @@ def test_squeeze_operator_resolves_its_inputs_once(monkeypatch, rep, backend):
     (lambda: gate_distance(np.eye(2)[None], np.full((1, 2, 2), math.nan)), "gate_distance max|A - B| residual nan"),
     (lambda: effective_josephson(1.0, math.nan), "circuit.e_j: E_J(f_s) = nan is not finite"),
 ], ids=["effective-params-overflow", "effective-params-nan-g", "u0-inf", "u0-fock-nan", "u0-phase",
-        "u0-fock-phase", "u1-fock-phase", "us-fock-phase", "phase-charge-inf-mass",
+        "u0-fock-phase", "u1-fock-phase", "us-fock-phase", "us-fock-dim2-inf", "generator-dim2-inf",
+        "generator-phase", "propagator-phase", "phase-charge-inf-mass",
         "phase-charge-tiny-mass", "distance-nan", "distance-stack-nan", "josephson-nan-flux"])
 def test_library_input_out_of_range_is_one_classified_error_naming_it(call, message):
     with warnings.catch_warnings():

@@ -8,7 +8,7 @@ with it.  A change that raises the constant must say why in CHANGES.md.
 
 from pathlib import Path
 
-SRC_LINE_BUDGET = 2617
+SRC_LINE_BUDGET = 2738
 
 _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fluxsqueeze"
 
