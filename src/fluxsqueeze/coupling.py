@@ -17,8 +17,8 @@ from .operators import (
     require_below, sector_tridiagonal, unitarity_residual,
 )
 from .physics import (
-    _EDGE_AND_Z, MU_0, CircuitParams, CouplingGeometry, NVParams, _b0_terms, _geometry_value,
-    _or_inf,
+    _EDGE_AND_Z, MU_0, CircuitParams, CouplingGeometry, NVParams, _b0_terms, _circuit_value,
+    _geometry_value, _or_inf,
 )
 # read as coupling.* by perfbench/worker.py (fock_record) and perfbench/tracing.py (TIMED)
 from .physics import ZERO_FIELD_SPLITTING_GHZ, amplification_sweep, bare_coupling  # noqa: F401
@@ -49,9 +49,10 @@ def total_hamiltonian(
     fast index, total dimension 2*dim.  The flux is at the interaction
     working point, so the oscillator term carries omega0.  The diagonal
     and the two spin-flip bands are written into one zeroed array, which
-    is exactly Hermitian by construction.
+    is exactly Hermitian by construction; a g sqrt(dim - 1) that is not finite is refused.
     """
     dim = space.dim
+    _circuit_value(g * math.sqrt(dim - 1), "g x sqrt(dim - 1)", "g")
     mat = np.zeros((2 * dim, 2 * dim), dtype=complex)
     diag = mat.reshape(-1)[:: 2 * dim + 1]
     level = p.omega0 * np.arange(dim, dtype=float)
@@ -69,7 +70,10 @@ def total_hamiltonian(
 
 
 def squeeze_on_product(space: FockSpace, eta2: float) -> np.ndarray:
-    """exp[eta2 (a^2 - a^dag^2)] acting on the oscillator factor only."""
+    """exp[eta2 (a^2 - a^dag^2)] acting on the oscillator factor only, for an
+    eta2 whose product with the largest pair band entry is finite."""
+    peak = math.sqrt(space.dim - 2) * math.sqrt(space.dim - 1)
+    _circuit_value(eta2 * peak, "eta2 x max pair band", "eta2")
     # a^2 - a^dag^2 from the pair band of each parity sector: each entry is the single
     # nonzero term of the ladder products, the same bits as eta2 (a @ a - a^dag @ a^dag)
     blocks = (sector_tridiagonal(band, -band) for _, band in parity_sectors(space.dim))

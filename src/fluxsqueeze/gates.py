@@ -31,10 +31,10 @@ Representations: "fock" uses the number operator a^dag a in the gate
 phases; "2x2" uses the compact generators (G3 = tau_z carries the extra
 half quantum, a pure global phase).  ``representation`` resolves the
 (rep, space) pair of a gate call once into a ``Compact`` or ``Fock``
-object, which owns everything that differs between the two: the U0
-action, U1, exp(i theta G1), the G2 target, the M-th power and the
-truncation-leak check.  Distances are only ever compared within one
-representation.
+object, which owns all that differs between the two.  Distances are
+only ever compared within one representation.  Every gate phase is
+formed by ``operators._finite_phases``, so a time whose phase is past
+the float range is a ``ParameterError``.
 
 In the 2x2 form ``gate_u0``, ``gate_u1``, ``analytic_us`` and
 ``trotter_squeeze`` also take a 1-D array of times and return an
@@ -53,6 +53,7 @@ import numpy as np
 from .errors import ParameterError, WrongRegimeError
 from .operators import (
     FockSpace,
+    _finite_phases,
     exp_2x2,
     exp_generator,
     exp_sectors,
@@ -65,7 +66,7 @@ from .operators import (
     su11_generators_2x2,
     warn_on_truncation_leak,
 )
-from .physics import CircuitParams, ReducedParams, _require_stable, reduced_params
+from .physics import CircuitParams, ReducedParams, _circuit_value, _or_inf, _require_stable, reduced_params
 
 CONVENTIONS = ("matched", "swapped")
 REPS = ("2x2", "fock")
@@ -114,21 +115,19 @@ def _schedule(r: ReducedParams, t: float, m: int, k: int, convention: str) -> Ga
 
 
 class Compact:
-    """The exact 2x2 representation: G3 = tau_z carries the extra half
-    quantum (a pure global phase), and the gates are non-unitary in
-    general.  Every exponential is the closed form of ``exp_2x2``.
-
-    The gate methods take one time or an array of times; an array gives
-    a stack of 2x2 matrices, one per time, in one ``exp_2x2`` call."""
+    """The exact 2x2 representation, non-unitary in general; every
+    exponential is the closed form of ``exp_2x2``.  The gate methods take
+    one time or an array of times; an array gives a stack of 2x2 matrices,
+    one per time, in one ``exp_2x2`` call."""
 
     g = su11_generators_2x2()
 
     def u0(self, p: CircuitParams, t) -> np.ndarray:
-        return exp_2x2(-1j * p.omega0 * _times(t, p.omega0) * self.g.gamma3)
+        return exp_2x2(_finite_phases(_times(t), -1j * p.omega0) * self.g.gamma3)
 
     def u0_dag_left(self, p: CircuitParams, t, mat: np.ndarray) -> np.ndarray:
         """U0^dag(t) @ mat."""
-        return exp_2x2(1j * p.omega0 * _times(t, p.omega0) * self.g.gamma3) @ mat
+        return exp_2x2(_finite_phases(_times(t), 1j * p.omega0) * self.g.gamma3) @ mat
 
     def u0_conjugate(self, p: CircuitParams, t: float, mat: np.ndarray) -> np.ndarray:
         """U0(t) @ mat @ U0^dag(t)."""
@@ -137,17 +136,17 @@ class Compact:
 
     def u1(self, r: ReducedParams, t) -> np.ndarray:
         tt = _times(t)
-        return exp_2x2(-1j * r.omega1 * tt * self.g.gamma3 + 2j * r.eta1 * tt * self.g.gamma1)
+        return exp_2x2(_finite_phases(tt, -1j * r.omega1) * self.g.gamma3
+                       + _finite_phases(tt, 2j * r.eta1) * self.g.gamma1)
 
     def us(self, r: ReducedParams, t) -> np.ndarray:
         """exp(i 2 eta1 G1 t)."""
-        return exp_2x2(2j * r.eta1 * _times(t, 2.0 * r.eta1) * self.g.gamma1)
+        return exp_2x2(_finite_phases(_times(t), 2j * r.eta1) * self.g.gamma1)
 
     def target(self, eta2: float) -> np.ndarray:
-        """exp(-2i eta2 G2) = cosh(2 eta2) - i sinh(2 eta2) G2."""
-        return math.cosh(2.0 * eta2) * np.eye(2, dtype=complex) - 1j * math.sinh(
-            2.0 * eta2
-        ) * self.g.gamma2
+        """exp(-2i eta2 G2) = cosh(2 eta2) - i sinh(2 eta2) G2, for a finite cosh."""
+        cosh = _circuit_value(_or_inf(math.cosh, 2.0 * eta2), "cosh(-2 eta1 t)", "t")
+        return cosh * np.eye(2, dtype=complex) - 1j * math.sinh(2.0 * eta2) * self.g.gamma2
 
     def power(self, mat: np.ndarray, m: int) -> np.ndarray:
         return np.linalg.matrix_power(mat, m)
@@ -156,24 +155,20 @@ class Compact:
         """The 2x2 form has no truncation edge."""
 
 
-def _times(t, rate: float = 1.0) -> np.ndarray:
+def _times(t) -> np.ndarray:
     """``t`` as float times against trailing 2x2 axes, checked finite before
-    any product forms, and finite times ``rate``, the frequency (GHz) the
-    caller multiplies it by (a float product overflows to inf, not a warning)."""
+    any product forms; each phase is then formed by ``_finite_phases``."""
     times = np.asarray(t, dtype=float)
-    phase = abs(rate) * float(np.abs(times).max(initial=0.0))
-    if not phase < math.inf:
-        raise ParameterError(
-            f"gate time t must be finite, got {t}; so must its phase |t| x {abs(rate):.6g} GHz"
-        )
+    if not np.isfinite(times).all():
+        raise ParameterError(f"gate time t must be finite, got {t}")
     return times[..., None, None]
 
 
-def _one_time(t, who: str = "the fock representation", rate: float = 1.0) -> float:
+def _one_time(t, who: str = "the fock representation") -> float:
     """``t`` as a finite float, for code built for one time per call."""
     if np.ndim(t) != 0:
         raise ParameterError(f"{who} takes one time per call, got an array of shape {np.shape(t)}")
-    return _times(t, rate).item()
+    return _times(t).item()
 
 
 @dataclass(frozen=True)
@@ -186,8 +181,7 @@ class Fock:
 
     def _phases(self, p: CircuitParams, t: float) -> np.ndarray:
         # the diagonal of U0 in the number basis; no eigensolve needed
-        t = _one_time(t, rate=p.omega0 * (self.space.dim - 1))
-        return np.exp(-1j * p.omega0 * np.arange(self.space.dim) * t)
+        return np.exp(_finite_phases(_one_time(t), -1j * p.omega0 * np.arange(self.space.dim)))
 
     def u0(self, p: CircuitParams, t: float) -> np.ndarray:
         return np.diag(self._phases(p, t))

@@ -205,17 +205,18 @@ def propagator(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     return _exp_i_eig(_finite_phases(-t, w), v)
 
 
-def _finite_phases(theta: float, w: np.ndarray) -> np.ndarray:
-    """theta * w, the phases of exp(i theta H) from the eigenvalues ``w`` of
-    H.  A product of finite eigenvalues with a theta that is not finite, or
-    past the float range, raises ``ParameterError``, not a numpy warning;
-    eigenvalues that are not finite are left to the round-trip guard."""
+def _finite_phases(theta, w) -> np.ndarray:
+    """theta * w: the phases of exp(i theta H) from the eigenvalues ``w`` of H,
+    or of a gate from its times and frequency; either may be an array.  A
+    finite ``w`` times a theta that is not finite, or past the float range,
+    raises ``ParameterError``, not a numpy warning; a ``w`` that is not
+    finite is left to the exponential's guard."""
     with np.errstate(over="ignore", invalid="ignore"):
         phases = theta * w
     if not np.isfinite(phases).all() and np.isfinite(w).all():
         raise ParameterError(
-            f"phase theta x E must be finite, got theta = {theta:.6g} "
-            f"and max|E| = {float(np.abs(w).max()):.6g} GHz"
+            f"phase theta x E must be finite, got max|theta| = {float(np.max(np.abs(theta))):.6g} "
+            f"and max|E| = {float(np.max(np.abs(w))):.6g} GHz"
         )
     return phases
 

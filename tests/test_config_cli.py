@@ -483,13 +483,13 @@ def test_matrix_budget_admits_the_documented_dims():
 
 def _never_converging_builder(asked):
     """A builder that records each rung's dim and returns a 4x4 diagonal
-    whose third level moves with every rung: nothing of the requested size
-    is allocated, and no doubling test passes."""
+    whose ground level falls with every build: nothing of the requested
+    size is allocated, and no doubling test passes."""
     import numpy as np
 
     def builder(p, space):
         asked.append(space.dim)
-        return np.diag([0.0, 1.0, 2.0 + len(asked) / 10, 3.0])
+        return np.diag([-float(len(asked)), 1.0, 2.0, 3.0])
 
     return builder
 

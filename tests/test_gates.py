@@ -3,8 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fluxsqueeze import gates
+from fluxsqueeze.coupling import squeeze_on_product, total_hamiltonian
 from fluxsqueeze.errors import (
     ParameterError,
     SimulationError,
@@ -23,14 +26,24 @@ from fluxsqueeze.gates import (
 )
 from fluxsqueeze.operators import (
     exp_generator,
+    hermitian_eig,
     make_fock_space,
     phase_charge_operators,
     propagator,
+    su11_generators,
     su11_generators_2x2,
 )
-from fluxsqueeze.physics import CircuitParams, effective_josephson, effective_params, reduced_params
+from fluxsqueeze.physics import (
+    ZERO_FIELD_SPLITTING_GHZ,
+    CircuitParams,
+    NVParams,
+    effective_josephson,
+    effective_params,
+    reduced_params,
+)
 
 P09 = CircuitParams(e_c=0.12, e_j=58.0, e_l=58.6, f_s=0.9)
+NV = NVParams(zeeman=ZERO_FIELD_SPLITTING_GHZ - P09.omega0)
 P05 = CircuitParams(e_c=0.12, e_j=58.0, e_l=58.6, f_s=0.5)
 
 # frozen regression values for the interleaved product at M=100, f_s=0.9
@@ -378,8 +391,9 @@ def test_squeeze_operator_resolves_its_inputs_once(monkeypatch, rep, backend):
     (lambda: gate_u0(P09, math.inf), "gate time t must be finite, got inf"),
     (lambda: gate_u0(P09, math.nan, "fock", make_fock_space(4)), "gate time t must be finite"),
     # finite times whose phase overflows, and inputs that once gave NaN
-    (lambda: gate_u0(P09, 1e308), "gate time t must be finite, got 1e+308; so must its phase"),
-    (lambda: gate_u0(P09, 1e308, "fock", make_fock_space(4)), "gate time t must be finite, got 1e+308"),
+    (lambda: gate_u0(P09, 1e308), "phase theta x E must be finite, got max|theta| = 1e+308"),
+    (lambda: gate_u0(P09, 1e308, "fock", make_fock_space(4)), "phase theta x E must be finite"),
+    (lambda: gate_u1(P09, 1.7e308), "phase theta x E must be finite, got max|theta| = 1.7e+308"),
     (lambda: gate_u1(P09, 1e308, "fock", make_fock_space(4)), "phase theta x E must be finite"),
     (lambda: analytic_us(P09, 1e308, "fock", make_fock_space(12)), "phase theta x E must be finite"),
     (lambda: analytic_us(P09, math.inf, "fock", make_fock_space(2)), "gate time t must be finite"),
@@ -393,13 +407,64 @@ def test_squeeze_operator_resolves_its_inputs_once(monkeypatch, rep, backend):
     (lambda: gate_distance(np.eye(2), np.full((2, 2), math.nan)), "gate_distance max|A - B| residual nan"),
     (lambda: gate_distance(np.eye(2)[None], np.full((1, 2, 2), math.nan)), "gate_distance max|A - B| residual nan"),
     (lambda: effective_josephson(1.0, math.nan), "circuit.e_j: E_J(f_s) = nan is not finite"),
+    (lambda: squeeze_on_product(make_fock_space(8), 1e308), "eta2: eta2 x max pair band = inf"),
+    (lambda: squeeze_on_product(make_fock_space(8), math.inf), "eta2: eta2 x max pair band = inf"),
+    (lambda: total_hamiltonian(P09, NV, 1e308, make_fock_space(8)), "g: g x sqrt(dim - 1) = inf"),
+    (lambda: total_hamiltonian(P09, NV, math.nan, make_fock_space(8)), "g: g x sqrt(dim - 1) = nan"),
+    (lambda: squeeze_operator(P09, 1477.0, m=3, backend="trotter"), "t: cosh(-2 eta1 t) = inf"),
 ], ids=["effective-params-overflow", "effective-params-nan-g", "u0-inf", "u0-fock-nan", "u0-phase",
-        "u0-fock-phase", "u1-fock-phase", "us-fock-phase", "us-fock-dim2-inf", "generator-dim2-inf",
-        "generator-phase", "propagator-phase", "phase-charge-inf-mass",
-        "phase-charge-tiny-mass", "distance-nan", "distance-stack-nan", "josephson-nan-flux"])
+        "u0-fock-phase", "u1-phase", "u1-fock-phase", "us-fock-phase", "us-fock-dim2-inf",
+        "generator-dim2-inf", "generator-phase", "propagator-phase", "phase-charge-inf-mass",
+        "phase-charge-tiny-mass", "distance-nan", "distance-stack-nan", "josephson-nan-flux",
+        "squeeze-product-overflow", "squeeze-product-inf", "hamiltonian-g-overflow",
+        "hamiltonian-g-nan", "squeeze-target-overflow"])
 def test_library_input_out_of_range_is_one_classified_error_naming_it(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ParameterError) as caught:
             call()
     assert str(caught.value).startswith(message)
+
+
+# one library call per name, of a time or strength x at a Fock dim; the 2x2 calls ignore the dim
+LIBRARY = {
+    "gate_u0 2x2": lambda x, dim: gate_u0(P09, x),
+    "gate_u0 fock": lambda x, dim: gate_u0(P09, x, "fock", make_fock_space(dim)),
+    "gate_u1 2x2": lambda x, dim: gate_u1(P09, x),
+    "gate_u1 fock": lambda x, dim: gate_u1(P09, x, "fock", make_fock_space(dim)),
+    "analytic_us 2x2": lambda x, dim: analytic_us(P09, x),
+    "analytic_us fock": lambda x, dim: analytic_us(P09, x, "fock", make_fock_space(dim)),
+    "trotter_squeeze 2x2": lambda x, dim: trotter_squeeze(P09, x, 3),
+    "trotter_squeeze fock": lambda x, dim: trotter_squeeze(P09, x, 3, "fock", make_fock_space(dim)),
+    "squeeze_operator 2x2": lambda x, dim: squeeze_operator(P09, x, 3, backend="trotter"),
+    "squeeze_operator fock": lambda x, dim: squeeze_operator(
+        P09, x, 3, rep="fock", space=make_fock_space(dim), backend="trotter"),
+    "exp_generator gamma1": lambda x, dim: exp_generator(make_fock_space(dim), "gamma1", x),
+    "exp_generator gamma2": lambda x, dim: exp_generator(make_fock_space(dim), "gamma2", x),
+    "propagator": lambda x, dim: propagator(
+        *hermitian_eig(su11_generators(make_fock_space(dim)).gamma1), x),
+    "squeeze_on_product": lambda x, dim: squeeze_on_product(make_fock_space(dim), x),
+    "total_hamiltonian": lambda x, dim: total_hamiltonian(P09, NV, x, make_fock_space(dim)),
+}
+# times and strengths from all floats, and the edges of the float range
+VALUE = st.one_of(st.sampled_from([1.7e308, -1.7e308, 1e300, 5e-324, 0.0, -0.0]), st.floats())
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(LIBRARY)), x=VALUE, dim=st.integers(2, 8))
+# numpy warned overflow in the 2x2 U1 phase, the squeeze generator and the coupling band
+@example(name="gate_u1 2x2", x=1.7e308, dim=2)
+@example(name="squeeze_on_product", x=1e308, dim=8)
+@example(name="total_hamiltonian", x=1e308, dim=8)
+# the trotter backend admits a t whose 2x2 target cosh(2 eta2) overflowed math.cosh
+@example(name="squeeze_operator 2x2", x=1477.0, dim=2)
+def test_library_call_returns_finite_values_or_one_classified_error(name, x, dim):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = LIBRARY[name](x, dim)
+        except SimulationError:
+            return
+    if isinstance(result, gates.SqueezeResult):
+        result = [result.s, result.target, result.eta2, result.residual]
+    assert all(np.isfinite(value).all() for value in result), (name, x, dim)

@@ -58,3 +58,37 @@ def test_cli_main_keeps_no_state_between_calls(tmp_path):
     assert main(["trotter", "--out", str(second)]) == 0
     assert _digest(first) != _digest(second)
     assert _digest(second) == _reference_digests()["trotter"]
+
+
+# canned ends of `pytest -q` runs; the tier-1 suite itself is never run here
+_ANCHOR_FAILURES = """\
+FAILED tests/test_acceptance.py::test_criterion_1_spectrum_anchor - AssertionError: E01(0.9)
+FAILED tests/test_acceptance.py::test_criterion_4_trotter_agreement_window - Assertion...
+"""
+_GREEN = f"""\
+........F...F............................................................ [100%]
+=========================== short test summary info ============================
+{_ANCHOR_FAILURES}2 failed, 780 passed, 5 warnings in 38.54s
+"""
+
+
+def test_tier1_summary_reads_the_counts_and_the_failed_ids():
+    summary = _load("tier1").summarize(_GREEN)
+    assert summary == {"passed": 780, "failed": 2, "errors": 0,
+                       "failed_ids": sorted(_load("tier1").ANCHORS)}
+
+
+def test_tier1_passes_only_when_exactly_the_anchors_fail():
+    tier1 = _load("tier1")
+    assert tier1.gate(tier1.summarize(_GREEN), 1)
+    extra = _GREEN.replace("2 failed, 780", "3 failed, 779").replace(
+        _ANCHOR_FAILURES, _ANCHOR_FAILURES + "FAILED tests/test_gates.py::test_u[a b] - x\n")
+    assert tier1.summarize(extra)["failed_ids"][-1] == "tests/test_gates.py::test_u[a b]"
+    one_anchor = _GREEN.replace("2 failed, 780", "1 failed, 781").replace(
+        _ANCHOR_FAILURES, _ANCHOR_FAILURES.splitlines()[0] + "\n")
+    collection = _GREEN.replace(" in 38.54s", ", 1 error in 38.54s").replace(
+        _ANCHOR_FAILURES, _ANCHOR_FAILURES + "ERROR tests/test_new.py - ImportError: x\n")
+    assert tier1.summarize(collection)["errors"] == 1
+    for output, code in ((extra, 1), (one_anchor, 1), (collection, 1), (_GREEN, 2),
+                         ("INTERNALERROR> boom\n", 3), ("", 1)):
+        assert not tier1.gate(tier1.summarize(output), code)
