@@ -34,15 +34,8 @@ from .errors import (
     SimulationError,
 )
 from .operators import (
-    EIG_INPUT_RTOL,
-    FockSpace,
-    _finite_scale,
-    hermitian_eig,
-    hermitian_matrix_function,
-    make_fock_space,
-    phase_charge_operators,
-    require_below,
-    split_sectors,
+    EIG_INPUT_RTOL, FockSpace, _finite_scale, hermitian_eig, hermitian_matrix_function,
+    make_fock_space, phase_charge_operators, require_below,
 )
 from .physics import CircuitParams, _require_stable  # perfbench/worker.py reads CircuitParams
 
@@ -216,7 +209,7 @@ def _sector_eigenvalues(H: np.ndarray) -> np.ndarray:
     them, raises ``ParameterError``.
     """
     scale = _finite_scale(H, "sector solve", stacks=True)
-    even, odd, mixed = split_sectors(H)
+    even, odd, mixed = H[..., 0::2, 0::2], H[..., 1::2, 1::2], H[..., 0::2, 1::2]
     require_below(
         np.abs(mixed).max(axis=(-2, -1)), EIG_INPUT_RTOL * scale, ConvergenceError,
         f"Hamiltonian at dim={H.shape[-1]} mixes photon parity: max|H[even, odd]|",

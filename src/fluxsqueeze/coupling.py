@@ -7,6 +7,7 @@ parameters, the gain sweep) and the unit convention live in ``physics``.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -134,6 +135,25 @@ def conjugate_hamiltonian(S: np.ndarray, H: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=4)
+def _design(n_interior: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """The basis operators' names and their read-only columns on the interior: real,
+    as every entry is, so that a cached column holds half the bytes of a complex one."""
+    # every entry of these Kronecker products is a single product, so building
+    # them on the kept levels gives the interior block of the full-size ones
+    a = annihilation(FockSpace(n_interior)).real
+    ad = a.T
+    eye_f = np.eye(n_interior)
+    eye_s = np.eye(2)
+    factors = {"const": (eye_f, eye_s), "number": (ad @ a, eye_s), "pair": (a @ a + ad @ ad, eye_s),
+               "spin_z": (eye_f, 0.5 * TAU_Z.real), "coupling": (a + ad, TAU_X.real)}
+    design = np.empty((4 * n_interior**2, len(factors)))
+    for col, (osc, spin) in enumerate(factors.values()):
+        design[:, col] = np.kron(osc, spin).ravel()
+    design.setflags(write=False)
+    return tuple(factors), design
+
+
 def project_coupling_coefficients(
     H: np.ndarray, space: FockSpace, n_interior: int
 ) -> dict[str, float]:
@@ -148,26 +168,11 @@ def project_coupling_coefficients(
     dim = space.dim
     if not 2 <= n_interior <= dim:
         raise ParameterError(f"n_interior={n_interior} outside 2..{dim}")
-    # every entry of these Kronecker products is a single product, so building
-    # them on the kept levels gives the interior block of the full-size ones
-    a = annihilation(FockSpace(n_interior))
-    ad = a.conj().T
-    eye_f = np.eye(n_interior, dtype=complex)
-    eye_s = np.eye(2, dtype=complex)
-    factors = {
-        "const": (eye_f, eye_s),
-        "number": (ad @ a, eye_s),
-        "pair": (a @ a + ad @ ad, eye_s),
-        "spin_z": (eye_f, 0.5 * TAU_Z),
-        "coupling": (a + ad, TAU_X),
-    }
     kept = 2 * n_interior
     target = mat[:kept, :kept].ravel()
-    design = np.empty((kept * kept, len(factors)), dtype=complex)
-    for col, (osc, spin) in enumerate(factors.values()):
-        design[:, col] = np.kron(osc, spin).ravel()
+    names, design = _design(n_interior)
     coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
-    out = {name: float(c.real) for name, c in zip(factors, coeffs)}
+    out = {name: float(c.real) for name, c in zip(names, coeffs)}
     residual = float(np.abs(design @ coeffs - target).max())
     out["residual"] = residual
     return out

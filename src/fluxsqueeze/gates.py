@@ -31,8 +31,9 @@ Representations: "fock" uses the number operator a^dag a in the gate
 phases; "2x2" uses the compact generators (G3 = tau_z carries the extra
 half quantum, a pure global phase).  ``representation`` resolves the
 (rep, space) pair of a gate call once into a ``Compact`` or ``Fock``
-object, which owns all that differs between the two.  Distances are
-only ever compared within one representation.  Every gate phase is
+object, which owns all that differs between the two; ``Fock`` carries its
+gates as ``Sectors``, joined (``_dense``) only at the public edge.  Distances
+are only ever compared within one representation.  Every gate phase is
 formed by ``operators._finite_phases``, so a time whose phase is past
 the float range is a ``ParameterError``.
 
@@ -45,25 +46,16 @@ one time per call and refuses an array with ``ParameterError``.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError, WrongRegimeError
 from .operators import (
-    FockSpace,
-    _finite_phases,
-    exp_2x2,
-    exp_generator,
-    exp_sectors,
-    hermitian_eig,
-    join_sectors,
-    parity_sectors,
-    require_below,
-    sector_tridiagonal,
-    split_sectors,
-    su11_generators_2x2,
+    FockSpace, Sectors, _finite_phases, _generator_eig, exp_2x2, exp_sectors, hermitian_eig,
+    join_sectors, parity_sectors, require_below, sector_tridiagonal, su11_generators_2x2,
     warn_on_truncation_leak,
 )
 from .physics import CircuitParams, ReducedParams, _circuit_value, _or_inf, _require_stable, reduced_params
@@ -171,11 +163,20 @@ def _one_time(t, who: str = "the fock representation") -> float:
     return _times(t).item()
 
 
+@functools.lru_cache(maxsize=1)
+def _target_blocks(dim: int, eta2: float) -> Sectors:
+    """Read-only, round-trip-checked blocks of exp(-2i eta2 G2), shared by both backends."""
+    blocks = exp_sectors(_generator_eig(dim, "gamma2"), -2.0 * eta2)
+    for block in blocks:
+        block.setflags(write=False)
+    return blocks
+
+
 @dataclass(frozen=True)
 class Fock:
     """The truncated Fock representation: U0 is the diagonal of phases
     exp(-i omega0 n t), and every other gate keeps photon parity, so it is
-    built and powered on the even and odd levels apart."""
+    carried as its ``Sectors``, each block built, scaled and powered apart."""
 
     space: FockSpace
 
@@ -186,16 +187,17 @@ class Fock:
     def u0(self, p: CircuitParams, t: float) -> np.ndarray:
         return np.diag(self._phases(p, t))
 
-    def u0_dag_left(self, p: CircuitParams, t: float, mat: np.ndarray) -> np.ndarray:
-        """U0^dag(t) @ mat as a row scaling."""
-        return self._phases(p, -t)[:, None] * mat
+    def u0_dag_left(self, p: CircuitParams, t: float, u: Sectors) -> Sectors:
+        """U0^dag(t) @ u as a row scaling of each block."""
+        ph = self._phases(p, -t)
+        return Sectors(ph[s::2, None] * b for s, b in enumerate(u))
 
-    def u0_conjugate(self, p: CircuitParams, t: float, mat: np.ndarray) -> np.ndarray:
-        """U0(t) @ mat @ U0^dag(t) as a row and column scaling."""
+    def u0_conjugate(self, p: CircuitParams, t: float, u: Sectors) -> Sectors:
+        """U0(t) @ u @ U0^dag(t) as a row and column scaling of each block."""
         ph = self._phases(p, t)
-        return ph[:, None] * mat * ph.conj()[None, :]
+        return Sectors(ph[s::2, None] * b * ph[s::2].conj() for s, b in enumerate(u))
 
-    def u1(self, r: ReducedParams, t: float) -> np.ndarray:
+    def u1(self, r: ReducedParams, t: float) -> Sectors:
         # h1 = omega1 n - eta1 (a^2 + a^dag^2) keeps photon parity: one real solve per
         # sector, not cached (h1 moves with omega1, eta1); 0.0 - x keeps a zero band +0
         theta = -_one_time(t)
@@ -203,20 +205,23 @@ class Fock:
                 for n, band in parity_sectors(self.space.dim)]
         return exp_sectors(eigs, theta)
 
-    def us(self, r: ReducedParams, t: float) -> np.ndarray:
+    def us(self, r: ReducedParams, t: float) -> Sectors:
         """exp(i 2 eta1 G1 t)."""
-        return exp_generator(self.space, "gamma1", 2.0 * r.eta1 * _one_time(t))
+        return exp_sectors(_generator_eig(self.space.dim, "gamma1"), 2.0 * r.eta1 * _one_time(t))
 
-    def target(self, eta2: float) -> np.ndarray:
-        # eta2 (a^2 - a^dag^2) = i (-2 eta2) G2
-        return exp_generator(self.space, "gamma2", -2.0 * eta2)
+    def target(self, eta2: float) -> Sectors:
+        return _target_blocks(self.space.dim, eta2)
 
-    def power(self, mat: np.ndarray, m: int) -> np.ndarray:
-        even, odd, _ = split_sectors(mat)
-        return join_sectors(len(mat), (np.linalg.matrix_power(b, m) for b in (even, odd)))
+    def power(self, u: Sectors, m: int) -> Sectors:
+        return Sectors(np.linalg.matrix_power(b, m) for b in u)
 
-    def check_leak(self, mat: np.ndarray, context: str):
-        warn_on_truncation_leak(mat, self.space, context)
+    def check_leak(self, u: Sectors, context: str):
+        warn_on_truncation_leak(u, self.space, context)
+
+
+def _dense(u):
+    """A gate as one matrix: the 2x2 form's as it is, the Fock form's ``Sectors`` joined."""
+    return join_sectors(sum(map(len, u)), u) if isinstance(u, Sectors) else u
 
 
 def representation(rep: str, space: FockSpace | None = None) -> Compact | Fock:
@@ -240,11 +245,11 @@ def gate_u0(p: CircuitParams, t: float | np.ndarray, rep: str = "2x2", space: Fo
 def gate_u1(p: CircuitParams, t: float | np.ndarray, rep: str = "2x2", space: FockSpace | None = None) -> np.ndarray:
     """Detuned-flux gate; unitary in the fock rep, non-unitary 2x2 in general."""
     _require_stable(p)
-    return representation(rep, space).u1(reduced_params(p), t)
+    return _dense(representation(rep, space).u1(reduced_params(p), t))
 
 
 def _core(form: Compact | Fock, p: CircuitParams, r: ReducedParams, t,
-          sched: GateSchedule | None = None) -> np.ndarray:
+          sched: GateSchedule | None = None):
     """Us(t) evaluated directly, or with ``sched`` the interleaved product, leak-checked."""
     if sched is None:
         u, what = form.us(r, t), "analytic squeezing propagator"
@@ -258,7 +263,7 @@ def _core(form: Compact | Fock, p: CircuitParams, r: ReducedParams, t,
 def analytic_us(p: CircuitParams, t: float | np.ndarray, rep: str = "2x2", space: FockSpace | None = None) -> np.ndarray:
     """The squeezing propagator exp(i 2 eta1 G1 t) evaluated directly."""
     _require_stable(p)
-    return _core(representation(rep, space), p, reduced_params(p), t)
+    return _dense(_core(representation(rep, space), p, reduced_params(p), t))
 
 
 def trotter_squeeze(
@@ -272,12 +277,14 @@ def trotter_squeeze(
     """The M-fold interleaved product [U0^dag(t'/M) U1(t/M)]^M."""
     _require_stable(p)
     form, r = representation(rep, space), reduced_params(p)
-    return _core(form, p, r, t, _schedule(r, t, m, 0, convention))
+    return _dense(_core(form, p, r, t, _schedule(r, t, m, 0, convention)))
 
 
 def gate_distance(A: np.ndarray, B: np.ndarray) -> float | np.ndarray:
-    """Largest element-wise deviation max_ij |A_ij - B_ij|: a float for two
-    matrices, an array of per-matrix maxima for two stacks."""
+    """Largest element-wise deviation max_ij |A_ij - B_ij|: a float for two matrices (or
+    ``Sectors``, whose off-sector zeros agree), an array of per-matrix maxima for two stacks."""
+    if isinstance(A, Sectors) and isinstance(B, Sectors):
+        return max(map(gate_distance, A, B))
     A = np.asarray(A)
     B = np.asarray(B)
     if A.shape != B.shape:
@@ -289,13 +296,16 @@ def gate_distance(A: np.ndarray, B: np.ndarray) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class SqueezeResult:
-    """Composed squeezing operator and its deviation from the direct target."""
+    """Composed squeezing operator and its deviation from the direct target; ``s`` and ``target``
+    are formed from their representation's blocks when first read."""
 
     eta2: float
-    s: np.ndarray
-    target: np.ndarray
     residual: float
     schedule: GateSchedule
+    _s: object = field(repr=False)
+    _target: object = field(repr=False)
+    s = functools.cached_property(lambda self: _dense(self._s))
+    target = functools.cached_property(lambda self: _dense(self._target))
 
 
 def squeeze_operator(
@@ -331,10 +341,5 @@ def squeeze_operator(
     eta2 = -r.eta1 * t
     target = form.target(eta2)
     form.check_leak(composed, "composed squeezing operator")
-    return SqueezeResult(
-        eta2=eta2,
-        s=composed,
-        target=target,
-        residual=gate_distance(composed, target),
-        schedule=sched,
-    )
+    return SqueezeResult(eta2=eta2, residual=gate_distance(composed, target), schedule=sched,
+                         _s=composed, _target=target)

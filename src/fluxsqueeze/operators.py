@@ -23,11 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    InvalidDimensionError,
-    ParameterError,
-    SimulationError,
-    TruncationLeakWarning,
-    WrongRegimeError,
+    InvalidDimensionError, ParameterError, SimulationError, TruncationLeakWarning, WrongRegimeError,
 )
 from .physics import _circuit_value, _or_inf
 
@@ -158,7 +154,7 @@ def _finite_scale(mat: np.ndarray, what: str, stacks: bool = False):
         raise ParameterError(
             f"{what} needs finite matrix entries, got max|M| = {float(peak[~finite][0])}"
         )
-    return np.maximum(peak, 1.0)
+    return max(1.0, float(peak)) if mat.ndim == 2 else np.maximum(peak, 1.0)
 
 
 def reconstruction_residual(mat: np.ndarray, w: np.ndarray, v: np.ndarray):
@@ -242,9 +238,8 @@ def exp_2x2(K: np.ndarray) -> np.ndarray:
     Hyperbolic arguments are capped at ``HYPERBOLIC_CAP``; beyond it the
     non-unitary representation has grown by e^10, and the squeeze is
     refused as a regime limit (``WrongRegimeError``), naming the first
-    matrix in stack order that is over the cap or whose argument
-    overflowed.  A NaN or infinite entry is rejected with
-    ``ParameterError`` before any work.
+    matrix in stack order that is over the cap or whose argument is NaN.
+    A NaN or infinite entry is rejected with ``ParameterError`` first.
     """
     K = np.asarray(K, dtype=complex)
     if K.shape[-2:] != (2, 2):
@@ -253,9 +248,12 @@ def exp_2x2(K: np.ndarray) -> np.ndarray:
         raise ParameterError("exp_2x2 needs finite matrix entries")
     half_tr = 0.5 * (K[..., 0, 0] + K[..., 1, 1])
     B = K - half_tr[..., None, None] * np.eye(2)
-    # a huge time overflows mu to inf, which the checks below reject
+    det = lambda m: m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]  # noqa: E731
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = np.sqrt(-(B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0]))
+        # a det B past the float range (a pure phase past about 1.3e154) is formed again
+        # from B scaled by 2^-600, exactly; every other member keeps its bits
+        mu = np.sqrt(-det(B))
+        mu = np.where(np.isinf(mu), np.sqrt(-det(B * 2.0**-600)) * 2.0**600, mu)
     over = np.ravel(~(np.abs(mu.real) <= HYPERBOLIC_CAP) | ~np.isfinite(mu))
     if over.any():
         first = np.ravel(mu)[over.argmax()]
@@ -336,25 +334,22 @@ def sector_tridiagonal(upper: np.ndarray, lower: np.ndarray | None = None, diag=
     return out
 
 
-def split_sectors(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Views of the even block, the odd block and the even-odd block of
-    ``mat``, or of each matrix of a stack."""
-    return mat[..., 0::2, 0::2], mat[..., 1::2, 1::2], mat[..., 0::2, 1::2]
+class Sectors(tuple):
+    """A parity-keeping operator as its (even, odd) level blocks; zeros lie between."""
 
 
-def join_sectors(dim: int, blocks) -> np.ndarray:
-    """Complex ``dim`` x ``dim`` matrix of the even and odd ``blocks`` as yielded, zeros between."""
-    out = np.zeros((dim, dim), dtype=complex)
+def join_sectors(dim: int, blocks, cols: int | None = None) -> np.ndarray:
+    """Complex ``dim`` x ``dim`` matrix of the even and odd ``blocks`` as yielded, zeros
+    between, or its first ``cols`` columns."""
+    out = np.zeros((dim, cols or dim), dtype=complex)
     for s, block in enumerate(blocks):
-        out[s::2, s::2] = block
+        out[s::2, s::2] = block[:, : (out.shape[1] + 1 - s) // 2]
     return out
 
 
-def exp_sectors(eigs, theta: float) -> np.ndarray:
+def exp_sectors(eigs, theta: float) -> Sectors:
     """exp(i theta H) of a parity-keeping H from each sector's (w, v), round-trip checked."""
-    return join_sectors(
-        sum(len(w) for w, _ in eigs), (_exp_i_eig(_finite_phases(theta, w), v) for w, v in eigs)
-    )
+    return Sectors(_exp_i_eig(_finite_phases(theta, w), v) for w, v in eigs)
 
 
 FIXED_GENERATORS = ("gamma1", "gamma2")
@@ -384,7 +379,7 @@ def exp_generator(space: FockSpace, name: str, theta: float) -> np.ndarray:
     """
     if name not in FIXED_GENERATORS:
         raise ParameterError(f"unknown generator {name!r}; pick from {FIXED_GENERATORS}")
-    return exp_sectors(_generator_eig(space.dim, name), theta)
+    return join_sectors(space.dim, exp_sectors(_generator_eig(space.dim, name), theta))
 
 
 def commutator(A, B) -> np.ndarray:
@@ -403,12 +398,14 @@ def truncation_leak(matrix, space: FockSpace) -> float:
 
     The columns for the lowest 10% of levels stand in for physically
     occupied states; their amplitude in the top 10% of rows measures how
-    much the operation pushes population into the truncation edge.
+    much the operation pushes population into the truncation edge.  Of
+    ``Sectors`` the low columns are laid out as in the joined matrix.
     """
-    mat = np.asarray(matrix, dtype=complex)
     dim = space.dim
     top_start = int(math.ceil(0.9 * dim))
     n_low = max(1, dim // 10)
+    mat = join_sectors(dim, matrix, n_low) if isinstance(matrix, Sectors) else np.asarray(
+        matrix, dtype=complex)
     weights = np.abs(mat[:, :n_low]) ** 2
     total = weights.sum(axis=0)
     total = np.where(total == 0.0, 1.0, total)

@@ -19,7 +19,7 @@ from fluxsqueeze.operators import (
     phase_charge_operators,
     su11_generators,
 )
-from fluxsqueeze.physics import CircuitParams, NVParams
+from fluxsqueeze.physics import CircuitParams, NVParams, reduced_params
 
 P = CircuitParams(e_c=0.12, e_j=58.0, e_l=58.6, f_s=0.9)
 NV = NVParams(zeeman=2.87 - P.omega0)
@@ -72,9 +72,13 @@ def test_representation_resolver():
 @pytest.mark.parametrize("rep, dim", [("2x2", 2), ("fock", 9)])
 def test_representation_actions_match_dense_products(rep, dim):
     space = make_fock_space(dim)
+    # the fock form carries its gates as sector blocks; each action is compared joined
     form = gates.representation(rep, space)
     mat = gates.gate_u1(P, 0.3, rep, space)
+    gate = form.u1(reduced_params(P), 0.3)
+    assert np.array_equal(gates._dense(gate), mat)
     u0 = form.u0(P, 0.4)
-    np.testing.assert_allclose(form.u0_dag_left(P, 0.4, mat), u0.conj().T @ mat, atol=1e-14)
-    np.testing.assert_allclose(form.u0_conjugate(P, 0.4, mat), u0 @ mat @ u0.conj().T, atol=1e-14)
-    np.testing.assert_allclose(form.power(mat, 5), np.linalg.matrix_power(mat, 5), atol=1e-13)
+    np.testing.assert_allclose(gates._dense(form.u0_dag_left(P, 0.4, gate)), u0.conj().T @ mat, atol=1e-14)
+    np.testing.assert_allclose(gates._dense(form.u0_conjugate(P, 0.4, gate)), u0 @ mat @ u0.conj().T,
+                               atol=1e-14)
+    np.testing.assert_allclose(gates._dense(form.power(gate, 5)), np.linalg.matrix_power(mat, 5), atol=1e-13)

@@ -19,6 +19,7 @@ import pytest
 
 from fluxsqueeze.coupling import (
     UNITARY_TOL,
+    _design,
     _gram_residual,
     conjugate_hamiltonian,
     project_coupling_coefficients,
@@ -270,3 +271,16 @@ def test_chain_allocation_budget():
     h = total_hamiltonian(P, NV, G, space)
     assert _peak_in_product_matrices(total_hamiltonian, P, NV, G, space) <= 1.1
     assert _peak_in_product_matrices(project_coupling_coefficients, h, space, 64) <= 1.5
+
+
+def test_projection_design_is_built_once_per_size_and_read_only():
+    space = make_fock_space(24)
+    h = conjugate_hamiltonian(squeeze_on_product(space, 0.1), total_hamiltonian(P, NV, G, space))
+    _design.cache_clear()
+    first = project_coupling_coefficients(h, space, 8)
+    names, design = _design(8)
+    assert project_coupling_coefficients(h, space, 8) == first
+    assert _design.cache_info().misses == 1 and _design(8)[1] is design
+    assert names == ("const", "number", "pair", "spin_z", "coupling")
+    with pytest.raises(ValueError):
+        design[0, 0] = 1.0

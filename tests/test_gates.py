@@ -157,7 +157,7 @@ def test_fock_gates_are_exactly_zero_between_parity_sectors(dim):
     for mat in (
         gate_u1(P09, 1.0, "fock", space),
         analytic_us(P09, 1.0, "fock", space),
-        representation("fock", space).target(0.3),
+        gates._dense(representation("fock", space).target(0.3)),
         trotter_squeeze(P09, 1.0, 100, "fock", space),
     ):
         assert np.all(_between_sectors(mat) == 0.0)
@@ -199,7 +199,8 @@ def test_fock_target_matches_generator_exponential(dim, eta2):
     a = annihilation(space)
     ad = a.conj().T
     want = exp_normal(eta2 * (a @ a - ad @ ad))
-    assert np.abs(representation("fock", space).target(eta2) - want).max() < 1e-12
+    form = representation("fock", space)
+    assert np.abs(gates._dense(form.target(eta2)) - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("backend, solves", [("analytic", 0), ("trotter", 1)])
@@ -424,6 +425,17 @@ def test_library_input_out_of_range_is_one_classified_error_naming_it(call, mess
         with pytest.raises(ParameterError) as caught:
             call()
     assert str(caught.value).startswith(message)
+
+
+@pytest.mark.parametrize("t", [1e154, 1e300, np.array([0.5, 1e154, 1e300])],
+                         ids=["1e154", "1e300", "stack"])
+def test_library_pure_phase_gate_at_a_huge_finite_time_is_unit_modulus(t):
+    # exp(-i omega0 t G3) once raised as a hyperbolic argument |inf|: det B squared the phase
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = gate_u0(P09, t)
+    assert np.array_equal(np.abs(u) > 0.5, np.broadcast_to(np.eye(2, dtype=bool), u.shape))
+    np.testing.assert_allclose(np.abs(u[..., [0, 1], [0, 1]]), 1.0, rtol=0.0, atol=1e-15)
 
 
 # one library call per name, of a time or strength x at a Fock dim; the 2x2 calls ignore the dim

@@ -499,3 +499,11 @@ def test_unitarity_guard_fails_closed(bad):
         SimulationError, match="exp\\(K\\)exp\\(-K\\) residual"
     ):
         propagator(w, v, 1.0)
+
+
+@pytest.mark.parametrize("peak", [0.0, 0.5, 3.0, 1e300])
+def test_finite_scale_of_a_matrix_is_its_stack_scale_as_a_float(peak):
+    mat = np.array([[peak, -0.25], [-0.25, 0.0]])
+    scale = operators._finite_scale(mat, "test")
+    assert type(scale) is float
+    assert scale == operators._finite_scale(mat[None], "test", stacks=True)[0] == max(1.0, peak)

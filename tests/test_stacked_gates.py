@@ -79,12 +79,15 @@ def test_exp_2x2_cap_names_the_first_over_cap_member():
 
 
 @pytest.mark.parametrize("t", [1e200, 1e300])
-def test_overflowing_rotation_is_a_regime_error_without_warnings(t):
-    # mu = sqrt(-det B) overflows to inf*j, whose cosh and sinh are NaN
+def test_over_cap_member_whose_determinant_overflowed_is_a_regime_error_without_warnings(t):
+    # det B overflows for both members; the pure phase is formed again and passes, the
+    # hyperbolic member is named with its true argument, not inf
+    stack = np.array([-1j * t * G.gamma3, -1j * t * G.gamma1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(WrongRegimeError, match=re.escape("|inf|")):
-            gate_u0(P09, t)
+        with pytest.raises(WrongRegimeError, match=re.escape(f"|{t:#.4g}| exceeds cap")):
+            exp_2x2(stack)
+        assert np.allclose(np.abs(exp_2x2(stack[:1])), np.eye(2), rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("shape", [(2,), (3, 3), (4, 2, 3)])
